@@ -18,20 +18,10 @@ from repro.bench.figures import (
     run_table1,
     sim_scale,
 )
-from repro.bench.columnar import (
-    ColumnarSweepConfig,
-    ColumnarSweepResult,
-    run_columnar_sweep,
-)
-from repro.bench.hotpath import HotpathConfig, HotpathResult, run_hotpath_benchmark
 from repro.bench.reporting import Series, format_series, format_table, scale_note
 
 __all__ = [
-    "ColumnarSweepConfig",
-    "ColumnarSweepResult",
     "ExperimentDatabase",
-    "HotpathConfig",
-    "HotpathResult",
     "OverheadMeasurement",
     "Series",
     "build_experiment_database",
@@ -40,7 +30,6 @@ __all__ = [
     "format_series",
     "format_table",
     "measure_overhead",
-    "run_columnar_sweep",
     "run_fig6",
     "run_fig7",
     "run_fig8",
@@ -48,7 +37,6 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_fig12",
-    "run_hotpath_benchmark",
     "run_table1",
     "scale_note",
     "sim_scale",

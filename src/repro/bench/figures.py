@@ -32,7 +32,7 @@ from typing import Sequence
 from repro.bench.reporting import Series, format_series, format_table, scale_note
 from repro.core.costmodel import MaintenanceCostModel
 from repro.core.discretize import Discretization
-from repro.core.executor import DEFAULT_O1_CACHE_SIZE, PMVExecutor
+from repro.core.executor import PMVExecutor
 from repro.core.view import PartialMaterializedView
 from repro.engine.database import Database
 from repro.sim.hitprob import SimulationConfig, simulate_hit_probability
@@ -52,7 +52,6 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_fig12",
-    "run_o1_ablation",
     "OverheadMeasurement",
     "ExperimentDatabase",
     "build_experiment_database",
@@ -302,8 +301,6 @@ def measure_overhead(
     runs: int | None = None,
     pmv_entries: int = 20_000,
     seed: int = 123,
-    use_o1_cache: bool = True,
-    query_pool: int | None = None,
 ) -> OverheadMeasurement:
     """One engine data point: PMV overhead under the 4.2 protocol.
 
@@ -312,15 +309,9 @@ def measure_overhead(
     which (the densest cell) is resident in the PMV.  Reported overhead
     is O1 + O2 + O3's checking; execution time is the full blocking
     plan, both as wall-clock and with simulated disk latency added to
-    the plan's physical page traffic.  ``use_o1_cache=False`` disables
-    the executor's decomposition memo (for memoization ablations); the
-    measured memo hit rate is reported either way.
-
-    By default every measured query is a fresh controlled construction,
-    so bound values essentially never repeat.  ``query_pool=k`` instead
-    cycles the measured runs through a fixed pool of ``k`` such queries
-    — the repetition regime a real analyst stream exhibits and the one
-    the decomposition memo targets.
+    the plan's physical page traffic; the measured O1 memo hit rate
+    is reported too.  Every measured query is a fresh controlled
+    construction, so bound values essentially never repeat.
     """
     runs = engine_runs() if runs is None else runs
     db = env.database
@@ -335,11 +326,7 @@ def measure_overhead(
         max_entries=pmv_entries,
         policy="clock",
     )
-    executor = PMVExecutor(
-        db,
-        view,
-        o1_cache_size=DEFAULT_O1_CACHE_SIZE if use_o1_cache else 0,
-    )
+    executor = PMVExecutor(db, view)
     domains: list[Sequence] = [env.dates, env.suppliers]
     if template_name == "T2":
         domains.append(env.nations)
@@ -352,11 +339,7 @@ def measure_overhead(
     for _ in range(3):
         executor.execute(factory.query(h, hot))
 
-    if query_pool is not None:
-        pool = [factory.query(h, hot) for _ in range(query_pool)]
-        stream = [pool[i % query_pool] for i in range(runs)]
-    else:
-        stream = [factory.query(h, hot) for _ in range(runs)]
+    stream = [factory.query(h, hot) for _ in range(runs)]
 
     overhead = partial_latency = execution = simulated = partial_tuples = 0.0
     total_tuples = 0.0
@@ -475,55 +458,6 @@ def run_fig10(
     if verbose and last_env is not None:
         print(scale_note(_engine_scale_text(last_env)))
         print(format_series("s", series))
-    return series
-
-
-def run_o1_ablation(
-    h_values: Sequence[int] = (2, 4, 6, 8),
-    tuples_per_entry: int = 3,
-    scale_factor: float = 1.0,
-    query_pool: int = 4,
-    verbose: bool = True,
-) -> list[Series]:
-    """O1-memoization ablation: overhead and memo hit rate vs. h.
-
-    Runs each data point twice — decomposition memo on and off — on
-    the same database.  The measured stream cycles through a small
-    pool of Section 4.2 queries (``query_pool`` of them), so bound
-    values repeat heavily — the regime the memo targets — and the
-    with-memo overhead curve should sit at or below the without-memo
-    curve, with the gap growing in h (decomposition cost is O(h)
-    products).
-    """
-    env = build_experiment_database(scale_factor=scale_factor)
-    series = [
-        Series("T1 overhead, memo (s)"),
-        Series("T1 overhead, no memo (s)"),
-        Series("T1 memo hit rate"),
-    ]
-    for h in h_values:
-        cached = measure_overhead(
-            env,
-            "T1",
-            h=h,
-            tuples_per_entry=tuples_per_entry,
-            use_o1_cache=True,
-            query_pool=query_pool,
-        )
-        uncached = measure_overhead(
-            env,
-            "T1",
-            h=h,
-            tuples_per_entry=tuples_per_entry,
-            use_o1_cache=False,
-            query_pool=query_pool,
-        )
-        series[0].add(h, cached.mean_overhead_seconds)
-        series[1].add(h, uncached.mean_overhead_seconds)
-        series[2].add(h, cached.o1_cache_hit_ratio)
-    if verbose:
-        print(scale_note(_engine_scale_text(env)))
-        print(format_series("h", series))
     return series
 
 

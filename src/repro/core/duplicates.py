@@ -27,9 +27,9 @@ class DuplicateSuppressor:
     anyway, and tuple keys hash and compare at C speed — this matters
     because O2 adds and O3 consumes every delivered tuple.
 
-    The columnar pipeline talks to DS in value tuples directly
+    The executor talks to DS in value tuples directly
     (:meth:`add_batch` / :meth:`consume_batch`), so no :class:`Row`
-    objects exist on that path; the count store is a
+    objects exist on its path; the count store is a
     :class:`collections.Counter` so bulk adds run in C.
     """
 
@@ -43,24 +43,10 @@ class DuplicateSuppressor:
         self._counts[values] = self._counts.get(values, 0) + 1
         self._size += 1
 
-    def add_many(self, rows: "list[Row] | tuple[Row, ...]") -> None:
-        """Record a batch of delivered rows (O2's per-entry bulk path).
-
-        Equivalent to calling :meth:`add` per row, minus the per-row
-        Python call overhead — O2 delivers whole entries at a time.
-        """
-        counts = self._counts
-        get = counts.get
-        for row in rows:
-            values = row.values
-            counts[values] = get(values, 0) + 1
-        self._size += len(rows)
-
     def add_batch(self, values: "Sequence[tuple] | Iterable[tuple]") -> None:
-        """Record a batch of delivered *value tuples* (columnar O2).
+        """Record a batch of delivered *value tuples* (O2).
 
-        ``Counter.update`` runs the counting loop in C — this is the
-        vectorized analogue of :meth:`add_many` with no ``Row``
+        ``Counter.update`` runs the counting loop in C, with no ``Row``
         objects involved.
         """
         if not hasattr(values, "__len__"):
@@ -70,10 +56,13 @@ class DuplicateSuppressor:
 
     def consume_batch(self, values: "Sequence[tuple]") -> list[tuple]:
         """Consume one recorded occurrence of each value tuple; return
-        the tuples that were *not* recorded (columnar O3).
+        the tuples that were *not* recorded (O3's bulk dedup).
 
-        Tuple-level twin of :meth:`consume_many`: same semantics, same
-        order preservation, no ``Row`` objects.
+        Equivalent to ``[t for t in values if not consumed(t)]`` with
+        the loop run inside one call.  Order is preserved.  The
+        returned list is always a fresh object, never the caller's —
+        aliasing the input would let downstream mutation corrupt the
+        operator's batch.
         """
         counts = self._counts
         if not counts:
@@ -95,42 +84,11 @@ class DuplicateSuppressor:
         self._size -= consumed
         return fresh
 
-    def consume_many(self, rows: list[Row]) -> list[Row]:
-        """Consume one recorded occurrence of each row; return the
-        rows that were *not* recorded (O3's bulk dedup path).
-
-        Equivalent to ``[row for row in rows if not self.consume(row)]``
-        with the loop run inside one call.  Order is preserved.  The
-        returned list is always a fresh object, never the caller's —
-        aliasing the input would let downstream mutation corrupt the
-        operator's batch.
-        """
-        counts = self._counts
-        if not counts:
-            return list(rows)
-        fresh: list[Row] = []
-        append = fresh.append
-        get = counts.get
-        consumed = 0
-        for row in rows:
-            values = row.values
-            count = get(values, 0)
-            if count == 0:
-                append(row)
-            elif count == 1:
-                del counts[values]
-                consumed += 1
-            else:
-                counts[values] = count - 1
-                consumed += 1
-        self._size -= consumed
-        return fresh
-
     def consume(self, row: Row) -> bool:
         """If ``row`` is recorded, remove one occurrence and return True.
 
-        O3 calls this for every result tuple; a True return means the
-        user already has this occurrence and it must not be re-sent.
+        The per-row form of :meth:`consume_batch`: a True return means
+        the user already has this occurrence and it must not be re-sent.
         """
         values = row.values
         count = self._counts.get(values, 0)

@@ -5,8 +5,8 @@ Given a bound query, :class:`PMVExecutor`:
 - **O1** breaks ``Cselect`` into non-overlapping condition parts;
 - **O2** takes an S lock on the PMV, probes the bcp index for each
   part's containing bcp, and returns the cached tuples that satisfy
-  the query as *immediate partial results*, recording them in the
-  duplicate suppressor ``DS``;
+  the query as *immediate partial results*, remembering what it
+  delivered (the paper's duplicate suppressor ``DS``);
 - **O3** runs the full (blocking) plan, suppresses the tuples the user
   already received, returns the remainder, and opportunistically fills
   or refreshes the PMV "for free" — at most ``F`` tuples per bcp,
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.decompose import DecompositionCache, decompose, group_parts
+from repro.core.decompose import DecompositionCache
 from repro.core.duplicates import DuplicateSuppressor
 from repro.core.metrics import QueryMetrics
 from repro.core.view import PartialMaterializedView
@@ -137,35 +137,46 @@ DEFAULT_O1_CACHE_SIZE = 256
 """Default capacity of the per-executor O1 decomposition memo."""
 
 
+def _unseen(tuples, seen: set) -> list:
+    """The tuples not yet in ``seen``, in order; adds them to it (the
+    ``distinct`` filter of both O2 and the plan stream)."""
+    kept = []
+    kept_append = kept.append
+    seen_add = seen.add
+    for t in tuples:
+        if t not in seen:
+            seen_add(t)
+            kept_append(t)
+    return kept
+
+
 class PMVExecutor:
     """Executes queries of one template through its PMV.
 
-    Three hot-path knobs, all on by default:
+    There is one pipeline.  The clocked path moves plain value tuples:
+    O2 delivers resident entries as chunks of their value lists, O3
+    consumes the plan's :class:`ColumnBatch` stream and settles the
+    delivered-vs-derived ledger with set algebra, and :class:`Row`
+    objects are built once, at the :class:`PMVQueryResult` client
+    boundary.  A query that must bypass the PMV (S lock denied, view
+    beyond its freshness bound) runs the same pipeline with nothing
+    probed and nothing refreshed, and the :meth:`execute_without_pmv`
+    baseline consumes its plan through the same loop as O3 — so PMV
+    overhead is measured against the same operators it rides on.
 
     ``o1_cache_size``
         Capacity of the LRU decomposition memo (Operation O1 is a pure
-        function of the bound ``Cselect``); ``0`` disables memoization
-        and re-derives every decomposition from scratch.
-    ``use_plan_cache``
-        Bind the query against the database's compiled-plan cache
-        instead of re-planning from the template each time.
-    ``batched``
-        Drive Operation O3 through the plan's batch iterator, sampling
-        the overhead clock once per batch rather than twice per row,
-        and hoist O2's per-part ``is_basic`` evaluation out of the
-        per-cached-row loop.
-    ``columnar``
-        Run O2/O3 over the engine's :class:`ColumnBatch` pipeline: the
-        whole hot path moves plain value tuples (O2 delivers live entry
-        value lists by reference, O3 deduplicates with set algebra over
-        value tuples) and :class:`Row` objects are materialized only at
-        the :class:`PMVQueryResult` client boundary.  ``columnar=False``
-        restores the row-at-a-time pipeline, which the equivalence
-        suite and the hot-path benchmark compare against.
-
-    Turning them all off reproduces the original per-row, re-derive-
-    everything path — the baseline the hot-path benchmark compares
-    against.
+        function of the bound ``Cselect``); must be positive.
+    ``lock_timeout``
+        How long a query waits for the view's S lock before bypassing
+        the PMV instead of failing (never raising).
+    ``freshness_bound``
+        For async-maintained views (DESIGN.md §13): when the view's
+        applied-LSN lag exceeds this many positions, ``execute()``
+        bypasses the PMV and serves a fresh complete answer from full
+        execution (``pmv_bypassed_stale``).  ``None`` (the default)
+        serves at any lag — every answer still carries its staleness
+        stamp.  Ignored for eagerly-maintained views.
     """
 
     def __init__(
@@ -174,43 +185,23 @@ class PMVExecutor:
         view: PartialMaterializedView,
         clock=time.perf_counter,
         o1_cache_size: int = DEFAULT_O1_CACHE_SIZE,
-        use_plan_cache: bool = True,
-        batched: bool = True,
-        columnar: bool = True,
-        lock_wait: bool = True,
         lock_timeout: float = DEFAULT_LOCK_GRACE,
         freshness_bound: int | None = None,
     ) -> None:
         self.database = database
         self.view = view
         self._clock = clock
-        self.o1_cache = (
-            DecompositionCache(o1_cache_size) if o1_cache_size > 0 else None
-        )
-        self.use_plan_cache = use_plan_cache
-        self.batched = batched
-        self.columnar = columnar
+        self.o1_cache = DecompositionCache(o1_cache_size)
         # Compiled tuple-position matchers for non-basic part groups,
         # keyed by the (hashable, frozen) parts tuple; bounded so a
         # pathological workload cannot grow it without limit.
         self._part_matchers: dict[tuple, Callable[[tuple], bool]] = {}
-        # Memoized bcp-key extractor for the columnar refresh: every
-        # plan of one template shares a root schema, so the extractor
-        # compiles once, not once per query with fresh rows.
+        # Memoized bcp-key extractor for the O3 refresh: every plan of
+        # one template shares a root schema, so the extractor compiles
+        # once, not once per query.
         self._values_key_of: Callable[[tuple], tuple] | None = None
         self._values_key_schema = None
-        # S-lock acquisition policy: wait up to ``lock_timeout`` seconds
-        # for the view's S lock, then bypass the PMV instead of failing
-        # the query.  ``lock_wait=False`` restores the historical
-        # try-once policy (still bypassing, never raising).
-        self.lock_wait = lock_wait
         self.lock_timeout = lock_timeout
-        # Freshness policy for async-maintained views (DESIGN.md §13):
-        # when the view's applied-LSN lag exceeds this many positions,
-        # execute() bypasses the PMV and serves a fresh complete answer
-        # from full execution (``pmv_bypassed_stale``).  None (the
-        # default) serves at any lag — every answer still carries its
-        # staleness stamp.  Ignored for eagerly-maintained views.
         self.freshness_bound = freshness_bound
 
     # -- public API --------------------------------------------------------------
@@ -249,18 +240,9 @@ class PMVExecutor:
         obtained within the grace period, the query silently bypasses
         the PMV (``metrics.bypassed_lock``).
         """
-        self._check_template(query)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.database.begin(read_only=True)
-        try:
-            result = self._execute_locked(
-                query, txn, distinct, on_partial, on_o3, deadline
-            )
-        finally:
-            if own_txn:
-                txn.commit()  # releases the S lock (strict 2PL)
-        return result
+        return self._in_transaction(
+            self._execute_locked, query, txn, distinct, on_partial, on_o3, deadline
+        )
 
     def preview(self, query: Query, txn: Transaction | None = None) -> PMVQueryResult:
         """Operations O1+O2 only: the immediately available partial
@@ -277,41 +259,27 @@ class PMVExecutor:
         blocking execution and never raises :class:`LockError`; the
         event is counted as ``pmv_bypassed_lock``.
         """
-        self._check_template(query)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.database.begin(read_only=True)
-        try:
-            result = self._preview_locked(query, txn)
-        finally:
-            if own_txn:
-                txn.commit()
-        return result
+        return self._in_transaction(self._preview_locked, query, txn)
 
-    def _check_template(self, query: Query) -> None:
+    def _in_transaction(self, body, query: Query, txn: Transaction | None, *args):
+        """Run ``body(query, txn, *args)`` in the caller's transaction,
+        or in a read-only one of our own that ends with the call."""
         if query.template is not self.view.template:
             raise PMVError(
                 f"query is from template {query.template.name!r}, "
                 f"but this executor serves {self.view.template.name!r}"
             )
-
-    def _decompose(self, query: Query, metrics: QueryMetrics):
-        """Operation O1, through the memo when one is configured."""
-        cache = self.o1_cache
-        if cache is None:
-            return decompose(query, self.view.discretization)
-        hits_before = cache.hits
-        parts = cache.decompose(query, self.view.discretization)
-        metrics.o1_cache_hit = cache.hits > hits_before
-        return parts
+        if txn is not None:
+            return body(query, txn, *args)
+        txn = self.database.begin(read_only=True)
+        try:
+            return body(query, txn, *args)
+        finally:
+            txn.commit()  # releases the S lock (strict 2PL)
 
     def _decompose_grouped(self, query: Query, metrics: QueryMetrics):
-        """Operation O1 plus the O2-ready part groups, memoized when
-        a cache is configured."""
+        """Operation O1 plus the O2-ready part groups, through the memo."""
         cache = self.o1_cache
-        if cache is None:
-            parts = decompose(query, self.view.discretization)
-            return parts, group_parts(parts)
         hits_before = cache.hits
         parts, groups = cache.decompose_grouped(query, self.view.discretization)
         metrics.o1_cache_hit = cache.hits > hits_before
@@ -320,10 +288,16 @@ class PMVExecutor:
     def execute_without_pmv(self, query: Query) -> tuple[list[Row], float]:
         """Baseline: traditional blocking execution, no PMV involved.
 
-        Returns ``(rows, execution_seconds)``.
+        Runs the same plan through the same loop as O3, so the
+        difference between this and :meth:`execute` is the PMV's own
+        work.  Returns ``(rows, execution_seconds)``.
         """
         start = self._clock()
-        rows = self.database.run(query, blocking=True)
+        plan = self.database.plan(query, blocking=True)
+        with self.database.statement_latch:
+            chunks, _completed, _checking = self._stream(plan)
+        schema = plan.root.schema
+        rows = [Row(t, schema) for chunk in chunks for t in chunk]
         return rows, self._clock() - start
 
     # -- the three operations ------------------------------------------------------
@@ -333,14 +307,11 @@ class PMVExecutor:
 
         Returns ``True`` with the lock held, or ``False`` (setting
         ``metrics.bypassed_lock``) when the lock was denied or the wait
-        timed out.  The LockError never reaches the client — this is
-        the O2 lock-denial bugfix: the PMV accelerates queries, it must
-        never fail them.
+        timed out.  The LockError never reaches the client: the PMV
+        accelerates queries, it must never fail them.
         """
         try:
-            txn.lock_shared(
-                self.view.name, wait=self.lock_wait, timeout=self.lock_timeout
-            )
+            txn.lock_shared(self.view.name, wait=True, timeout=self.lock_timeout)
         except LockError:  # includes DeadlockError timeouts
             metrics.bypassed_lock = True
             return False
@@ -375,454 +346,6 @@ class PMVExecutor:
         applied = view.applied_lsn
         result.applied_lsn = applied
         result.staleness = max(0, self.database.current_lsn() - applied)
-
-    def _preview_locked(self, query: Query, txn: Transaction) -> PMVQueryResult:
-        clock = self._clock
-        view = self.view
-        result = PMVQueryResult(query=query)
-        start = clock()
-        parts, groups = self._decompose_grouped(query, result.metrics)
-        result.metrics.condition_parts = len(parts)
-        if not self._lock_view_or_bypass(txn, result.metrics):
-            # Degrade to an empty preview: no lock means the cached
-            # contents may be mutated under us, and a preview by
-            # definition must not fall back to blocking execution.
-            elapsed = clock() - start
-            result.metrics.partial_latency_seconds = elapsed
-            result.metrics.overhead_seconds = elapsed
-            self._stamp_freshness(result)
-            view.metrics.record_query(result.metrics)
-            return result
-        # One group per containing bcp: the bcp is referenced once and
-        # its entry probed once; a non-resident key is skipped outright
-        # instead of being re-probed for every part that maps to it.
-        for group in groups:
-            reference = view.reference(group.key)
-            if not reference.resident_before:
-                continue
-            result.metrics.bcp_hits += 1
-            cached = view.cached_rows(group.key) or ()
-            if not cached:
-                continue
-            # A basic part coincides with the containing bcp, so every
-            # cached row of the entry matches it — no per-row checks.
-            if group.has_basic:
-                result.partial_rows.extend(cached)
-            else:
-                key_parts = group.parts
-                result.partial_rows.extend(
-                    row
-                    for row in cached
-                    if any(part.matches(row) for part in key_parts)
-                )
-        result.metrics.partial_tuples = len(result.partial_rows)
-        elapsed = clock() - start
-        result.metrics.partial_latency_seconds = elapsed
-        result.metrics.overhead_seconds = elapsed
-        # A preview never claims completeness, so no bound enforcement:
-        # the stamp alone tells the client how stale the snapshot may be.
-        self._stamp_freshness(result)
-        view.metrics.record_query(result.metrics)
-        return result
-
-    def _execute_bypassed(
-        self,
-        query: Query,
-        result: PMVQueryResult,
-        distinct: bool,
-        on_partial: Callable[[list[Row]], None] | None,
-        on_o3: Callable[[Query], None] | None,
-        overhead_start: float,
-        deadline=None,
-    ) -> PMVQueryResult:
-        """Plain blocking execution, PMV skipped (S lock unavailable).
-
-        The answer is complete and correct — it just arrives without
-        immediate partial results and without refreshing the view.
-        Under a deadline the bypassed execution degrades like O3 does:
-        an already-spent budget skips execution outright (an empty,
-        explicitly-partial answer), and a budget spent mid-scan
-        abandons at the next batch checkpoint, keeping the true rows
-        produced so far.
-        """
-        clock = self._clock
-        metrics = result.metrics
-        metrics.partial_latency_seconds = clock() - overhead_start
-        metrics.overhead_seconds = metrics.partial_latency_seconds
-        if on_partial is not None:
-            on_partial([])
-        if deadline is not None and deadline.expired():
-            return self._finish_degraded(result, "deadline-skip", on_o3)
-        plan = self.database.plan(query, blocking=True, use_cache=self.use_plan_cache)
-        execution_start = clock()
-        rows: list[Row] = []
-        abandoned = False
-        with self.database.statement_latch:
-            if deadline is None:
-                rows = plan.run()
-            else:
-                for batch in plan.execute_batches():
-                    rows.extend(batch)
-                    if deadline.expired():
-                        abandoned = True
-                        break
-            if on_o3 is not None and not abandoned:
-                on_o3(query)
-            if distinct:
-                rows = list(dict.fromkeys(rows))
-            result.remaining_rows = rows
-            if abandoned:
-                # Serialization point of the degraded answer: the rows
-                # scanned so far are true results at this latched
-                # instant.
-                metrics.remaining_tuples = len(rows)
-                metrics.execution_seconds = clock() - execution_start
-                return self._finish_degraded(
-                    result, "deadline-abandon", on_o3, latched=True
-                )
-        metrics.remaining_tuples = len(rows)
-        metrics.execution_seconds = clock() - execution_start
-        self._stamp_freshness(result)
-        self.view.metrics.record_query(metrics)
-        return result
-
-    def _finish_degraded(
-        self,
-        result: PMVQueryResult,
-        reason: str,
-        on_o3: Callable[[Query], None] | None,
-        latched: bool = False,
-    ) -> PMVQueryResult:
-        """Seal an answer whose deadline budget ran out.
-
-        Marks the result as explicitly incomplete, estimates its
-        completeness from the view's history, and gives the degraded
-        answer a serialization point: ``on_o3`` fires inside a latched
-        section (everything delivered is a true result there — cached
-        tuples are pinned by the S lock, scanned rows were read under
-        the latch), so op-log replays can verify the subset property.
-        """
-        metrics = result.metrics
-        metrics.deadline_degraded = True
-        result.complete = False
-        result.degraded_reason = reason
-        result.completeness_estimate = self._estimate_completeness(result)
-        metrics.remaining_tuples = len(result.remaining_rows)
-        if latched:
-            if on_o3 is not None:
-                on_o3(result.query)
-        else:
-            with self.database.statement_latch:
-                if on_o3 is not None:
-                    on_o3(result.query)
-        self._stamp_freshness(result)
-        self.view.metrics.record_query(metrics)
-        return result
-
-    def _estimate_completeness(self, result: PMVQueryResult) -> float | None:
-        """Delivered tuples over the view's historical tuples/query.
-
-        A coarse quality signal for clients of degraded answers; the
-        view's lifetime averages are the only estimator that needs no
-        extra bookkeeping.  ``None`` before any history exists.
-        """
-        snap = self.view.metrics.snapshot()
-        if not snap["queries"]:
-            return None
-        expected = (snap["partial_tuples"] + snap["remaining_tuples"]) / snap["queries"]
-        if expected <= 0:
-            return None
-        delivered = len(result.partial_rows) + len(result.remaining_rows)
-        return min(1.0, delivered / expected)
-
-    def _execute_locked(
-        self,
-        query: Query,
-        txn: Transaction,
-        distinct: bool,
-        on_partial: Callable[[list[Row]], None] | None = None,
-        on_o3: Callable[[Query], None] | None = None,
-        deadline=None,
-    ) -> PMVQueryResult:
-        if self.columnar:
-            return self._execute_columnar(
-                query, txn, distinct, on_partial, on_o3, deadline
-            )
-        clock = self._clock
-        view = self.view
-        result = PMVQueryResult(query=query)
-        metrics = result.metrics
-
-        # ---- Operation O1: Cselect -> condition parts -------------------
-        overhead_start = clock()
-        if self.batched:
-            parts, groups = self._decompose_grouped(query, metrics)
-        else:
-            parts = self._decompose(query, metrics)
-            groups = None
-        metrics.condition_parts = len(parts)
-
-        # ---- Operation O2: return cached partial results -----------------
-        # Section 3.6's locking protocol: hold an S lock on the PMV from
-        # O2 through O3 so no concurrent maintenance can invalidate the
-        # partial results already delivered.
-        sched = self.database.scheduler
-        if sched is not None:
-            sched.switch("executor.o2")
-        if self._beyond_freshness_bound():
-            # The view trails the feed beyond the operator's tolerance:
-            # serve a fresh complete answer from full execution instead
-            # of bounded-stale cached tuples (DESIGN.md §13).
-            metrics.bypassed_stale = True
-            return self._execute_bypassed(
-                query, result, distinct, on_partial, on_o3, overhead_start, deadline
-            )
-        if not self._lock_view_or_bypass(txn, metrics):
-            return self._execute_bypassed(
-                query, result, distinct, on_partial, on_o3, overhead_start, deadline
-            )
-        ds = DuplicateSuppressor()
-        counters: dict[tuple, int] = {}
-        delivered_distinct: set[Row] = set()
-        # Several parts may share one containing bcp (a query interval
-        # split inside a single basic interval); the bcp appears in
-        # this query's Cselect *once*, so it is referenced once — this
-        # matters for 2Q, whose A1→Am promotion requires a reappearance
-        # in a *different* query.
-        if groups is not None:
-            # Hot path: the (possibly memoized) groups carry the bcp
-            # key and the hoisted has_basic flag — a basic part
-            # coincides with bcp_j, making every cached row a match
-            # with no per-row predicate work.
-            partial_extend = result.partial_rows.extend
-            add_many = ds.add_many
-            for group in groups:
-                key = group.key
-                reference = view.reference(key)
-                if reference.resident_before:
-                    metrics.bcp_hits += 1
-                    cached = view.cached_rows(key) or ()
-                    counters[key] = len(cached)
-                    # A cached tuple belongs to bcp_j; it satisfies the
-                    # query's Cselect iff it also lies in one of the
-                    # (non-overlapping) parts bcp_j contains.
-                    if group.has_basic:
-                        matching = cached
-                    else:
-                        key_parts = group.parts
-                        matching = [
-                            row
-                            for row in cached
-                            if any(part.matches(row) for part in key_parts)
-                        ]
-                    if distinct:
-                        kept = []
-                        for row in matching:
-                            if row not in delivered_distinct:
-                                delivered_distinct.add(row)
-                                kept.append(row)
-                        matching = kept
-                    partial_extend(matching)
-                    add_many(matching)
-                else:
-                    counters[key] = view.tuple_count(key)
-        else:
-            parts_by_key: dict[tuple, list] = {}
-            for part in parts:
-                parts_by_key.setdefault(part.containing.key, []).append(part)
-            for key, key_parts in parts_by_key.items():
-                reference = view.reference(key)
-                if reference.resident_before:
-                    metrics.bcp_hits += 1
-                    cached = view.lookup(key) or []
-                    counters[key] = len(cached)
-                    for row in cached:
-                        # A cached tuple belongs to bcp_j; it satisfies
-                        # the query's Cselect iff it also lies in one of
-                        # the (non-overlapping) parts bcp_j contains.
-                        if any(
-                            part.is_basic or part.matches(row)
-                            for part in key_parts
-                        ):
-                            if distinct:
-                                if row in delivered_distinct:
-                                    continue
-                                delivered_distinct.add(row)
-                            result.partial_rows.append(row)
-                            ds.add(row)
-                else:
-                    counters[key] = view.tuple_count(key)
-        metrics.partial_tuples = len(result.partial_rows)
-        overhead = clock() - overhead_start
-        metrics.partial_latency_seconds = overhead
-        if on_partial is not None:
-            # Stream the immediate partial results to the caller before
-            # full execution begins (the callback's time is the user's,
-            # not PMV overhead).
-            on_partial(list(result.partial_rows))
-
-        # ---- Deadline checkpoint: is there budget left for O3? -----------
-        # O2 always runs (the PMV's partial answer is the product), but
-        # a spent budget means the client asked us not to block: return
-        # the partial answer now, explicitly marked incomplete.  The S
-        # lock is still held, so every delivered tuple stays a current
-        # true result through the degraded answer's serialization point.
-        if deadline is not None and deadline.expired():
-            return self._finish_degraded(result, "deadline-skip", on_o3)
-
-        # ---- Operation O3: full execution + dedup + PMV refresh ----------
-        # The whole of O3 is one critical section on the statement
-        # latch: full execution then reads a consistent snapshot and its
-        # completion is the query's serialization point (``on_o3``).
-        # The S lock is already held, and the latch is never held while
-        # waiting on a lock, so this cannot deadlock.
-        if sched is not None:
-            sched.switch("executor.o3")
-        execution_start = clock()
-        if self.use_plan_cache:
-            plan = self.database.plan(query, blocking=True)
-        else:
-            plan = self.database.plan(query, blocking=True, use_cache=False)
-        self.database.statement_latch.acquire()
-        try:
-            completed = self._run_o3(
-                query, result, plan, ds, counters, distinct, execution_start, deadline
-            )
-            if not completed:
-                # Abandoned at a batch checkpoint: seal the degraded
-                # answer here, inside the latch — this instant is its
-                # serialization point.
-                return self._finish_degraded(
-                    result, "deadline-abandon", on_o3, latched=True
-                )
-            if on_o3 is not None:
-                on_o3(query)
-        finally:
-            self.database.statement_latch.release()
-        self._stamp_freshness(result)
-        view.metrics.record_query(metrics)
-        return result
-
-    def _run_o3(
-        self,
-        query: Query,
-        result: PMVQueryResult,
-        plan,
-        ds: DuplicateSuppressor,
-        counters: dict,
-        distinct: bool,
-        execution_start: float,
-        deadline=None,
-    ) -> bool:
-        """The body of Operation O3 (caller holds the statement latch).
-
-        Returns True when full execution ran to completion, False when
-        a deadline abandoned it at a cooperative checkpoint — between
-        scan batches on the batched path, between rows on the legacy
-        path.  Deadline checks cost nothing when no deadline is set.
-        """
-        clock = self._clock
-        view = self.view
-        metrics = result.metrics
-        overhead = metrics.partial_latency_seconds
-        abandoned = False
-        seen_distinct: set[Row] = set()
-        f_limit = view.tuples_per_entry
-        if self.batched:
-            # Batched hot path: every plan output row carries the root
-            # operator's schema, so the bcp key extractor is compiled
-            # once; the overhead clock is sampled per batch (the checks
-            # between the two samples are exactly the per-row checks of
-            # the legacy path, minus the clock calls themselves).
-            key_of = view.key_extractor(plan.root.schema)
-            remaining_append = result.remaining_rows.append
-            counters_get = counters.get
-            tuple_count = view.tuple_count
-            add_tuple = view.add_tuple
-            consume_many = ds.consume_many
-            for batch in plan.execute_batches():
-                if deadline is not None and deadline.expired():
-                    # Cooperative checkpoint between scan batches: the
-                    # budget is spent, so abandon full execution and let
-                    # the caller seal a degraded answer from what O2 and
-                    # the batches so far delivered.
-                    abandoned = True
-                    break
-                check_start = clock()
-                if distinct:
-                    kept = []
-                    for row in batch:
-                        if row not in seen_distinct:
-                            seen_distinct.add(row)
-                            kept.append(row)
-                    batch = kept
-                # Bulk dedup: one call strips every occurrence the user
-                # already received in O2; for a fully-cached query the
-                # whole batch is consumed and the refresh loop is empty.
-                for row in consume_many(batch):
-                    remaining_append(row)
-                    # Refresh the PMV "for free": find the containing
-                    # bcp and store the tuple if its budget cj < F allows.
-                    key = key_of(row)
-                    cj = counters_get(key)
-                    if cj is None:
-                        cj = tuple_count(key)
-                    if cj < f_limit and add_tuple(key, row):
-                        counters[key] = cj + 1
-                    else:
-                        counters[key] = cj
-                overhead += clock() - check_start
-        else:
-            for row in plan.execute():
-                if deadline is not None and deadline.expired():
-                    abandoned = True
-                    break
-                check_start = clock()
-                if distinct:
-                    if row in seen_distinct:
-                        overhead += clock() - check_start
-                        continue
-                    seen_distinct.add(row)
-                if ds.consume(row):
-                    # The user already received this occurrence in O2.
-                    overhead += clock() - check_start
-                    continue
-                result.remaining_rows.append(row)
-                # Refresh the PMV "for free": find the containing bcp and
-                # store the tuple if its per-bcp budget cj < F allows.
-                key = view.key_of_row(row)
-                cj = counters.get(key)
-                if cj is None:
-                    cj = view.tuple_count(key)
-                if cj < f_limit and view.add_tuple(key, row):
-                    counters[key] = cj + 1
-                else:
-                    counters[key] = cj
-                overhead += clock() - check_start
-        execution_seconds = clock() - execution_start
-
-        if not abandoned:
-            # Transactional consistency invariant: everything delivered in
-            # O2 must have been re-derived by O3.  (Holds under concurrency
-            # too: the S lock excludes deletions of cached tuples until the
-            # transaction ends, and insertions only add O3 rows.)  An
-            # abandoned run legitimately leaves undelivered O2 occurrences
-            # in the suppressor — the scan never reached them.
-            if view.async_maintenance:
-                # Async-maintained views legitimately serve bounded-stale
-                # extras: a cold delete not yet drained leaves its derived
-                # tuples cached.  Each leftover was a true result at some
-                # LSN ≥ the view's watermark; count it, don't raise.
-                metrics.stale_partial_tuples = len(ds)
-            else:
-                ds.assert_empty()
-
-        metrics.remaining_tuples = len(result.remaining_rows)
-        metrics.overhead_seconds = overhead
-        metrics.execution_seconds = execution_seconds
-        return not abandoned
-
-    # -- the columnar pipeline -----------------------------------------------------
 
     def _part_matcher(self, parts: tuple) -> Callable[[tuple], bool]:
         """Compile a non-basic part group into one tuple-position test.
@@ -868,65 +391,32 @@ class PMVExecutor:
         self._part_matchers[parts] = matcher
         return matcher
 
-    def _execute_columnar(
-        self,
-        query: Query,
-        txn: Transaction,
-        distinct: bool,
-        on_partial: Callable[[list[Row]], None] | None = None,
-        on_o3: Callable[[Query], None] | None = None,
-        deadline=None,
-    ) -> PMVQueryResult:
-        """O1/O2/O3 over the columnar batch pipeline.
+    def _probe(self, groups, metrics: QueryMetrics, distinct: bool = False):
+        """Operation O2's probe: the cached tuples that satisfy the query.
 
-        The clocked hot path never touches a :class:`Row`: O2 delivers
-        resident entries as *references to their live value-tuple
-        lists* (an O(1) append per bcp — no per-row duplicate-
-        suppressor build), and O3 settles the delivered-vs-derived
-        ledger once at the end with set algebra over value tuples.
-        Rows are materialized at the client boundary only — after the
-        overhead window closes — from the entry's lazily-cached Row
-        list (``cached_rows``), which amortizes to a plain list extend
-        on every hit after the first.
+        Returns ``(chunks, delivered, counters)``.  ``chunks`` is what
+        the user receives, in delivery order: ``(bcp key, live entry
+        value list)`` when the whole entry matched — the key lets the
+        client boundary reuse the entry's cached Row list — or
+        ``(None, fresh list)`` for filtered deliveries.  Live chunks
+        are strictly read-only and are only *read* before any O3
+        refresh can grow them.  ``counters`` holds the per-bcp ``cj``
+        base values O3's refresh budget starts from.
+
+        Several parts may share one containing bcp (a query interval
+        split inside a single basic interval); the bcp appears in this
+        query's Cselect *once*, so it is referenced and probed once —
+        this matters for 2Q, whose A1→Am promotion requires a
+        reappearance in a *different* query.
         """
-        clock = self._clock
         view = self.view
-        result = PMVQueryResult(query=query)
-        metrics = result.metrics
-
-        # ---- Operation O1: Cselect -> grouped condition parts ------------
-        overhead_start = clock()
-        parts, groups = self._decompose_grouped(query, metrics)
-        metrics.condition_parts = len(parts)
-
-        # ---- Operation O2: deliver cached partial results ----------------
-        sched = self.database.scheduler
-        if sched is not None:
-            sched.switch("executor.o2")
-        if self._beyond_freshness_bound():
-            # See _execute_locked: beyond the freshness bound the PMV
-            # is skipped for a fresh complete answer.
-            metrics.bypassed_stale = True
-            return self._execute_bypassed(
-                query, result, distinct, on_partial, on_o3, overhead_start, deadline
-            )
-        if not self._lock_view_or_bypass(txn, metrics):
-            return self._execute_bypassed(
-                query, result, distinct, on_partial, on_o3, overhead_start, deadline
-            )
         counters: dict[tuple, int] = {}
-        # Chunks delivered to the user, in delivery order.  A chunk is
-        # (bcp key, live entry value list) when the whole entry matched
-        # (has_basic, no distinct filter) — the key lets the boundary
-        # reuse the entry's cached Row list — or (None, fresh list) for
-        # filtered deliveries.  Live chunks are strictly read-only and
-        # are only *read* before any O3 refresh can grow them.
-        partial_chunks: list[tuple[tuple | None, list]] = []
+        chunks: list[tuple[tuple | None, list]] = []
         delivered = 0
         delivered_distinct: set[tuple] = set()
         cached_values = view.cached_values
         tuple_count = view.tuple_count
-        chunk_append = partial_chunks.append
+        chunk_append = chunks.append
         for group in groups:
             key = group.key
             reference = view.reference(key)
@@ -939,9 +429,13 @@ class PMVExecutor:
                 counters[key] = n = len(values)
                 if not n:
                     continue
+                # A cached tuple belongs to bcp_j; it satisfies the
+                # query's Cselect iff it also lies in one of the
+                # (non-overlapping) parts bcp_j contains.
                 if group.has_basic:
-                    # Every cached tuple of the entry matches: deliver
-                    # the entry's backing list by reference.
+                    # A basic part coincides with bcp_j, so every cached
+                    # tuple matches: deliver the entry's backing list by
+                    # reference, no per-tuple predicate work.
                     matching = values
                     live_key = key
                 else:
@@ -949,101 +443,232 @@ class PMVExecutor:
                     matching = [t for t in values if matcher(t)]
                     live_key = None
                 if distinct:
-                    kept = []
-                    seen_add = delivered_distinct.add
-                    for t in matching:
-                        if t not in delivered_distinct:
-                            seen_add(t)
-                            kept.append(t)
-                    matching = kept
+                    matching = _unseen(matching, delivered_distinct)
                     live_key = None
                 if matching:
                     chunk_append((live_key, matching))
                     delivered += len(matching)
             else:
                 counters[key] = tuple_count(key)
-        metrics.partial_tuples = delivered
-        overhead = clock() - overhead_start
+        return chunks, delivered, counters
 
-        # ---- Client boundary: materialize the partial Rows ---------------
-        # Outside the overhead window (delivery, not checking) but
-        # inside the partial latency the user observes.  A live chunk
-        # reuses the entry's lazily-built Row cache — after an entry's
-        # first hit this is one list extend, exactly what the row
-        # pipeline paid; filtered chunks build fresh Rows.
-        if partial_chunks:
-            row_schema = view.row_schema
-            partial_extend = result.partial_rows.extend
-            for live_key, chunk in partial_chunks:
-                rows = (
-                    view.cached_rows(live_key) if live_key is not None else None
-                )
-                if rows is not None and len(rows) == len(chunk):
-                    partial_extend(rows)
-                else:
-                    # The entry was evicted by a later group's reference
-                    # (or never had a Row cache): the delivered chunk
-                    # still holds the tuples as they were probed.
-                    partial_extend(Row(t, row_schema) for t in chunk)
+    def _deliver_partial(self, chunks: list, result: PMVQueryResult) -> None:
+        """Client boundary: materialize the probed chunks as Rows.
+
+        Delivery, not checking — outside the overhead window but inside
+        the partial latency the user observes.  A live chunk reuses the
+        entry's lazily-built Row cache (after an entry's first hit this
+        is one list extend); filtered chunks build fresh Rows.
+        """
+        if not chunks:
+            return
+        view = self.view
+        row_schema = view.row_schema
+        partial_extend = result.partial_rows.extend
+        for live_key, chunk in chunks:
+            rows = view.cached_rows(live_key) if live_key is not None else None
+            if rows is not None and len(rows) == len(chunk):
+                partial_extend(rows)
+            else:
+                # The entry was evicted by a later group's reference
+                # (or never had a Row cache): the delivered chunk
+                # still holds the tuples as they were probed.
+                partial_extend(Row(t, row_schema) for t in chunk)
+
+    def _preview_locked(self, query: Query, txn: Transaction) -> PMVQueryResult:
+        clock = self._clock
+        result = PMVQueryResult(query=query)
+        metrics = result.metrics
+        start = clock()
+        parts, groups = self._decompose_grouped(query, metrics)
+        metrics.condition_parts = len(parts)
+        # Without the lock the cached contents may be mutated under us,
+        # and a preview by definition must not fall back to blocking
+        # execution: degrade to an empty preview.
+        if self._lock_view_or_bypass(txn, metrics):
+            chunks, metrics.partial_tuples, _counters = self._probe(groups, metrics)
+            self._deliver_partial(chunks, result)
+        elapsed = clock() - start
+        metrics.partial_latency_seconds = elapsed
+        metrics.overhead_seconds = elapsed
+        # A preview never claims completeness, so no bound enforcement:
+        # the stamp alone tells the client how stale the snapshot may be.
+        self._stamp_freshness(result)
+        self.view.metrics.record_query(metrics)
+        return result
+
+    def _stream(self, plan, deadline=None, distinct: bool = False):
+        """The one loop that consumes a plan (caller holds the
+        statement latch): O3 — PMV-mediated or bypassed — and the
+        :meth:`execute_without_pmv` baseline all run it.
+
+        Returns ``(chunks, completed, checking_seconds)``: the plan's
+        output as row-major value-tuple chunks (transposition is
+        execution work), whether the stream ran to its end, and the
+        clocked cost of the ``distinct`` filter.  ``completed`` is
+        False when the deadline ran out at the cooperative checkpoint
+        between batches; the chunks collected before that are true
+        results.  Deadline checks cost nothing when no deadline is set.
+        """
+        clock = self._clock
+        chunks: list[list[tuple]] = []
+        checking = 0.0
+        seen: set | None = set() if distinct else None
+        for cb in plan.execute_column_batches():
+            if deadline is not None and deadline.expired():
+                return chunks, False, checking
+            chunk = cb.tuples()
+            if seen is not None:
+                check_start = clock()
+                chunk = _unseen(chunk, seen)
+                checking += clock() - check_start
+            if chunk:
+                chunks.append(chunk)
+        return chunks, True, checking
+
+    def _finish_degraded(
+        self,
+        result: PMVQueryResult,
+        reason: str,
+        on_o3: Callable[[Query], None] | None,
+    ) -> PMVQueryResult:
+        """Seal an answer whose deadline budget ran out.
+
+        Marks the result as explicitly incomplete, estimates its
+        completeness from the view's history, and gives the degraded
+        answer a serialization point: ``on_o3`` fires inside a latched
+        section (everything delivered is a true result there — cached
+        tuples are pinned by the S lock, scanned rows were read under
+        the latch), so op-log replays can verify the subset property.
+        The latch is re-entrant: an abandoned O3 seals from inside it.
+        """
+        metrics = result.metrics
+        metrics.deadline_degraded = True
+        result.complete = False
+        result.degraded_reason = reason
+        result.completeness_estimate = self._estimate_completeness(result)
+        if on_o3 is not None:
+            with self.database.statement_latch:
+                on_o3(result.query)
+        self._stamp_freshness(result)
+        self.view.metrics.record_query(metrics)
+        return result
+
+    def _estimate_completeness(self, result: PMVQueryResult) -> float | None:
+        """Delivered tuples over the view's historical tuples/query.
+
+        A coarse quality signal for clients of degraded answers; the
+        view's lifetime averages are the only estimator that needs no
+        extra bookkeeping.  ``None`` before any history exists.
+        """
+        snap = self.view.metrics.snapshot()
+        if not snap["queries"]:
+            return None
+        expected = (snap["partial_tuples"] + snap["remaining_tuples"]) / snap["queries"]
+        if expected <= 0:
+            return None
+        delivered = len(result.partial_rows) + len(result.remaining_rows)
+        return min(1.0, delivered / expected)
+
+    def _execute_locked(
+        self,
+        query: Query,
+        txn: Transaction,
+        distinct: bool,
+        on_partial: Callable[[list[Row]], None] | None,
+        on_o3: Callable[[Query], None] | None,
+        deadline,
+    ) -> PMVQueryResult:
+        """O1/O2/O3 for one query (the caller owns the transaction)."""
+        clock = self._clock
+        view = self.view
+        result = PMVQueryResult(query=query)
+        metrics = result.metrics
+
+        # ---- Operation O1: Cselect -> grouped condition parts ------------
+        overhead_start = clock()
+        parts, groups = self._decompose_grouped(query, metrics)
+        metrics.condition_parts = len(parts)
+
+        # ---- Operation O2: deliver cached partial results ----------------
+        # Section 3.6's locking protocol: hold an S lock on the PMV from
+        # O2 through O3 so no concurrent maintenance can invalidate the
+        # partial results already delivered.
+        sched = self.database.scheduler
+        if sched is not None:
+            sched.switch("executor.o2")
+        # Beyond the freshness bound the view trails the feed further
+        # than the operator tolerates (DESIGN.md §13); a denied lock
+        # means maintenance is in flight.  Either way the PMV is
+        # bypassed: no partial results, no refresh — the rest of the
+        # pipeline is then plain blocking execution, and the answer is
+        # complete and correct, it just arrives all at once.
+        metrics.bypassed_stale = self._beyond_freshness_bound()
+        if metrics.bypassed_stale or not self._lock_view_or_bypass(txn, metrics):
+            partial_chunks, counters = [], None
+        else:
+            partial_chunks, metrics.partial_tuples, counters = self._probe(
+                groups, metrics, distinct
+            )
+        metrics.overhead_seconds = clock() - overhead_start
+        self._deliver_partial(partial_chunks, result)
         metrics.partial_latency_seconds = clock() - overhead_start
         if on_partial is not None:
+            # Stream the immediate partial results to the caller before
+            # full execution begins (the callback's time is the user's,
+            # not PMV overhead).
             on_partial(list(result.partial_rows))
 
         # ---- Deadline checkpoint: is there budget left for O3? -----------
+        # O2 always runs (the PMV's partial answer is the product), but
+        # a spent budget means the client asked us not to block: return
+        # the partial answer now, explicitly marked incomplete.  The S
+        # lock is still held, so every delivered tuple stays a current
+        # true result through the degraded answer's serialization point.
         if deadline is not None and deadline.expired():
             return self._finish_degraded(result, "deadline-skip", on_o3)
 
         # ---- Operation O3: full execution + dedup + PMV refresh ----------
+        # The whole of O3 is one critical section on the statement
+        # latch: full execution then reads a consistent snapshot and its
+        # completion is the query's serialization point (``on_o3``).
+        # The S lock is already held, and the latch is never held while
+        # waiting on a lock, so this cannot deadlock.
         if sched is not None:
             sched.switch("executor.o3")
         execution_start = clock()
-        if self.use_plan_cache:
-            plan = self.database.plan(query, blocking=True)
-        else:
-            plan = self.database.plan(query, blocking=True, use_cache=False)
-        self.database.statement_latch.acquire()
-        try:
-            completed = self._run_o3_columnar(
-                result,
-                plan,
-                partial_chunks,
-                delivered,
-                counters,
-                distinct,
-                overhead,
-                execution_start,
-                deadline,
+        plan = self.database.plan(query, blocking=True)
+        with self.database.statement_latch:
+            completed = self._run_o3(
+                result, plan, partial_chunks, counters, distinct, deadline
             )
+            metrics.execution_seconds = clock() - execution_start
             if not completed:
-                return self._finish_degraded(
-                    result, "deadline-abandon", on_o3, latched=True
-                )
+                # Abandoned at a batch checkpoint: seal the degraded
+                # answer here, inside the latch — this instant is its
+                # serialization point, and the rows scanned so far are
+                # true results at it.
+                return self._finish_degraded(result, "deadline-abandon", on_o3)
             if on_o3 is not None:
                 on_o3(query)
-        finally:
-            self.database.statement_latch.release()
         self._stamp_freshness(result)
         view.metrics.record_query(metrics)
         return result
 
-    def _run_o3_columnar(
+    def _run_o3(
         self,
         result: PMVQueryResult,
         plan,
         partial_chunks: list,
-        partial_count: int,
-        counters: dict,
+        counters: dict | None,
         distinct: bool,
-        overhead: float,
-        execution_start: float,
-        deadline=None,
+        deadline,
     ) -> bool:
-        """The body of columnar O3 (caller holds the statement latch).
+        """The body of Operation O3 (caller holds the statement latch).
 
-        Full execution streams :class:`ColumnBatch` objects; each batch
-        contributes its value-tuple chunk (row-major transposition is
-        execution work, done before the check window opens).  The
-        delivered-vs-derived ledger is settled once, after the stream:
+        Full execution streams value-tuple chunks (:meth:`_stream`);
+        the delivered-vs-derived ledger is settled once, after the
+        stream:
 
         - when both sides are duplicate-free (the overwhelmingly common
           case — and always true under ``distinct``), plain set algebra
@@ -1054,49 +679,27 @@ class PMVExecutor:
           through a :class:`DuplicateSuppressor` in value-tuple form.
 
         The PMV refresh runs *after* the ledger is read, so growing a
-        live entry list can never corrupt a delivered chunk.  Returns
-        False when a deadline abandoned the stream at a batch
+        live entry list can never corrupt a delivered chunk; it is
+        skipped (``counters`` is None) when the view was bypassed.
+        Returns False when a deadline abandoned the stream at a batch
         checkpoint; the chunks collected before expiry are still
         consumed and refreshed — they were delivered work.
         """
         clock = self._clock
         view = self.view
         metrics = result.metrics
-        abandoned = False
-        o3_chunks: list[list[tuple]] = []
-        o3_count = 0
-        seen: set | None = set() if distinct else None
-        chunks_append = o3_chunks.append
-        for cb in plan.execute_column_batches():
-            if deadline is not None and deadline.expired():
-                # Cooperative checkpoint between batches: the budget is
-                # spent; seal a degraded answer from what was produced.
-                abandoned = True
-                break
-            chunk = cb.tuples()
-            if seen is None:
-                if chunk:
-                    chunks_append(chunk)
-                    o3_count += len(chunk)
-            else:
-                # Distinct streams are deduplicated inside the check
-                # window (the row path's seen_distinct filter).
-                check_start = clock()
-                kept = []
-                kept_append = kept.append
-                seen_add = seen.add
-                for t in chunk:
-                    if t not in seen:
-                        seen_add(t)
-                        kept_append(t)
-                if kept:
-                    chunks_append(kept)
-                    o3_count += len(kept)
-                overhead += clock() - check_start
+        partial_count = metrics.partial_tuples
+        o3_chunks, completed, checking = self._stream(plan, deadline, distinct)
+        o3_count = sum(map(len, o3_chunks))
 
         # ---- The ledger: one clocked settlement for the whole stream -----
+        # Transactional consistency invariant: everything delivered in
+        # O2 must have been re-derived by O3.  (Holds under concurrency
+        # too: the S lock excludes deletions of cached tuples until the
+        # transaction ends, and insertions only add O3 rows.)  It is
+        # checked only when the stream completed — an abandoned run
+        # legitimately never reached some delivered tuples.
         check_start = clock()
-        completed = not abandoned
         fresh: list[tuple] = []
         if partial_count == 0:
             for chunk in o3_chunks:
@@ -1150,8 +753,11 @@ class PMVExecutor:
                 # count arithmetic, no second difference pass.
                 if completed and partial_count - o3_count + n_need:
                     if view.async_maintenance:
-                        # Bounded-stale extras of an async view (see
-                        # _run_o3): accounted, not an invariant breach.
+                        # Async-maintained views legitimately serve
+                        # bounded-stale extras: a cold delete not yet
+                        # drained leaves its derived tuples cached.
+                        # Each leftover was a true result at some LSN ≥
+                        # the view's watermark; count it, don't raise.
                         metrics.stale_partial_tuples = (
                             partial_count - o3_count + n_need
                         )
@@ -1178,7 +784,7 @@ class PMVExecutor:
                         ds.assert_empty()
 
         # ---- Refresh the PMV "for free" (after the ledger is read) -------
-        if fresh:
+        if fresh and counters is not None:
             schema = plan.root.schema
             key_of = self._values_key_of
             if key_of is None or self._values_key_schema is not schema:
@@ -1198,17 +804,14 @@ class PMVExecutor:
                     counters[key] = cj + 1
                 else:
                     counters[key] = cj
-        overhead += clock() - check_start
+        metrics.overhead_seconds += checking + (clock() - check_start)
 
         # ---- Client boundary: materialize the remaining Rows -------------
-        # Real work the row pipeline did during the scan, so it counts
-        # as execution time, not PMV overhead.
+        # Building the answer's Rows is work plain execution does too
+        # (execute_without_pmv), so it counts as execution time, not
+        # PMV overhead.
         if fresh:
             schema = plan.root.schema
             result.remaining_rows = [Row(t, schema) for t in fresh]
-        execution_seconds = clock() - execution_start
-
         metrics.remaining_tuples = len(fresh)
-        metrics.overhead_seconds = overhead
-        metrics.execution_seconds = execution_seconds
-        return not abandoned
+        return completed

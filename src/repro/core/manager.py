@@ -71,7 +71,7 @@ class PMVManager:
         Registers the template in the catalog when it is not yet known,
         attaches a maintainer, and makes the manager route the
         template's queries to the new view.  ``o1_cache_size`` sizes
-        the executor's decomposition memo (0 disables it).
+        the executor's decomposition memo (must be positive).
         ``executor_options``/``maintainer_options`` are extra keyword
         arguments for :class:`PMVExecutor` / :class:`PMVMaintainer` —
         e.g. the concurrency knobs ``lock_timeout`` and

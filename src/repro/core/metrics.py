@@ -27,7 +27,7 @@ class QueryMetrics:
     execution_seconds: float = 0.0
     o1_cache_hit: bool | None = None
     """Whether O1 was answered from the decomposition memo.  ``None``
-    when the executor ran without a memo (caching disabled)."""
+    on metrics no executor has filled in (O1 has not run)."""
     bypassed_lock: bool = False
     """The view's S lock was unavailable, so the query skipped the PMV
     and ran as a plain blocking execution (or an empty preview)."""

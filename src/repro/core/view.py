@@ -223,38 +223,16 @@ class PartialMaterializedView:
                 key.append(value)
         return tuple(key)
 
-    def key_extractor(self, schema) -> "Callable[[Row], BcpKey]":
-        """Precompile :meth:`key_of_row` against a fixed row schema.
+    def values_key_extractor(self, schema) -> "Callable[[tuple], BcpKey]":
+        """Precompile :meth:`key_of_row` against a fixed row schema,
+        for bare value tuples.
 
         Column positions and grid lookups are resolved once; the
-        returned closure maps a row to its bcp key with plain tuple
-        indexing.  Use when many rows share one schema — e.g. every
-        output row of one plan — where per-row name resolution is pure
-        overhead.
+        returned closure maps a value tuple to its bcp key with plain
+        tuple indexing.  Use when many tuples share one schema — every
+        output tuple of one plan — where per-row name resolution is
+        pure overhead.
         """
-        steps = []
-        for slot in self.template.slots:
-            position = schema.position(slot.column)
-            if slot.form is SlotForm.INTERVAL:
-                steps.append(
-                    (position, self.discretization.grid(slot.column).id_for_value)
-                )
-            else:
-                steps.append((position, None))
-        frozen = tuple(steps)
-
-        def extract(row: Row) -> BcpKey:
-            values = row.values
-            return tuple(
-                values[position] if id_of is None else id_of(values[position])
-                for position, id_of in frozen
-            )
-
-        return extract
-
-    def values_key_extractor(self, schema) -> "Callable[[tuple], BcpKey]":
-        """Like :meth:`key_extractor` but mapping bare value tuples —
-        the columnar path's bcp recovery, with no ``Row`` in sight."""
         steps = []
         for slot in self.template.slots:
             position = schema.position(slot.column)

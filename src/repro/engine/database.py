@@ -28,14 +28,12 @@ from repro.engine.disk import DiskManager, IOStats, LatencyModel
 from repro.engine.heap import HeapRelation
 from repro.engine.index import build_index
 from repro.engine.locks import LockManager
-from repro.engine.operators import DEFAULT_BATCH_ROWS
 from repro.engine.planner import (
     CompiledPlan,
     Plan,
     choose_driver_slot,
     compile_plan,
     driver_candidates,
-    plan_query,
 )
 from repro.engine.row import Row, RowId
 from repro.engine.schema import Column, Schema
@@ -89,9 +87,7 @@ class PlanCache:
         self.hits = 0
         self.compilations = 0
 
-    def plan(
-        self, query, blocking: bool, statistics=None, batch_rows: int | None = None
-    ) -> Plan:
+    def plan(self, query, blocking: bool, statistics=None) -> Plan:
         """Bind (compiling if needed) a plan for ``query``."""
         catalog = self._catalog
         key = (query.template, blocking)
@@ -110,7 +106,7 @@ class PlanCache:
                 self.compilations += 1
             else:
                 self.hits += 1
-        return compiled.bind(query, batch_rows=batch_rows)
+        return compiled.bind(query)
 
     def clear(self) -> None:
         with self._mutex:
@@ -161,10 +157,6 @@ class Database:
         self.latency_model = LatencyModel()
         self.statistics = StatisticsCollector()
         self.plan_cache = PlanCache(self.catalog)
-        # Columnar coalescing target: scans merge small pages/probes up
-        # to this many rows per ColumnBatch.  Plan skeletons are cached
-        # independently of it (it only affects bind-time batching).
-        self.batch_rows = DEFAULT_BATCH_ROWS
         # Short-term re-entrant latch serializing the in-memory part of
         # every statement (heap + index + WAL mutation, result
         # materialization).  Held only while no lock wait can occur —
@@ -557,24 +549,9 @@ class Database:
 
     # -- query execution -------------------------------------------------------------------
 
-    def plan(self, query: Query, blocking: bool = True, use_cache: bool = True) -> Plan:
-        """Plan ``query``, re-binding a cached compiled plan when possible.
-
-        ``use_cache=False`` forces a from-scratch compile (the
-        benchmark baseline and a debugging escape hatch); results are
-        identical either way.
-        """
-        if not use_cache:
-            return plan_query(
-                self.catalog,
-                query,
-                blocking=blocking,
-                statistics=self.statistics,
-                batch_rows=self.batch_rows,
-            )
-        return self.plan_cache.plan(
-            query, blocking, statistics=self.statistics, batch_rows=self.batch_rows
-        )
+    def plan(self, query: Query, blocking: bool = True) -> Plan:
+        """Plan ``query``, re-binding a cached compiled plan when possible."""
+        return self.plan_cache.plan(query, blocking, statistics=self.statistics)
 
     def execute(self, query: Query, blocking: bool = True) -> Iterator[Row]:
         """Plan and execute ``query``, yielding ``Ls'`` rows.

@@ -51,7 +51,9 @@ ColumnTests = Sequence[tuple[str, Callable[[Any], bool]]]
 """Vectorizable conjunctive predicate: ``(column_name, value_test)`` pairs."""
 
 DEFAULT_BATCH_ROWS = 256
-"""Chunk size used when an operator has to batch a row-at-a-time child."""
+"""Rows per batch: the chunk size when an operator has to batch a
+row-at-a-time child, and the target the scans coalesce small pages and
+probes up to per :class:`ColumnBatch`."""
 
 
 def _compile_tests(schema: Schema, tests: ColumnTests) -> tuple[tuple[int, Callable], ...]:
@@ -176,11 +178,9 @@ class SeqScan(Operator):
         relation: HeapRelation,
         predicate: RowPredicate | None = None,
         tests: ColumnTests | None = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> None:
         self.relation = relation
         self.predicate = predicate
-        self.batch_rows = batch_rows
         self.schema = relation.schema
         self._tests = None if tests is None else _compile_tests(relation.schema, tests)
 
@@ -200,7 +200,7 @@ class SeqScan(Operator):
         schema = self.schema
         tests = self._tests or ()
         chunks = self.relation.scan_payload_chunks()
-        for chunk in coalesce_chunks(chunks, self.batch_rows):
+        for chunk in coalesce_chunks(chunks, DEFAULT_BATCH_ROWS):
             batch = ColumnBatch.from_tuples(chunk, schema)
             if tests:
                 batch = batch.filter(tests)
@@ -226,7 +226,6 @@ class IndexEqualityScan(Operator):
         keys: Sequence[Any],
         predicate: RowPredicate | None = None,
         tests: ColumnTests | None = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> None:
         if index.relation is not relation:
             raise PlanningError(f"index {index.name!r} is not on {relation.name!r}")
@@ -234,7 +233,6 @@ class IndexEqualityScan(Operator):
         self.index = index
         self.keys = list(keys)
         self.predicate = predicate
-        self.batch_rows = batch_rows
         self.schema = relation.schema
         self._tests = None if tests is None else _compile_tests(relation.schema, tests)
 
@@ -267,7 +265,7 @@ class IndexEqualityScan(Operator):
                 if row_ids:
                     yield fetch_payloads(row_ids)
 
-        for chunk in coalesce_chunks(probe_chunks(), self.batch_rows):
+        for chunk in coalesce_chunks(probe_chunks(), DEFAULT_BATCH_ROWS):
             batch = ColumnBatch.from_tuples(chunk, schema)
             if tests:
                 batch = batch.filter(tests)
@@ -291,7 +289,6 @@ class IndexRangeScan(Operator):
         intervals: Sequence[Interval],
         predicate: RowPredicate | None = None,
         tests: ColumnTests | None = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
     ) -> None:
         if index.relation is not relation:
             raise PlanningError(f"index {index.name!r} is not on {relation.name!r}")
@@ -301,7 +298,6 @@ class IndexRangeScan(Operator):
         self.index = index
         self.intervals = list(intervals)
         self.predicate = predicate
-        self.batch_rows = batch_rows
         self.schema = relation.schema
         self._tests = None if tests is None else _compile_tests(relation.schema, tests)
 
@@ -344,7 +340,7 @@ class IndexRangeScan(Operator):
                 if row_ids:
                     yield fetch_payloads(row_ids)
 
-        for chunk in coalesce_chunks(probe_chunks(), self.batch_rows):
+        for chunk in coalesce_chunks(probe_chunks(), DEFAULT_BATCH_ROWS):
             batch = ColumnBatch.from_tuples(chunk, schema)
             if tests:
                 batch = batch.filter(tests)

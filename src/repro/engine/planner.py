@@ -34,7 +34,6 @@ from repro.engine.heap import HeapRelation
 from repro.engine.index import HashIndex, OrderedIndex
 from repro.engine.columns import ColumnBatch
 from repro.engine.operators import (
-    DEFAULT_BATCH_ROWS,
     Filter,
     IndexEqualityScan,
     IndexNestedLoopJoin,
@@ -269,19 +268,15 @@ class CompiledPlan:
     steps: tuple[_EdgeFilterStep | _JoinStep, ...]
     project_names: tuple[str, ...]
 
-    def bind(self, query: Query, batch_rows: int | None = None) -> Plan:
+    def bind(self, query: Query) -> Plan:
         """Stamp out an executable plan for one bound query.
 
-        ``batch_rows`` is the columnar coalescing target for the plan's
-        scans (``None`` → :data:`DEFAULT_BATCH_ROWS`); the row path
-        ignores it.  Every predicate is bound in both forms — a row
-        closure for the row path and ``(column, value_test)`` pairs for
-        the vector path — so one compiled skeleton serves both.
+        Every predicate is bound in both forms — a row closure for the
+        row methods and ``(column, value_test)`` pairs for the vector
+        methods — so one compiled skeleton serves both.
         """
         if query.template is not self.template:
             raise PlanningError("query is from a different template")
-        if batch_rows is None:
-            batch_rows = DEFAULT_BATCH_ROWS
         conditions = query.cselect.conditions
         root: Operator
         driver_predicate = self.driver_recipe.build(conditions)
@@ -291,7 +286,6 @@ class CompiledPlan:
                 self.driver_relation,
                 predicate=driver_predicate,
                 tests=driver_tests,
-                batch_rows=batch_rows,
             )
         else:
             driver_condition = conditions[self.driver_slot]
@@ -304,8 +298,7 @@ class CompiledPlan:
                     driver_condition.intervals,
                     predicate=driver_predicate,
                     tests=driver_tests,
-                    batch_rows=batch_rows,
-                )
+                    )
             else:
                 assert isinstance(driver_condition, EqualityDisjunction)
                 root = IndexEqualityScan(
@@ -314,8 +307,7 @@ class CompiledPlan:
                     driver_condition.values,
                     predicate=driver_predicate,
                     tests=driver_tests,
-                    batch_rows=batch_rows,
-                )
+                    )
         for step in self.steps:
             if isinstance(step, _EdgeFilterStep):
                 root = Filter(
@@ -462,7 +454,6 @@ def plan_query(
     query: Query,
     blocking: bool = True,
     statistics: StatisticsCollector | None = None,
-    batch_rows: int | None = None,
 ) -> Plan:
     """Build a plan for ``query`` (one-shot compile + bind).
 
@@ -484,4 +475,4 @@ def plan_query(
     candidates = driver_candidates(catalog, query.template)
     driver_slot = choose_driver_slot(candidates, query, statistics)
     compiled = compile_plan(catalog, query.template, blocking, driver_slot)
-    return compiled.bind(query, batch_rows=batch_rows)
+    return compiled.bind(query)

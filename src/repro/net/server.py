@@ -105,6 +105,14 @@ class NetServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._sock is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux — the join below would sit out its timeout and
+            # the port would stay bound.  shutdown() does: the pending
+            # accept() fails with OSError and the loop returns.
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed, or a platform where close() suffices
             try:
                 self._sock.close()
             except OSError:

@@ -1,6 +1,5 @@
-"""Unit tests for the executor hot path: the O1 decomposition memo,
-bulk duplicate suppression, part grouping, and the knob equivalences
-(fast path answers == legacy path answers)."""
+"""Unit tests for the executor hot path: the O1 decomposition memo and
+its metrics, bulk duplicate suppression, part grouping, and preview."""
 
 import pytest
 
@@ -179,44 +178,6 @@ class TestBulkDuplicateSuppression:
     def _row(self, schema, a, b):
         return Row((a, b), schema)
 
-    def test_add_many_equals_repeated_add(self, schema):
-        rows = [self._row(schema, i % 2, "x") for i in range(5)]
-        bulk, single = DuplicateSuppressor(), DuplicateSuppressor()
-        bulk.add_many(rows)
-        for row in rows:
-            single.add(row)
-        assert len(bulk) == len(single) == 5
-        for row in rows:
-            assert bulk.contains(row) and single.contains(row)
-
-    def test_consume_many_preserves_order_and_multiset_counts(self, schema):
-        ds = DuplicateSuppressor()
-        dup = self._row(schema, 1, "x")
-        ds.add_many([dup, dup])
-        stream = [
-            self._row(schema, 1, "x"),
-            self._row(schema, 2, "y"),
-            self._row(schema, 1, "x"),
-            self._row(schema, 1, "x"),
-        ]
-        fresh = ds.consume_many(stream)
-        # Two of the three equal rows are consumed; the third survives,
-        # and order of survivors matches the input stream.
-        assert [tuple(r.values) for r in fresh] == [(2, "y"), (1, "x")]
-        assert len(ds) == 0
-
-    def test_consume_many_on_empty_ds_returns_copy(self, schema):
-        # Regression: the empty-DS fast path used to return the
-        # caller's list object itself; downstream mutation of the
-        # "fresh rows" then corrupted the operator's batch.
-        ds = DuplicateSuppressor()
-        rows = [self._row(schema, i, "x") for i in range(3)]
-        fresh = ds.consume_many(rows)
-        assert fresh == rows
-        assert fresh is not rows
-        fresh.append(self._row(schema, 99, "z"))
-        assert len(rows) == 3
-
     def test_consume_batch_on_empty_ds_returns_copy(self, schema):
         ds = DuplicateSuppressor()
         values = [(i, "x") for i in range(3)]
@@ -225,8 +186,7 @@ class TestBulkDuplicateSuppression:
         assert fresh is not values
 
     def test_add_batch_consume_batch_multiset_semantics(self, schema):
-        # Tuple-level twins of add_many/consume_many: same counting
-        # multiset behaviour, no Row objects.
+        # A counting multiset over bare value tuples, no Row objects.
         ds = DuplicateSuppressor()
         ds.add_batch([(1, "x"), (1, "x"), (2, "y")])
         assert len(ds) == 3
@@ -246,26 +206,13 @@ class TestBulkDuplicateSuppression:
         other = Schema([Column("c", INTEGER), Column("d", TEXT)], relation_name="u")
         ds = DuplicateSuppressor()
         ds.add(Row((1, "x"), schema))
-        assert ds.consume_many([Row((1, "x"), other)]) == []
+        assert ds.consume(Row((1, "x"), other))
+        assert len(ds) == 0
 
 
 class TestKnobEquivalence:
-    """Every combination of hot-path knobs returns identical rows."""
-
-    KNOBS = [
-        dict(),
-        dict(o1_cache_size=0),
-        dict(use_plan_cache=False),
-        dict(batched=False),
-        dict(o1_cache_size=0, use_plan_cache=False, batched=False),
-        dict(columnar=False),
-        dict(columnar=False, o1_cache_size=0),
-        dict(columnar=False, use_plan_cache=False),
-        dict(columnar=False, batched=False),
-        dict(
-            columnar=False, o1_cache_size=0, use_plan_cache=False, batched=False
-        ),
-    ]
+    """The executor as constructed by default: the O1 memo's per-query
+    metrics, and the rejection of a non-positive memo capacity."""
 
     def _queries(self, eqt):
         return [
@@ -276,41 +223,25 @@ class TestKnobEquivalence:
             eqt_query(eqt, [1, 3], [2, 4]),
         ]
 
-    def _run(self, eqt_db, eqt, knobs, distinct=False):
-        from repro.core.discretize import Discretization
-
-        view = PartialMaterializedView(
+    def _view(self, eqt):
+        return PartialMaterializedView(
             eqt, Discretization(eqt), tuples_per_entry=2, max_entries=16
         )
-        executor = PMVExecutor(eqt_db, view, **knobs)
-        out = []
-        for query in self._queries(eqt):
-            result = executor.execute(query, distinct=distinct)
-            out.append(
-                (
-                    [tuple(r.values) for r in result.partial_rows],
-                    sorted(tuple(r.values) for r in result.remaining_rows),
-                )
-            )
-        view.check_invariants()
-        return out
-
-    def test_all_knob_combinations_agree(self, eqt_db, eqt):
-        reference = self._run(eqt_db, eqt, self.KNOBS[-1])
-        for knobs in self.KNOBS[:-1]:
-            assert self._run(eqt_db, eqt, knobs) == reference, knobs
 
     def test_distinct_mode_agrees(self, eqt_db, eqt):
-        reference = self._run(eqt_db, eqt, self.KNOBS[-1], distinct=True)
-        for knobs in self.KNOBS[:-1]:
-            assert self._run(eqt_db, eqt, knobs, distinct=True) == reference, knobs
+        # Reference: the plan's row operators, which the executor never
+        # runs, collapsed to a set.
+        view = self._view(eqt)
+        executor = PMVExecutor(eqt_db, view)
+        for query in self._queries(eqt):
+            result = executor.execute(query, distinct=True)
+            got = [tuple(r.values) for r in result.all_rows()]
+            assert len(got) == len(set(got))
+            assert set(got) == {tuple(r.values) for r in eqt_db.run(query)}
+        view.check_invariants()
 
     def test_o1_metrics_count_hits_and_misses(self, eqt_db, eqt):
-        from repro.core.discretize import Discretization
-
-        view = PartialMaterializedView(
-            eqt, Discretization(eqt), tuples_per_entry=2, max_entries=16
-        )
+        view = self._view(eqt)
         executor = PMVExecutor(eqt_db, view)
         for query in self._queries(eqt):
             executor.execute(query)
@@ -318,18 +249,12 @@ class TestKnobEquivalence:
         assert view.metrics.o1_cache_hits == 2
         assert view.metrics.o1_cache_hit_ratio == pytest.approx(0.4)
 
-    def test_disabled_memo_reports_no_cache_metrics(self, eqt_db, eqt):
-        from repro.core.discretize import Discretization
-
-        view = PartialMaterializedView(
-            eqt, Discretization(eqt), tuples_per_entry=2, max_entries=16
-        )
-        executor = PMVExecutor(eqt_db, view, o1_cache_size=0)
-        for query in self._queries(eqt):
-            executor.execute(query)
-        assert view.metrics.o1_cache_hits == 0
-        assert view.metrics.o1_cache_misses == 0
-        assert view.metrics.o1_cache_hit_ratio == 0.0
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_memo_capacity_is_rejected(self, eqt_db, eqt, capacity):
+        # There is no "memo off" mode: the DecompositionCache's own
+        # validation surfaces through the constructor.
+        with pytest.raises(ConditionError):
+            PMVExecutor(eqt_db, self._view(eqt), o1_cache_size=capacity)
 
 
 class TestPreviewGrouping:

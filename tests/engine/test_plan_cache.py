@@ -17,6 +17,7 @@ from repro.engine import (
     QueryTemplate,
     SelectionSlot,
     SlotForm,
+    plan_query,
 )
 from tests.conftest import eqt_query
 
@@ -43,6 +44,12 @@ def _bind(template, values):
     return template.bind([EqualityDisjunction("t.b", list(values))])
 
 
+def _fresh(db, query):
+    """The uncached reference: a from-scratch compile + bind."""
+    plan = plan_query(db.catalog, query, statistics=db.statistics)
+    return [tuple(r.values) for r in plan.run()]
+
+
 class TestCaching:
     def test_second_plan_is_a_cache_hit(self, single_db):
         db, template = single_db
@@ -58,11 +65,7 @@ class TestCaching:
         for values in ([1], [2, 4], [0, 3]):
             query = _bind(template, values)
             cached = [tuple(r.values) for r in db.plan(query).run()]
-            fresh = [
-                tuple(r.values)
-                for r in db.plan(query, use_cache=False).run()
-            ]
-            assert cached == fresh
+            assert cached == _fresh(db, query)
 
     def test_rebinding_does_not_leak_previous_values(self, single_db):
         db, template = single_db
@@ -70,15 +73,6 @@ class TestCaching:
         second = sorted(r["t.a"] for r in db.plan(_bind(template, [2])).run())
         assert first == sorted(i for i in range(40) if i % 5 == 1)
         assert second == sorted(i for i in range(40) if i % 5 == 2)
-
-    def test_use_cache_false_bypasses_counters(self, single_db):
-        db, template = single_db
-        db.plan(_bind(template, [1]), use_cache=False)
-        assert db.plan_cache.info() == {
-            "hits": 0,
-            "compilations": 0,
-            "templates": 0,
-        }
 
 
 class TestInvalidation:
@@ -106,10 +100,7 @@ class TestInvalidation:
 
     def test_results_survive_index_churn(self, single_db):
         db, template = single_db
-        expected = [
-            tuple(r.values)
-            for r in db.plan(_bind(template, [2]), use_cache=False).run()
-        ]
+        expected = _fresh(db, _bind(template, [2]))
         db.create_index("t_b", "t", ["b"])
         with_index = [tuple(r.values) for r in db.plan(_bind(template, [2])).run()]
         db.drop_index("t_b")

@@ -4,6 +4,9 @@ the retry-after-dropped-response window."""
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
 from repro.engine import EqualityDisjunction
@@ -21,6 +24,27 @@ def truth_rows(db, template, fs, gs):
     return sorted(
         (row["r.a"], row["s.e"]) for row in db.run(bind(template, fs, gs))
     )
+
+
+class TestLifecycle:
+    def test_stop_wakes_the_accept_thread(self, single_node):
+        """stop() must not sit out the accept thread's join timeout:
+        the blocked accept() is woken, the thread exits, and the port
+        is free for the next listener."""
+        server = single_node.server
+        accept_thread = server._accept_thread
+        host, port = server.address
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(1)
+        finally:
+            listener.close()
 
 
 class TestQueriesOverTheWire:

@@ -1,13 +1,14 @@
-"""Property: the columnar pipeline is observationally identical to the
-row pipeline under adversarial workloads.
+"""Property: under adversarial workloads the executor's answers equal
+references that share no code with it.
 
-Two identical worlds — same data, same template, same view shape, one
-executor per pipeline — are driven through random interleavings of
-queries and base-table churn (applied to both worlds in lockstep).
-After every query the two pipelines must agree on the partial rows
-(exactly, in delivery order), the full answer (as a multiset, equal to
-the brute-force join), and the completeness flags; both views must keep
-their structural invariants.
+One world — data, template, eagerly-maintained view — is driven
+through random interleavings of queries and base-table churn.  After
+every query the full answer must equal, as a multiset, both the
+brute-force join and ``Database.run`` (the plan's row operators, which
+the executor never calls); the partial rows must be exactly the cached
+tuples the query's parts select from the view as it stood before the
+query, in probe order; and the view must keep its structural
+invariants.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from repro.engine import (
     SlotForm,
     TEXT,
 )
+from tests.core.test_columnar_equivalence import check_partials, expected_partials
 
 F_VALUES = st.sampled_from([1, 2, 3])
 
@@ -80,7 +82,7 @@ def make_template(interval_slot):
     )
 
 
-def build_world(columnar, F, interval_slot=False):
+def build_world(F, interval_slot=False):
     db = Database()
     db.create_relation(
         "r",
@@ -117,7 +119,7 @@ def build_world(columnar, F, interval_slot=False):
         max_entries=6,
         aux_index_columns=("r.a", "s.e"),
     )
-    executor = PMVExecutor(db, view, columnar=columnar)
+    executor = PMVExecutor(db, view)
     PMVMaintainer(db, view, strategy=MaintenanceStrategy.DELTA_JOIN).attach()
     return db, template, view, executor
 
@@ -148,40 +150,37 @@ def apply_churn(db, op, x, y, next_id):
             db.update("r", row_id, f=y)
 
 
-def assert_pipelines_agree(col, row, full):
-    got_col = sorted(tuple(r.values) for r in col.all_rows())
-    got_row = sorted(tuple(r.values) for r in row.all_rows())
-    assert got_col == full
-    assert got_row == full
-    assert [tuple(r.values) for r in col.partial_rows] == [
-        tuple(r.values) for r in row.partial_rows
-    ]
-    assert col.complete and row.complete
+def execute_and_check(db, view, executor, query, full):
+    assert sorted(tuple(r.values) for r in db.run(query)) == full
+    per_group = expected_partials(view, query)
+    evicted_before = view.metrics.entries_evicted
+    result = executor.execute(query)
+    evictions = view.metrics.entries_evicted - evicted_before
+    assert result.complete
+    assert sorted(tuple(r.values) for r in result.all_rows()) == full
+    check_partials(result, per_group, evictions)
+    view.check_invariants()
 
 
 @given(F_VALUES, operations)
 @settings(max_examples=25, deadline=None)
 def test_columnar_matches_row_pipeline_under_churn(F, trace):
-    col_db, col_t, col_view, col_ex = build_world(True, F)
-    row_db, row_t, row_view, row_ex = build_world(False, F)
+    db, template, view, executor = build_world(F)
     next_id = 1000
     for op, x, y in trace:
         if op == "query":
             fs, gs = x, y
-            binds = [EqualityDisjunction("r.f", fs), EqualityDisjunction("s.g", gs)]
-            col = col_ex.execute(col_t.bind(list(binds)))
-            row = row_ex.execute(row_t.bind(list(binds)))
-            assert_pipelines_agree(
-                col, row, brute_force(col_db, set(fs), lambda g: g in set(gs))
+            query = template.bind(
+                [EqualityDisjunction("r.f", fs), EqualityDisjunction("s.g", gs)]
             )
-            col_view.check_invariants()
-            row_view.check_invariants()
+            execute_and_check(
+                db, view, executor, query,
+                brute_force(db, set(fs), lambda g: g in set(gs)),
+            )
         else:
-            apply_churn(col_db, op, x, y, next_id)
-            apply_churn(row_db, op, x, y, next_id)
+            apply_churn(db, op, x, y, next_id)
             next_id += 1
-    col_view.check_invariants()
-    row_view.check_invariants()
+    view.check_invariants()
 
 
 @given(F_VALUES, interval_operations)
@@ -189,27 +188,22 @@ def test_columnar_matches_row_pipeline_under_churn(F, trace):
 def test_columnar_matches_row_pipeline_on_interval_slots(F, trace):
     """Interval-form s.g: random sub-intervals produce non-basic parts,
     so resident probes run the compiled tuple-position matchers."""
-    col_db, col_t, col_view, col_ex = build_world(True, F, interval_slot=True)
-    row_db, row_t, row_view, row_ex = build_world(False, F, interval_slot=True)
+    db, template, view, executor = build_world(F, interval_slot=True)
     next_id = 2000
     for op, x, y in trace:
         if op == "query":
             fs, (low, span) = x, y
             interval = Interval(low, low + span, low_inclusive=True)
-            binds = [
-                EqualityDisjunction("r.f", fs),
-                IntervalDisjunction("s.g", [interval]),
-            ]
-            col = col_ex.execute(col_t.bind(list(binds)))
-            row = row_ex.execute(row_t.bind(list(binds)))
-            assert_pipelines_agree(
-                col,
-                row,
-                brute_force(col_db, set(fs), lambda g: low <= g < low + span),
+            query = template.bind(
+                [
+                    EqualityDisjunction("r.f", fs),
+                    IntervalDisjunction("s.g", [interval]),
+                ]
             )
-            col_view.check_invariants()
-            row_view.check_invariants()
+            execute_and_check(
+                db, view, executor, query,
+                brute_force(db, set(fs), lambda g: low <= g < low + span),
+            )
         else:
-            apply_churn(col_db, op, x, y, next_id)
-            apply_churn(row_db, op, x, y, next_id)
+            apply_churn(db, op, x, y, next_id)
             next_id += 1
