@@ -30,7 +30,7 @@ from repro.workload import (
 
 def main() -> None:
     # --- 1. a durable engine -------------------------------------------------
-    wal = WriteAheadLog()  # pass a path for on-disk durability
+    wal = WriteAheadLog()  # pass a directory path for on-disk durability
     db = Database(buffer_pool_pages=64, wal=wal)
     config = TPCRConfig(
         scale_factor=1.0, downscale=2000, seed=9,

@@ -399,7 +399,7 @@ def run_drill(
     config = config or FailoverConfig(seed=seed)
     spec_text = spec.describe() if spec is not None else None
     with tempfile.TemporaryDirectory(prefix="failover-") as workdir:
-        wal_path = os.path.join(workdir, "wal.jsonl")
+        wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
         try:
             cluster = _Cluster(config, injector, wal_path)
@@ -590,7 +590,7 @@ def crash_sites_for(seed: int, config: FailoverConfig | None = None) -> list[Fau
     distinct site the run reaches (>= 3 in practice)."""
     config = config or FailoverConfig(seed=seed)
     with tempfile.TemporaryDirectory(prefix="failover-enum-") as workdir:
-        wal_path = os.path.join(workdir, "wal.jsonl")
+        wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
         cluster = _Cluster(config, injector, wal_path)
         injector.counts.clear()

@@ -100,6 +100,12 @@ DEFAULT_PAGE_SIZE = 256
 DEFAULT_POOL_PAGES = 6
 DEFAULT_OPS = 60
 
+#: The sweep's WAL segment budget: about five records, so every seeded
+#: workload rotates several times, the append crash windows (TORN /
+#: CRASH_AFTER) also land on the first record of a fresh segment, and
+#: every recovery reads back across segment boundaries.
+WAL_SEGMENT_BYTES = 512
+
 _RELATIONS = ("r", "s")
 
 
@@ -185,6 +191,7 @@ def _setup(config: TortureConfig, injector: FaultInjector, wal_path: str):
         wal_path,
         buffer_pool_pages=config.buffer_pool_pages,
         page_size=config.page_size,
+        segment_bytes=WAL_SEGMENT_BYTES,
     )
     database.create_relation(
         "r",
@@ -662,7 +669,7 @@ def _check_completed(config, database, manager, wal_path, shadow,
 def _run(config: TortureConfig, plan: FaultPlan | None) -> PointResult:
     spec_text = plan.describe() if plan and len(plan) else None
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
-        wal_path = os.path.join(workdir, "wal.jsonl")
+        wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
         database, manager, template, maintainer = _setup(config, injector, wal_path)
         # Arm the plan only now: occurrences count workload arrivals.
@@ -731,7 +738,7 @@ def enumerate_points(
     config = TortureConfig(seed=seed, ops=ops, cdc=cdc)
     injector = FaultInjector(FaultPlan.none())
     with tempfile.TemporaryDirectory(prefix="torture-enum-") as workdir:
-        wal_path = os.path.join(workdir, "wal.jsonl")
+        wal_path = os.path.join(workdir, "wal")
         database, manager, template, maintainer = _setup(config, injector, wal_path)
         injector.counts.clear()
         shadow = {name: {} for name in _RELATIONS}

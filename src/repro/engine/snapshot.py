@@ -169,8 +169,8 @@ def restore_snapshot(
 def checkpoint(database: Database) -> dict[str, Any]:
     """Append a WAL checkpoint marker and return the paired snapshot.
 
-    On a segmented WAL this is also the truncation driver: once the
-    snapshot is taken, every segment fully covered by the checkpoint
+    This is also the WAL's truncation driver: once the snapshot is
+    taken, every segment fully covered by the checkpoint
     and by every registered consumer (replication links, the CDC
     maintainer — see :class:`~repro.engine.wal.LsnRetentionRegistry`)
     is reclaimed to the archive, bounding the live log.
@@ -215,10 +215,9 @@ def snapshot_to_json(snapshot: dict[str, Any]) -> str:
 
 
 def snapshot_from_json(text: str) -> dict[str, Any]:
-    """Parse a stored snapshot, verifying its CRC32 when present.
+    """Parse a stored snapshot, verifying its CRC32.
 
-    Snapshots written before checksum framing carry no ``crc`` key and
-    are accepted as-is; anything with a mismatched checksum fails
+    A document with no ``crc`` key or a mismatched checksum fails
     loudly rather than restoring a silently-garbled page image.
     """
     try:
@@ -228,7 +227,7 @@ def snapshot_from_json(text: str) -> dict[str, Any]:
     if not isinstance(snapshot, dict):
         raise SnapshotCorruptionError("snapshot document is not an object")
     stored = snapshot.pop("crc", None)
-    if stored is not None and stored != snapshot_crc(snapshot):
+    if stored != snapshot_crc(snapshot):
         raise SnapshotCorruptionError(
             f"snapshot checksum mismatch (stored {stored}, "
             f"computed {snapshot_crc(snapshot)})"

@@ -9,20 +9,23 @@ The engine's durability story, kept deliberately simple but honest:
   commit-at-log semantics: a statement interrupted before its record
   is durable simply never happened);
 - the log lives in memory and, optionally, on disk so it survives a
-  process crash — either as a single JSON-lines file, or (with
-  ``segment_bytes``) as a directory of rotating fixed-budget segments
+  process crash — as a directory of ``wal-*.seg`` JSON-lines segments
+  that rotate at ``segment_bytes`` (never, when it is ``None``) and
   whose reclaimed prefix moves to an archive tier (DESIGN.md §15);
 - every serialized record carries a CRC32 over its canonical body
   (``lsn``/``kind``/``payload``), verified whenever the record is read
   back — on crash-recovery replay and again on the replication ship
   path — so bit rot is detected loudly instead of being replayed into
-  a fresh instance;
+  a fresh instance; a document without one is not a record;
+- every read of segment bytes — archive load, live load, archived
+  read-back — goes through one reader, :func:`_read_segment`: clean,
+  a repairable tail, or :class:`~repro.errors.WALCorruptionError`;
 - :func:`recover` replays a log into a fresh :class:`Database`.  Replay
   is deterministic — row ids are allocated in the same order as the
   original execution — so DELETE/UPDATE records can address rows by
   their original (page, slot) ids.
 
-Segmented logs bound the resources a run-forever instance consumes:
+Rotation bounds the resources a run-forever instance consumes:
 :meth:`WriteAheadLog.reclaim` moves every segment fully covered by the
 last checkpoint *and* every registered consumer (replication links, the
 CDC maintainer — see :class:`LsnRetentionRegistry`) into the archive,
@@ -45,9 +48,10 @@ import enum
 import errno as _errno
 import json
 import os
+import re
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.datatypes import DataType, TypeKind
@@ -124,19 +128,38 @@ class LogRecord:
 
     @staticmethod
     def from_json(line: str) -> "LogRecord":
-        data = json.loads(line)
+        """Parse one serialized record; typed failure on any input:
+        :class:`~repro.errors.WALCorruptionError` for anything that is
+        not a record document (not JSON, not an object, a non-integer
+        LSN, an unknown kind, no ``crc``), its
+        :class:`~repro.errors.WALChecksumError` subclass for a record
+        whose checksum disagrees with its body."""
+        try:
+            data = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise WALCorruptionError(f"not a JSON log record: {line[:80]!r}") from exc
+        if not (
+            isinstance(data, dict)
+            and type(data.get("lsn")) is int
+            and data["lsn"] > 0
+            and isinstance(data.get("kind"), str)
+            and data["kind"] in _KIND_BY_NAME
+            and isinstance(data.get("payload"), dict)
+            and type(data.get("crc")) is int
+        ):
+            raise WALCorruptionError(f"not a log record: {line[:80]!r}")
         record = LogRecord(
-            lsn=data["lsn"], kind=LogKind(data["kind"]), payload=data["payload"]
+            lsn=data["lsn"], kind=_KIND_BY_NAME[data["kind"]], payload=data["payload"]
         )
-        # Records written before the CRC framing carry no checksum;
-        # they are accepted as-is.  A present checksum must match.
-        stored = data.get("crc")
-        if stored is not None and stored != record.crc:
+        if data["crc"] != record.crc:
             raise WALChecksumError(
-                f"checksum mismatch on LSN {record.lsn}: stored {stored}, "
+                f"checksum mismatch on LSN {record.lsn}: stored {data['crc']}, "
                 f"computed {record.crc}"
             )
         return record
+
+
+_KIND_BY_NAME = {kind.value: kind for kind in LogKind}
 
 
 class LsnRetentionRegistry:
@@ -195,40 +218,93 @@ class _Segment:
         return os.path.basename(self.path)
 
 
-_SEGMENT_PREFIX = "wal-"
-_SEGMENT_SUFFIX = ".seg"
+_SEGMENT_NAME = re.compile(r"wal-(\d+)\.seg")
 
 
 def _segment_name(seq: int) -> str:
-    return f"{_SEGMENT_PREFIX}{seq:08d}{_SEGMENT_SUFFIX}"
+    return f"wal-{seq:08d}.seg"
 
 
-def _segment_seq(name: str) -> int | None:
-    if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-        return None
-    try:
-        return int(name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)])
-    except ValueError:
-        return None
+def _list_segments(directory: str) -> list[tuple[int, str]]:
+    """``(seq, path)`` of every segment file in ``directory``, in order."""
+    if not os.path.isdir(directory):
+        return []
+    return sorted(
+        (int(match[1]), os.path.join(directory, name))
+        for name in os.listdir(directory)
+        if (match := _SEGMENT_NAME.fullmatch(name))
+    )
+
+
+def _read_segment(
+    seg_path: str,
+) -> tuple[list[LogRecord], int, tuple[str, str] | None]:
+    """The one place segment bytes become records.
+
+    Returns ``(records, complete_bytes, damage)``: the record of every
+    newline-terminated line up to the first that cannot be trusted, the
+    byte length of that trusted prefix, and what stopped the read —
+    ``None`` (clean: the file ends on a record boundary), ``("torn",
+    fragment)`` (the final line has no newline, so the append and the
+    fsync covering it were still in flight) or ``("checksum", line)``
+    (a terminated record whose CRC disagrees with its body).  Damage is
+    a tail the caller may cut off; a terminated line that is not a
+    record at all is beyond repair and raises
+    :class:`~repro.errors.WALCorruptionError`.
+    """
+    with open(seg_path, "rb") as handle:
+        raw = handle.read()
+    records: list[LogRecord] = []
+    complete_bytes = 0
+    # The piece after the last newline is empty on a clean file.
+    *lines, fragment = raw.split(b"\n")
+    for line_bytes in lines:
+        line = line_bytes.decode("utf-8", "replace")
+        try:
+            records.append(LogRecord.from_json(line))
+        except WALChecksumError:
+            return records, complete_bytes, ("checksum", line)
+        except WALCorruptionError as exc:
+            raise WALCorruptionError(
+                f"unparseable WAL record at byte {complete_bytes} of segment "
+                f"{seg_path!r} (not a torn final line): {line[:80]!r}"
+            ) from exc
+        complete_bytes += len(line_bytes) + 1  # + newline
+    if fragment:
+        return records, complete_bytes, ("torn", fragment.decode("utf-8", "replace"))
+    return records, complete_bytes, None
+
+
+def _read_archived(seg_path: str) -> list[LogRecord]:
+    """Records of an archived segment.  The archive is immutable, so
+    damage of any kind there is corruption, never a repairable tail."""
+    records, _, damage = _read_segment(seg_path)
+    if damage is not None:
+        raise WALCorruptionError(
+            f"archived segment {seg_path!r} has a {damage[0]} record; the "
+            f"archive is immutable, so this is corruption"
+        )
+    return records
 
 
 class WriteAheadLog:
     """An append-only log, in memory and optionally on disk.
 
-    With a ``path`` (and no ``segment_bytes``), the log is a single
-    JSON-lines file and every append is written and flushed immediately
+    ``path`` names a *directory* of ``wal-*.seg`` segments; every append
+    is written to the active one and fsynced immediately
     (force-at-append — simple, and sufficient for statement-level
-    durability in a single-threaded engine).
+    durability).  The active segment rotates once it crosses
+    ``segment_bytes`` (never, when that is ``None``; rotation is
+    deferred to the next :meth:`reserve`, so it can never fail
+    mid-statement), and :meth:`reclaim` retires fully checkpointed,
+    fully consumed segments to ``archive_dir`` — keeping both the live
+    directory and the in-memory record list bounded no matter how long
+    the instance runs.  ``archive_max_bytes`` optionally bounds the
+    archive too; records pruned past it are gone, and a consumer that
+    still needs them must bootstrap from a snapshot.
 
-    With ``segment_bytes``, ``path`` names a *directory* of rotating
-    segments: the active segment rotates once it crosses the byte
-    budget (rotation is deferred to the next :meth:`reserve`, so it can
-    never fail mid-statement), and :meth:`reclaim` retires fully
-    checkpointed, fully consumed segments to ``archive_dir`` — keeping
-    both the live directory and the in-memory record list bounded no
-    matter how long the instance runs.  ``archive_max_bytes`` optionally
-    bounds the archive too; records pruned past it are gone, and a
-    consumer that still needs them must bootstrap from a snapshot.
+    The constructor starts a *new* log: a directory that already holds
+    segments is read back with :meth:`load`, never appended to blind.
     """
 
     def __init__(
@@ -249,7 +325,6 @@ class WriteAheadLog:
         self.checksum_tail: str | None = None
         self.checksum_failures = 0
         self.fenced_by_epoch: int | None = None
-        self._complete_bytes: int | None = None
         # Resource model (DESIGN.md §15) ---------------------------------
         # Optional fault-site hook (repro.faults): fired at the
         # reserve/rotate probes as site "wal.enospc".
@@ -268,24 +343,27 @@ class WriteAheadLog:
         self.last_repair: dict[str, Any] | None = None
         self._segments: list[_Segment] = []  # live; last is the active one
         self._archived: list[_Segment] = []
-        self._damage: dict[str, Any] | None = None  # set by _load_dir
-        if segment_bytes is not None:
-            if path is None:
-                raise EngineError("a segmented WAL needs a directory path")
-            if segment_bytes < 1:
-                raise EngineError("segment_bytes must be positive")
-            os.makedirs(path, exist_ok=True)
-            if self.archive_dir is None:
-                self.archive_dir = os.path.join(path, "archive")
-            os.makedirs(self.archive_dir, exist_ok=True)
-            seqs = [
-                seq
-                for name in os.listdir(path)
-                if (seq := _segment_seq(name)) is not None
-            ]
-            self._open_segment(max(seqs, default=0) + 1)
-        elif path is not None:
-            self._file = open(path, "a", encoding="utf-8")
+        if segment_bytes is not None and segment_bytes < 1:
+            raise EngineError("segment_bytes must be positive")
+        if path is None:
+            if segment_bytes is not None:
+                raise EngineError("segment_bytes needs a directory path")
+            return  # in memory only: no segments, nothing to rotate
+        if os.path.isfile(path):
+            raise EngineError(f"{path!r} is a regular file, not a log directory")
+        os.makedirs(path, exist_ok=True)
+        if self.archive_dir is None:
+            self.archive_dir = os.path.join(path, "archive")
+        os.makedirs(self.archive_dir, exist_ok=True)
+        if _list_segments(path) or _list_segments(self.archive_dir):
+            raise EngineError(
+                f"{path!r} already holds log segments; read it back with "
+                f"WriteAheadLog.load() — a new log here would restart at "
+                f"LSN 1 behind the history on disk"
+            )
+        seg_path = os.path.join(path, _segment_name(1))
+        self._file = open(seg_path, "a", encoding="utf-8")
+        self._segments.append(_Segment(seq=1, path=seg_path))
 
     # -- writing -------------------------------------------------------------
 
@@ -303,12 +381,11 @@ class WriteAheadLog:
             self._file.write(line)
             self._file.flush()
             os.fsync(self._file.fileno())
-            if self._segments:
-                active = self._segments[-1]
-                if active.first_lsn == 0:
-                    active.first_lsn = record.lsn
-                active.last_lsn = record.lsn
-                active.size += len(line.encode("utf-8"))
+            active = self._segments[-1]
+            if active.first_lsn == 0:
+                active.first_lsn = record.lsn
+            active.last_lsn = record.lsn
+            active.size += len(line.encode("utf-8"))
         return record
 
     def reserve(self) -> None:
@@ -334,7 +411,6 @@ class WriteAheadLog:
     def _rotation_due(self) -> bool:
         return (
             self.segment_bytes is not None
-            and bool(self._segments)
             and self._segments[-1].first_lsn != 0
             and self._segments[-1].size >= self.segment_bytes
         )
@@ -369,13 +445,6 @@ class WriteAheadLog:
         self._segments.append(_Segment(seq=seq, path=seg_path))
         self.segments_rotated += 1
 
-    def _open_segment(self, seq: int) -> _Segment:
-        seg_path = os.path.join(self.path, _segment_name(seq))
-        self._file = open(seg_path, "a", encoding="utf-8")
-        segment = _Segment(seq=seq, path=seg_path)
-        self._segments.append(segment)
-        return segment
-
     def checkpoint(self) -> LogRecord:
         """Append a checkpoint marker (replay may start after the last
         one when the caller also persists a data snapshot)."""
@@ -393,9 +462,10 @@ class WriteAheadLog:
         live).  Reclaimed segments stay readable through
         :meth:`records` from the archive until ``archive_max_bytes``
         prunes them.  Returns the number of segments reclaimed by this
-        call; a no-op (0) on single-file and in-memory logs.
+        call; a no-op (0) on a log that is not open for append (in
+        memory, closed, or read back by :meth:`load`).
         """
-        if self.segment_bytes is None or not self._segments:
+        if self._file is None:
             return 0
         floor = self.last_checkpoint_lsn
         consumer = self.retention.floor()
@@ -468,12 +538,12 @@ class WriteAheadLog:
         happened; the raw fragment stays available in ``torn_tail`` and
         :meth:`repair` truncates it off the file.
 
-        On a segmented log, records already reclaimed from memory are
-        read back from the archived segment files (CRC-verified),
-        transparently: a lagging replica's retransmit and a from-scratch
-        replay both just iterate.  Asking for records the archive has
-        *pruned* raises :class:`~repro.errors.EngineError` — the caller
-        must bootstrap from a snapshot instead.
+        Records already reclaimed from memory are read back from the
+        archived segment files (CRC-verified), transparently: a lagging
+        replica's retransmit and a from-scratch replay both just
+        iterate.  Asking for records the archive has *pruned* raises
+        :class:`~repro.errors.EngineError` — the caller must bootstrap
+        from a snapshot instead.
         """
         if after_lsn < self.truncated_lsn:
             if after_lsn < self.pruned_lsn:
@@ -482,24 +552,16 @@ class WriteAheadLog:
                     f"archive (pruned through {self.pruned_lsn}); bootstrap "
                     f"from a snapshot instead"
                 )
-            yield from self._archived_records(after_lsn)
+            for segment in self._archived:
+                if segment.last_lsn <= after_lsn:
+                    continue
+                self.archive_reads += 1
+                for record in _read_archived(segment.path):
+                    if record.lsn > after_lsn:
+                        yield record
         for record in self._records:
             if record.lsn > after_lsn:
                 yield record
-
-    def _archived_records(self, after_lsn: int) -> Iterator[LogRecord]:
-        for segment in self._archived:
-            if segment.last_lsn <= after_lsn:
-                continue
-            self.archive_reads += 1
-            with open(segment.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = LogRecord.from_json(line)  # CRC-verified
-                    if after_lsn < record.lsn <= self.truncated_lsn:
-                        yield record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -521,17 +583,10 @@ class WriteAheadLog:
 
     def resource_stats(self) -> dict[str, Any]:
         """On-disk and in-memory footprint, for gates and benchmarks."""
-        if self.segment_bytes is not None:
-            live_bytes = sum(seg.size for seg in self._segments)
-        elif self.path is not None and os.path.exists(self.path):
-            live_bytes = os.path.getsize(self.path)
-        else:
-            live_bytes = 0
         return {
-            "segmented": self.segment_bytes is not None,
             "segment_bytes": self.segment_bytes,
-            "live_segments": max(len(self._segments), 1) if self.path else 0,
-            "live_bytes": live_bytes,
+            "live_segments": len(self._segments),
+            "live_bytes": sum(seg.size for seg in self._segments),
             "archived_segments": len(self._archived),
             "archived_bytes": sum(seg.size for seg in self._archived),
             "segments_rotated": self.segments_rotated,
@@ -549,258 +604,117 @@ class WriteAheadLog:
 
     @staticmethod
     def load(path: str) -> "WriteAheadLog":
-        """Read a log back (the crashed process's log).
+        """Read a log directory back (the crashed process's log).
 
-        ``path`` is either a single log file or a segmented log
-        directory.  A crash mid-append can leave a torn final line (the
-        record was cut short, or its newline never made it to disk).
-        That tail is tolerated: it is reported via ``torn_tail`` /
-        ``has_torn_tail`` and skipped, because an append that never
-        completed is a statement that never happened.
+        Archived segments first, then live ones, in sequence order, all
+        through :func:`_read_segment`, whose three outcomes map to:
 
-        A record that parses but fails its CRC32 check is bit rot:
-        reading stops at the first such record (everything from it on
-        is untrusted — counted in ``checksum_failures`` and reported
-        via ``checksum_tail``), and :meth:`repair` truncates there —
-        on a segmented log that also drops every later live segment.
-        Structural damage anywhere *before* the final record — an
-        unparseable line followed by further complete records — is
-        corruption beyond repair and raises
-        :class:`~repro.errors.WALCorruptionError`.
+        - *clean* — the records join the log;
+        - *repairable tail* — reading stops at the damage and
+          :meth:`repair` truncates there, dropping every later live
+          segment.  A torn final line at the very end of the last live
+          segment is a crash mid-append: reported via ``torn_tail`` /
+          ``has_torn_tail`` and skipped, because an append that never
+          completed is a statement that never happened.  A record that
+          fails its CRC32 is bit rot (counted in ``checksum_failures``);
+          it, or a tail torn in an *earlier* live segment, is reported
+          via ``checksum_tail``;
+        - *corruption* — :class:`~repro.errors.WALCorruptionError`: a
+          terminated line that is not a record, any damage in the
+          immutable archive, a gap in the segment sequence numbers, or
+          a record whose LSN does not follow its predecessor's (the
+          first may start anywhere: a pruned archive and a
+          snapshot-bootstrapped replica begin mid-stream).  This replay
+          is the system's ground truth; it never silently skips history.
+
+        ``path`` must be a directory (:class:`~repro.errors.EngineError`).
         """
-        if os.path.isdir(path):
-            return WriteAheadLog._load_dir(path)
+        if not os.path.isdir(path):
+            raise EngineError(f"{path!r} is not a directory of log segments")
         log = WriteAheadLog()
         log.path = path
-        complete_bytes = 0
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        for line_bytes in raw.split(b"\n"):
-            offset_after = complete_bytes + len(line_bytes) + 1  # + newline
-            line = line_bytes.decode("utf-8", errors="replace").strip()
-            if not line:
-                if offset_after <= len(raw):
-                    complete_bytes = offset_after
-                continue
-            try:
-                record = LogRecord.from_json(line)
-            except WALChecksumError:
-                log.checksum_failures += 1
-                if offset_after > len(raw):
-                    # Final line, no terminating newline: the bytes were
-                    # still in flight — an ordinary torn tail.
-                    log.torn_tail = line
-                    break
-                # A durable record whose stored CRC disagrees with its
-                # body: trust nothing from here on.
-                log.checksum_tail = line
-                break
-            except (ValueError, KeyError) as exc:
-                if offset_after > len(raw):
-                    # Final line, no terminating newline: a torn tail.
-                    log.torn_tail = line
-                    break
+        log.archive_dir = os.path.join(path, "archive")
+        archived = _list_segments(log.archive_dir)
+        live = _list_segments(path)
+        listing = archived + live
+        for (before, _), (seq, seg_path) in zip(listing, listing[1:]):
+            if seq != before + 1:
                 raise WALCorruptionError(
-                    f"unparseable WAL record at byte {complete_bytes} "
-                    f"of {path!r} (not the final line): {line[:80]!r}"
-                ) from exc
-            if offset_after > len(raw):
-                # Parsed, but the newline never hit the disk: the
-                # append was still in flight.  Treat it as torn — the
-                # fsync covering it cannot have completed.
-                log.torn_tail = line
-                break
-            if record.kind is LogKind.CHECKPOINT:
-                log.last_checkpoint_lsn = record.lsn
-            log._records.append(record)
-            log._next_lsn = record.lsn + 1
-            complete_bytes = offset_after
-        log._complete_bytes = complete_bytes
-        return log
+                    f"segment {seg_path!r} follows sequence number {before}: "
+                    f"{_segment_name(before + 1)} is missing or out of order"
+                )
 
-    @staticmethod
-    def _load_dir(path: str) -> "WriteAheadLog":
-        """Read a segmented log directory back: archive first (immutable
-        — any damage there is corruption beyond repair), then live
-        segments in sequence order.  Torn tails are only legal at the
-        very end of the very last live segment; damage earlier in a
-        segment marks a repair point and drops every later segment."""
-        log = WriteAheadLog()
-        log.path = path
-        archive_dir = os.path.join(path, "archive")
-        log.archive_dir = archive_dir
-
-        def _listing(directory: str) -> list[tuple[int, str]]:
-            if not os.path.isdir(directory):
-                return []
-            entries = [
-                (seq, os.path.join(directory, name))
-                for name in os.listdir(directory)
-                if (seq := _segment_seq(name)) is not None
-            ]
-            return sorted(entries)
-
-        for seq, seg_path in _listing(archive_dir):
-            segment = _Segment(seq=seq, path=seg_path)
-            with open(seg_path, "rb") as handle:
-                raw = handle.read()
-            offset = 0
-            for line_bytes in raw.split(b"\n"):
-                offset += len(line_bytes) + 1
-                line = line_bytes.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                if offset > len(raw):
+        def adopt(seq: int, seg_path: str, records: list[LogRecord], size: int):
+            for record in records:
+                if log._next_lsn > 1 and record.lsn != log._next_lsn:
                     raise WALCorruptionError(
-                        f"archived segment {seg_path!r} ends mid-record; "
-                        f"the archive is immutable, so this is corruption"
+                        f"segment {seg_path!r}: LSN {record.lsn} follows LSN "
+                        f"{log._next_lsn - 1} — records are missing or out "
+                        f"of order"
                     )
-                record = LogRecord.from_json(line)  # CRC must hold
-                if segment.first_lsn == 0:
-                    segment.first_lsn = record.lsn
-                segment.last_lsn = record.lsn
-                segment.size = offset
+                log._next_lsn = record.lsn + 1
                 if record.kind is LogKind.CHECKPOINT:
                     log.last_checkpoint_lsn = record.lsn
-                log._next_lsn = record.lsn + 1
-            log._archived.append(segment)
-            log.truncated_lsn = max(log.truncated_lsn, segment.last_lsn)
+            first, last = (records[0].lsn, records[-1].lsn) if records else (0, 0)
+            return _Segment(seq, seg_path, first_lsn=first, last_lsn=last, size=size)
 
-        live = _listing(path)
-        damaged = False
-        for position, (seq, seg_path) in enumerate(live):
-            final_segment = position == len(live) - 1
-            if damaged:
-                # Everything after the damage point is untrusted; list
-                # it for repair() to drop.
-                log._damage["dropped"].append(seg_path)
-                continue
-            segment = _Segment(seq=seq, path=seg_path)
-            with open(seg_path, "rb") as handle:
-                raw = handle.read()
-            complete_bytes = 0
-            for line_bytes in raw.split(b"\n"):
-                offset_after = complete_bytes + len(line_bytes) + 1
-                line = line_bytes.decode("utf-8", errors="replace").strip()
-                if not line:
-                    if offset_after <= len(raw):
-                        complete_bytes = offset_after
-                    continue
-                try:
-                    record = LogRecord.from_json(line)
-                except WALChecksumError:
+        for seq, seg_path in archived:
+            records = _read_archived(seg_path)
+            segment = adopt(seq, seg_path, records, os.path.getsize(seg_path))
+            log._archived.append(segment)
+            log.truncated_lsn = segment.last_lsn
+        for seq, seg_path in live:
+            if log.needs_repair:
+                break  # nothing after the damage is trusted; repair() drops it
+            records, complete_bytes, damage = _read_segment(seg_path)
+            log._segments.append(adopt(seq, seg_path, records, complete_bytes))
+            log._records.extend(records)
+            if damage is not None:
+                kind, line = damage
+                if kind == "torn" and seg_path == live[-1][1]:
+                    log.torn_tail = line
+                else:
+                    log.checksum_tail = line
+                if kind == "checksum":
                     log.checksum_failures += 1
-                    if final_segment and offset_after > len(raw):
-                        log.torn_tail = line
-                    else:
-                        log.checksum_tail = line
-                    damaged = True
-                    break
-                except (ValueError, KeyError) as exc:
-                    if offset_after > len(raw):
-                        # Ends mid-record: a torn tail if this is the
-                        # active segment, a repair point otherwise.
-                        if final_segment:
-                            log.torn_tail = line
-                        else:
-                            log.checksum_tail = line
-                        damaged = True
-                        break
-                    raise WALCorruptionError(
-                        f"unparseable WAL record at byte {complete_bytes} "
-                        f"of segment {seg_path!r} (not the final line): "
-                        f"{line[:80]!r}"
-                    ) from exc
-                if offset_after > len(raw):
-                    # Parsed, but the newline never hit the disk.
-                    if final_segment:
-                        log.torn_tail = line
-                    else:
-                        log.checksum_tail = line
-                    damaged = True
-                    break
-                if segment.first_lsn == 0:
-                    segment.first_lsn = record.lsn
-                segment.last_lsn = record.lsn
-                if record.kind is LogKind.CHECKPOINT:
-                    log.last_checkpoint_lsn = record.lsn
-                log._records.append(record)
-                log._next_lsn = record.lsn + 1
-                complete_bytes = offset_after
-            segment.size = complete_bytes
-            log._segments.append(segment)
-            if damaged:
-                log._damage = {
-                    "segment_seq": seq,
-                    "segment_path": seg_path,
-                    "offset": complete_bytes,
-                    "dropped": [],
-                }
         return log
 
-    def repair(self, path: str | None = None) -> int:
+    def repair(self) -> int:
         """Truncate the on-disk log to the last trustworthy record.
 
         Cuts off a torn final record and, when :meth:`load` found one,
         everything from the first checksum-mismatched record onward —
-        on a segmented log, including every live segment after the
-        damaged one.  Returns the number of bytes removed; a no-op
-        (returning 0) when the tail is intact.  Only meaningful on a
-        log produced by :meth:`load`.
+        including every live segment after the damaged one.  Returns
+        the number of bytes removed; a no-op (returning 0) when the
+        tail is intact.  Only meaningful on a log produced by
+        :meth:`load`.
 
         What was cut is *reported*, never silent: ``last_repair``
         records the segment, byte offset, bytes removed, dropped
         segments, and reason, and ``repairs`` counts invocations — the
         serving gate surfaces both next to ``wal_checksum_failures``.
         """
-        if self._damage is not None:
-            damage = self._damage
-            reason = "checksum" if self.checksum_tail is not None else "torn"
-            size = os.path.getsize(damage["segment_path"])
-            removed = size - damage["offset"]
-            if removed > 0:
-                os.truncate(damage["segment_path"], damage["offset"])
-            dropped_names = []
-            for seg_path in damage["dropped"]:
-                removed += os.path.getsize(seg_path)
-                os.remove(seg_path)
-                dropped_names.append(os.path.basename(seg_path))
-            self._segments = [
-                seg for seg in self._segments if seg.path not in damage["dropped"]
-            ]
-            for segment in self._segments:
-                if segment.seq == damage["segment_seq"]:
-                    segment.size = damage["offset"]
-            self.last_repair = {
-                "segment": os.path.basename(damage["segment_path"]),
-                "offset": damage["offset"],
-                "bytes_removed": removed,
-                "dropped_segments": dropped_names,
-                "reason": reason,
-            }
-            self.repairs += 1
-            self.torn_tail = None
-            self.checksum_tail = None
-            self._damage = None
-            return removed
-        target = path or self.path
-        if target is None:
-            raise EngineError("repair() needs the log's file path")
-        if self._complete_bytes is None:
-            raise EngineError("repair() requires a log read via load()")
-        reason = "checksum" if self.checksum_tail is not None else "torn"
-        size = os.path.getsize(target)
-        removed = size - self._complete_bytes
-        if removed > 0:
-            os.truncate(target, self._complete_bytes)
-            self.last_repair = {
-                "segment": os.path.basename(target),
-                "offset": self._complete_bytes,
-                "bytes_removed": removed,
-                "dropped_segments": [],
-                "reason": reason,
-            }
-            self.repairs += 1
+        if self.path is None:
+            raise EngineError("repair() needs an on-disk log read via load()")
+        if not self.needs_repair:
+            return 0
+        # load() stopped at the damage, so the damaged segment is the
+        # last one it adopted and its size is the trusted prefix.
+        damaged = self._segments[-1]
+        removed = os.path.getsize(damaged.path) - damaged.size
+        os.truncate(damaged.path, damaged.size)
+        dropped = [p for seq, p in _list_segments(self.path) if seq > damaged.seq]
+        for seg_path in dropped:
+            removed += os.path.getsize(seg_path)
+            os.remove(seg_path)
+        self.last_repair = {
+            "segment": damaged.name,
+            "offset": damaged.size,
+            "bytes_removed": removed,
+            "dropped_segments": [os.path.basename(p) for p in dropped],
+            "reason": "checksum" if self.checksum_tail is not None else "torn",
+        }
+        self.repairs += 1
         self.torn_tail = None
         self.checksum_tail = None
         return removed

@@ -131,8 +131,8 @@ class FaultyWAL(WriteAheadLog):
       never acknowledged: recovery must replay it.
     """
 
-    def __init__(self, injector: FaultInjector, path: str | None = None) -> None:
-        super().__init__(path)
+    def __init__(self, injector: FaultInjector, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.injector = injector
 
     def append(self, kind: LogKind, payload: dict) -> LogRecord:
@@ -233,6 +233,7 @@ def build_faulty_database(
     wal_path: str,
     buffer_pool_pages: int = 32,
     page_size: int = 1024,
+    segment_bytes: int | None = None,
 ) -> Database:
     """A :class:`Database` with every fault site armed.
 
@@ -240,7 +241,7 @@ def build_faulty_database(
     ``disk.write_page`` fires outside checkpoints too) and small pages
     spread rows over many of them.
     """
-    wal = FaultyWAL(injector, wal_path)
+    wal = FaultyWAL(injector, wal_path, segment_bytes=segment_bytes)
     disk = FaultyDiskManager(injector, page_size=page_size)
     database = Database(
         buffer_pool_pages=buffer_pool_pages,

@@ -40,7 +40,6 @@ from repro.errors import NetProtocolError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAX_FRAME_BYTES",
     "encode_frame",
     "send_frame",
@@ -53,11 +52,9 @@ __all__ = [
 #: v2 added the session monotonic-read token: queries may carry
 #: ``min_lsn``/``token_epoch`` and responses stamp the serving
 #: ``epoch``, so a client session never observes a database state older
-#: than one it already saw (within an epoch).  The fields are optional,
-#: so v1 peers interoperate unchanged — both versions are accepted.
+#: than one it already saw (within an epoch).  It is the only version
+#: either end speaks: a frame stamped with any other is refused.
 PROTOCOL_VERSION = 2
-
-SUPPORTED_VERSIONS = frozenset({1, 2})
 
 #: Upper bound on one frame's payload — a corrupted or hostile length
 #: prefix must not make the server allocate gigabytes.
@@ -111,10 +108,10 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     payload = _recv_exactly(sock, length)
     if payload is None:
         raise NetProtocolError("connection closed between header and payload")
-    if payload[0] not in SUPPORTED_VERSIONS:
+    if payload[0] != PROTOCOL_VERSION:
         raise NetProtocolError(
             f"unsupported protocol version {payload[0]} "
-            f"(this end speaks {sorted(SUPPORTED_VERSIONS)})"
+            f"(this end speaks {PROTOCOL_VERSION})"
         )
     try:
         message = json.loads(payload[1:].decode("utf-8"))

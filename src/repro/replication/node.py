@@ -97,7 +97,7 @@ class PrimaryNode:
 
     def _pin_retention(self, link: ReplicationLink) -> None:
         wal = self.database.wal
-        if wal is not None and hasattr(wal, "retention"):
+        if wal is not None:
             wal.retention.update(f"ship:{link.replica.name}", link.acked_lsn)
 
     def ship(self) -> int:

@@ -84,8 +84,8 @@ class ReplicationLink:
     automatic: a dropped or partitioned-away record is simply still
     past the watermark next time.
 
-    On a segmented primary WAL the same watermark is also pinned into
-    the log's :class:`~repro.engine.wal.LsnRetentionRegistry` (as
+    The same watermark is also pinned into the primary log's
+    :class:`~repro.engine.wal.LsnRetentionRegistry` (as
     ``ship:<replica-name>``, see ``PrimaryNode._pin_retention``), so
     checkpoint truncation never deletes a segment this link still has
     to ship — a lagging replica retransmits from the live log or the

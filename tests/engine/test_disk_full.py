@@ -149,7 +149,7 @@ class TestRefusal:
         report = gate.stats()
         assert report["disk_full"]["active"] is True
         assert report["disk_full"]["refusals"] == 1
-        assert report["wal_resources"]["segmented"] is True
+        assert report["wal_resources"]["segment_bytes"] == 4096
         assert report["wal_repairs"] == 0
         db.insert("r", (100, 0, 0, "back"))
         report = gate.stats()

@@ -8,12 +8,13 @@ append is replayed.  The sweep tests drive the real torture harness
 boundary a small workload reaches.
 """
 
-import json
+import os
 
 import pytest
 
 from repro.bench.torture import enumerate_points, run_point
 from repro.engine import Column, Database, INTEGER, TEXT, WriteAheadLog, recover
+from repro.engine.wal import LogKind, LogRecord
 from repro.errors import EngineError, WALCorruptionError
 from repro.faults import (
     FaultInjector,
@@ -26,29 +27,32 @@ from repro.faults import (
 )
 
 
-def _write_lines(path, lines, torn_tail=None):
+def _write_lines(wal_dir, lines, torn_tail=None):
+    """Lay ``lines`` down as the first segment of the log directory
+    ``wal_dir``; returns the segment's path."""
+    os.makedirs(wal_dir)
+    path = os.path.join(wal_dir, "wal-00000001.seg")
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
             handle.write(line + "\n")
         if torn_tail is not None:
             handle.write(torn_tail)
+    return path
 
 
 def _record(lsn, values):
-    return json.dumps(
-        {"lsn": lsn, "kind": "insert", "payload": {"relation": "t", "values": values}}
-    )
+    return LogRecord(lsn, LogKind.INSERT, {"relation": "t", "values": values}).to_json()
 
 
 class TestTornTail:
     def test_partial_final_line_is_tolerated_and_reported(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
+        wal_dir = str(tmp_path / "wal")
         _write_lines(
-            path,
+            wal_dir,
             [_record(1, [1, "a"]), _record(2, [2, "b"])],
             torn_tail=_record(3, [3, "c"])[:17],
         )
-        log = WriteAheadLog.load(path)
+        log = WriteAheadLog.load(wal_dir)
         assert log.has_torn_tail
         assert len(log) == 2
         assert [r.lsn for r in log.records()] == [1, 2]
@@ -56,27 +60,27 @@ class TestTornTail:
     def test_complete_final_line_without_newline_is_torn(self, tmp_path):
         # The newline (and the fsync covering it) never hit the disk, so
         # the append was still in flight: the statement was never acked.
-        path = str(tmp_path / "wal.jsonl")
-        _write_lines(path, [_record(1, [1, "a"])], torn_tail=_record(2, [2, "b"]))
-        log = WriteAheadLog.load(path)
+        wal_dir = str(tmp_path / "wal")
+        _write_lines(wal_dir, [_record(1, [1, "a"])], torn_tail=_record(2, [2, "b"]))
+        log = WriteAheadLog.load(wal_dir)
         assert log.has_torn_tail
         assert len(log) == 1
 
     def test_repair_truncates_to_last_complete_record(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
+        wal_dir = str(tmp_path / "wal")
         intact = [_record(1, [1, "a"]), _record(2, [2, "b"])]
-        _write_lines(path, intact, torn_tail=_record(3, [3, "c"])[:11])
-        log = WriteAheadLog.load(path)
+        path = _write_lines(wal_dir, intact, torn_tail=_record(3, [3, "c"])[:11])
+        log = WriteAheadLog.load(wal_dir)
         removed = log.repair()
         assert removed == 11
-        assert not WriteAheadLog.load(path).has_torn_tail
+        assert not WriteAheadLog.load(wal_dir).has_torn_tail
         with open(path, encoding="utf-8") as handle:
             assert handle.read() == "".join(line + "\n" for line in intact)
 
     def test_repair_is_a_noop_on_a_clean_log(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        _write_lines(path, [_record(1, [1, "a"])])
-        log = WriteAheadLog.load(path)
+        wal_dir = str(tmp_path / "wal")
+        _write_lines(wal_dir, [_record(1, [1, "a"])])
+        log = WriteAheadLog.load(wal_dir)
         assert not log.has_torn_tail
         assert log.repair() == 0
 
@@ -85,28 +89,28 @@ class TestTornTail:
             WriteAheadLog().repair()
 
     def test_damage_before_the_tail_is_corruption(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        _write_lines(path, [_record(1, [1, "a"]), "{garbage", _record(3, [3, "c"])])
+        wal_dir = str(tmp_path / "wal")
+        _write_lines(
+            wal_dir, [_record(1, [1, "a"]), "{garbage", _record(3, [3, "c"])]
+        )
         with pytest.raises(WALCorruptionError):
-            WriteAheadLog.load(path)
+            WriteAheadLog.load(wal_dir)
 
     def test_recover_skips_the_torn_statement(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        create = json.dumps(
-            {
-                "lsn": 1,
-                "kind": "create_relation",
-                "payload": {"name": "t", "columns": [["k", "integer", False, None]]},
-            }
-        )
-        _write_lines(
-            path,
-            [create, json.dumps({"lsn": 2, "kind": "insert",
-                                 "payload": {"relation": "t", "values": [7]}})],
-            torn_tail=json.dumps({"lsn": 3, "kind": "insert",
-                                  "payload": {"relation": "t", "values": [8]}})[:20],
-        )
-        recovered = recover(WriteAheadLog.load(path))
+        wal_dir = str(tmp_path / "wal")
+        create = LogRecord(
+            1,
+            LogKind.CREATE_RELATION,
+            {"name": "t", "columns": [["k", "integer", False, None]]},
+        ).to_json()
+
+        def insert(lsn, key):
+            return LogRecord(
+                lsn, LogKind.INSERT, {"relation": "t", "values": [key]}
+            ).to_json()
+
+        _write_lines(wal_dir, [create, insert(2, 7)], torn_tail=insert(3, 8)[:20])
+        recovered = recover(WriteAheadLog.load(wal_dir))
         assert contents_of(recovered, ["t"]) == {"t": [(7,)]}
 
 
@@ -116,7 +120,7 @@ PAGE = 512
 def _faulty_db(tmp_path, plan):
     injector = FaultInjector(plan)
     database = build_faulty_database(
-        injector, str(tmp_path / "wal.jsonl"), page_size=PAGE
+        injector, str(tmp_path / "wal"), page_size=PAGE
     )
     database.create_relation(
         "t", [Column("k", INTEGER, nullable=False), Column("v", TEXT)]
@@ -126,7 +130,7 @@ def _faulty_db(tmp_path, plan):
 
 
 def _recovered(tmp_path):
-    log = WriteAheadLog.load(str(tmp_path / "wal.jsonl"))
+    log = WriteAheadLog.load(str(tmp_path / "wal"))
     if log.has_torn_tail:
         log.repair()
     # Replay addresses rows by (page, slot): the fresh instance must
@@ -147,7 +151,7 @@ class TestAppendCrashWindows:
         with pytest.raises(SimulatedCrash):
             database.insert("t", (2, "torn"))
         database.wal.close()
-        log = WriteAheadLog.load(str(tmp_path / "wal.jsonl"))
+        log = WriteAheadLog.load(str(tmp_path / "wal"))
         assert log.has_torn_tail  # the partial line is visible...
         assert log.repair() > 0  # ...and repairable
         recovered = _recovered(tmp_path)

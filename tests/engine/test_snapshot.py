@@ -179,15 +179,17 @@ class TestSnapshotChecksum:
             with pytest.raises(SnapshotCorruptionError):
                 snapshot_from_json(bad)
 
-    def test_legacy_snapshot_without_crc_accepted(self):
+    def test_snapshot_without_crc_rejected(self):
         import json
+
+        from repro.errors import SnapshotCorruptionError
 
         db = build_db()
         db.insert("t", (1, "a"))
         data = json.loads(snapshot_to_json(take_snapshot(db)))
         del data["crc"]
-        restored = restore_snapshot(snapshot_from_json(json.dumps(data)))
-        assert contents(restored) == [(1, "a")]
+        with pytest.raises(SnapshotCorruptionError):
+            snapshot_from_json(json.dumps(data))
 
 
 class TestRestoredHeapPlacement:

@@ -223,15 +223,16 @@ class TestChecksummedRecords:
         with pytest.raises(WALCorruptionError):
             LogRecord.from_json(json.dumps(data))
 
-    def test_legacy_records_without_crc_accepted(self):
+    def test_record_without_crc_rejected(self):
         import json
 
         from repro.engine.wal import LogRecord
+        from repro.errors import WALCorruptionError
 
-        record = LogRecord.from_json(
-            json.dumps({"lsn": 1, "kind": "insert", "payload": {"relation": "t"}})
-        )
-        assert record.lsn == 1
+        with pytest.raises(WALCorruptionError):
+            LogRecord.from_json(
+                json.dumps({"lsn": 1, "kind": "insert", "payload": {"relation": "t"}})
+            )
 
     def _corrupt_payload_of_record(self, path, index):
         import json
@@ -251,7 +252,7 @@ class TestChecksummedRecords:
         for i in range(4):
             db.insert("t", (i, f"v{i}"))
         wal.close()
-        self._corrupt_payload_of_record(path, 3)  # second insert of six lines
+        self._corrupt_payload_of_record(f"{path}/wal-00000001.seg", 3)  # second insert of six lines
         loaded = WriteAheadLog.load(path)
         # Everything before the rotten record is trusted, nothing after.
         assert loaded.last_lsn == 3
@@ -268,7 +269,7 @@ class TestChecksummedRecords:
         for i in range(4):
             db.insert("t", (i, f"v{i}"))
         wal.close()
-        self._corrupt_payload_of_record(path, 3)
+        self._corrupt_payload_of_record(f"{path}/wal-00000001.seg", 3)
         loaded = WriteAheadLog.load(path)
         removed = loaded.repair()
         assert removed > 0

@@ -1,5 +1,6 @@
-"""Segmented WAL tests: rotation, checkpoint truncation, archive
-replay, retention pinning, repair reporting, and ENOSPC probes."""
+"""On-disk WAL tests: rotation, checkpoint truncation, archive replay,
+retention pinning, typed damage and continuity checks, repair
+reporting, and ENOSPC probes."""
 
 import os
 
@@ -39,6 +40,16 @@ def fill(db: Database, count: int, start: int = 0) -> None:
         db.insert("t", (i, f"value-{i}"))
 
 
+def thirty_records(tmp_path) -> WriteAheadLog:
+    """30 one-row inserts over 200-byte segments, closed."""
+    wal = segmented(tmp_path, segment_bytes=200)
+    for i in range(30):
+        wal.reserve()
+        wal.append(LogKind.INSERT, {"relation": "t", "values": [i, f"v{i}"]})
+    wal.close()
+    return wal
+
+
 def live_segment_files(wal: WriteAheadLog) -> list[str]:
     return sorted(
         name for name in os.listdir(wal.path) if name.startswith("wal-")
@@ -51,7 +62,6 @@ class TestRotation:
         db = build_db(wal)
         fill(db, 40)
         stats = wal.resource_stats()
-        assert stats["segmented"] is True
         assert stats["segments_rotated"] >= 2
         assert stats["live_segments"] == stats["segments_rotated"] + 1
         assert len(live_segment_files(wal)) == stats["live_segments"]
@@ -212,21 +222,132 @@ class TestDamage:
         with pytest.raises(WALCorruptionError):
             WriteAheadLog.load(str(tmp_path / "wal"))
 
-    def test_single_file_repair_reports_truncation(self, tmp_path):
-        path = str(tmp_path / "single.wal")
-        wal = WriteAheadLog(path=path)
+    def test_garbage_in_archive_is_typed_corruption(self, tmp_path):
+        wal = segmented(tmp_path)
         db = build_db(wal)
-        fill(db, 3)
+        fill(db, 40)
+        snapshot_checkpoint(db)
         wal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"torn')
-        log = WriteAheadLog.load(path)
-        assert log.has_torn_tail
-        removed = log.repair()
-        assert removed > 0
-        assert log.repairs == 1
-        assert log.last_repair["reason"] == "torn"
-        assert log.last_repair["bytes_removed"] == removed
+        archived = sorted(os.listdir(wal.archive_dir))
+        with open(os.path.join(wal.archive_dir, archived[0]), "a") as handle:
+            handle.write("{not json\n")
+        with pytest.raises(WALCorruptionError, match="archive"):
+            WriteAheadLog.load(str(tmp_path / "wal"))
+        # The live object reads the same bytes through the same reader.
+        with pytest.raises(WALCorruptionError):
+            list(wal.records(after_lsn=0))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[]",
+            "7",
+            "null",
+            '"text"',
+            '{"lsn":"x","kind":"insert","payload":{},"crc":1}',
+            '{"lsn":true,"kind":"insert","payload":{},"crc":1}',
+            '{"lsn":3,"kind":[],"payload":{},"crc":1}',
+            '{"lsn":3,"kind":"insert","payload":[],"crc":1}',
+            '{"lsn":3,"kind":"insert","payload":{}}',
+        ],
+    )
+    def test_json_that_is_not_a_record_is_typed_corruption(self, tmp_path, line):
+        wal = self._grown(tmp_path, count=3)
+        [segment] = wal._segments
+        with open(segment.path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(WALCorruptionError):
+            WriteAheadLog.load(str(tmp_path / "wal"))
+
+
+class TestContinuity:
+    """The replay is the system's ground truth: it may stop early and
+    say so, but never skip history silently."""
+
+    def test_missing_segment_is_corruption_not_a_clean_load(self, tmp_path):
+        wal = thirty_records(tmp_path)
+        assert len(wal._segments) >= 4
+        os.remove(wal._segments[2].path)
+        with pytest.raises(WALCorruptionError, match="wal-00000003.seg"):
+            WriteAheadLog.load(str(tmp_path / "wal"))
+
+    def test_gap_between_archive_and_live_is_corruption(self, tmp_path):
+        wal = segmented(tmp_path)
+        db = build_db(wal)
+        fill(db, 40)
+        snapshot_checkpoint(db)
+        wal.close()
+        assert wal._archived and len(wal._segments) == 1
+        os.remove(wal._archived[-1].path)
+        with pytest.raises(WALCorruptionError, match="missing"):
+            WriteAheadLog.load(str(tmp_path / "wal"))
+
+    def test_out_of_order_lsn_is_corruption(self, tmp_path):
+        wal = thirty_records(tmp_path)
+        first, second = wal._segments[0].path, wal._segments[1].path
+        with open(first, "rb") as a, open(second, "rb") as b:
+            first_bytes, second_bytes = a.read(), b.read()
+        with open(first, "wb") as a, open(second, "wb") as b:
+            a.write(second_bytes)
+            b.write(first_bytes)
+        with pytest.raises(WALCorruptionError, match="wal-00000002.seg"):
+            WriteAheadLog.load(str(tmp_path / "wal"))
+
+    def test_log_may_begin_mid_stream(self, tmp_path):
+        """A pruned archive or a snapshot-bootstrapped replica starts
+        past LSN 1 (and past segment 1): not damage."""
+        wal = thirty_records(tmp_path)
+        os.remove(wal._segments[0].path)
+        reloaded = WriteAheadLog.load(str(tmp_path / "wal"))
+        assert not reloaded.needs_repair
+        lsns = [r.lsn for r in reloaded.records()]
+        assert lsns == list(range(wal._segments[1].first_lsn, 31))
+
+
+class TestOneLayout:
+    def test_path_without_segment_bytes_is_one_unrotated_segment(self, tmp_path):
+        wal = WriteAheadLog(path=str(tmp_path / "wal"))
+        db = build_db(wal)
+        fill(db, 40)
+        assert live_segment_files(wal) == ["wal-00000001.seg"]
+        stats = wal.resource_stats()
+        assert stats["segments_rotated"] == 0
+        assert stats["live_segments"] == 1
+        assert stats["live_bytes"] == os.path.getsize(wal._segments[0].path)
+        wal.close()
+        assert len(WriteAheadLog.load(wal.path)) == len(wal)
+
+    def test_constructing_over_a_used_directory_is_refused(self, tmp_path):
+        wal = thirty_records(tmp_path)
+        with pytest.raises(EngineError, match="load"):
+            WriteAheadLog(path=wal.path, segment_bytes=200)
+        with pytest.raises(EngineError, match="load"):
+            WriteAheadLog(path=wal.path)
+        # Nothing was written: the history on disk still ends at LSN 30.
+        assert WriteAheadLog.load(wal.path).last_lsn == 30
+
+    def test_a_regular_file_is_not_a_log(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text("")
+        with pytest.raises(EngineError, match="regular file"):
+            WriteAheadLog(path=str(path))
+        with pytest.raises(EngineError, match="directory"):
+            WriteAheadLog.load(str(path))
+
+    def test_faulty_wal_forwards_constructor_arguments(self, tmp_path):
+        from repro.faults import FaultInjector, FaultPlan, FaultyWAL
+
+        wal = FaultyWAL(
+            FaultInjector(FaultPlan.none()),
+            path=str(tmp_path / "wal"),
+            segment_bytes=64,
+            archive_dir=str(tmp_path / "cold"),
+            archive_max_bytes=1000,
+        )
+        assert (wal.segment_bytes, wal.archive_max_bytes) == (64, 1000)
+        assert wal.archive_dir == str(tmp_path / "cold")
+        build_db(wal).insert("t", (1, "x" * 80))  # DDL overshot 64 bytes
+        assert wal.segments_rotated == 1
 
 
 class TestEnospcProbe:

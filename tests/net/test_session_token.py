@@ -35,21 +35,20 @@ def world():
 
 
 class TestVersionAcceptance:
-    def test_both_supported_versions_accepted(self):
+    def test_v1_rejected(self):
         left, right = socket.socketpair()
         try:
-            for version in sorted(protocol.SUPPORTED_VERSIONS):
-                body = b'{"op":"ping"}'
-                payload = bytes([version]) + body
-                left.sendall(struct.pack(">I", len(payload)) + payload)
-                assert protocol.recv_frame(right) == {"op": "ping"}
+            payload = bytes([1]) + b'{"op":"ping"}'
+            left.sendall(struct.pack(">I", len(payload)) + payload)
+            with pytest.raises(NetProtocolError, match="unsupported"):
+                protocol.recv_frame(right)
         finally:
             left.close()
             right.close()
 
     def test_v2_is_current(self):
         assert protocol.PROTOCOL_VERSION == 2
-        assert protocol.SUPPORTED_VERSIONS == frozenset({1, 2})
+        assert protocol.encode_frame({"op": "ping"})[4] == 2
 
     def test_v3_rejected(self):
         left, right = socket.socketpair()
