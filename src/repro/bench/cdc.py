@@ -17,12 +17,12 @@ exactly.
 
 Two honesty phases follow the throughput measurement:
 
-- **stamp replay** — an interleaved write/drain/query phase on the
-  async world records a base-table snapshot per LSN, then re-derives
-  every answer: the current truth must be contained in it, and every
-  tuple served must have been true at some LSN within the stamped
-  staleness window (the stamp is a *true* upper bound, checked by
-  replay, not trusted);
+- **stamp replay** — an interleaved write/drain/query phase on a
+  WAL-logged async world records every answer with its stamped LSN
+  window, then replays the log (:mod:`repro.check.oracle`): the truth
+  at the answer's LSN must be contained in it, and every tuple served
+  must have been true at some LSN within the stamped staleness window
+  (the stamp is a *true* upper bound, checked by replay, not trusted);
 - **crash sweep** — a bounded torture sweep over the ``outbox.*``
   fault sites (crash before/after the feed append, error and crash
   mid-drain) reusing the CDC torture harness.
@@ -43,18 +43,17 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.bench.torture import sweep as torture_sweep
-from repro.core import Discretization, MaintenanceStrategy, PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
+from repro.check import (
+    Answer,
+    Replay,
+    attach_view,
+    bind,
+    build_rs,
+    check_answers,
+    multiset,
+    rs_template,
 )
+from repro.engine import Database, WriteAheadLog
 from repro.workload import ZipfianDistribution
 
 __all__ = ["CdcBenchConfig", "CdcReport", "run_cdc", "main"]
@@ -122,54 +121,16 @@ class CdcReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="cq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
+def _build_world(config: CdcBenchConfig, async_mode: bool, database=None):
+    db = build_rs(
+        database or Database(), config.rows_r, config.rows_s, domains=(N_C, N_F, N_G)
     )
-
-
-def _build_world(config: CdcBenchConfig, async_mode: bool):
-    db = Database()
-    db.create_relation(
-        "r",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("c", INTEGER, nullable=False),
-            Column("f", INTEGER, nullable=False),
-            Column("a", TEXT),
-        ],
-    )
-    db.create_relation(
-        "s",
-        [
-            Column("d", INTEGER, nullable=False),
-            Column("g", INTEGER, nullable=False),
-            Column("e", TEXT),
-        ],
-    )
-    db.create_index("r_f", "r", ["f"])
-    db.create_index("r_c", "r", ["c"])
-    db.create_index("s_d", "s", ["d"])
-    db.create_index("s_g", "s", ["g"])
-    for i in range(config.rows_r):
-        db.insert("r", (i, i % N_C, i % N_F, f"a{i}"))
-    for j in range(config.rows_s):
-        db.insert("s", (j % N_C, j % N_G, f"e{j}"))
-    template = _make_template()
-    manager = PMVManager(db, maintenance_strategy=MaintenanceStrategy.DELTA_JOIN)
-    manager.create_view(
+    template = rs_template("cq")
+    manager = attach_view(
+        db,
         template,
-        Discretization(template),
         tuples_per_entry=4,
         max_entries=N_F * N_G,
-        aux_index_columns=("r.a", "s.e"),
         upper_bound_bytes=1 << 16,
     )
     executor = manager.executor(template.name)
@@ -178,14 +139,7 @@ def _build_world(config: CdcBenchConfig, async_mode: bool):
     # case for async.
     for f in range(N_F):
         for g in range(N_G):
-            executor.execute(
-                template.bind(
-                    [
-                        EqualityDisjunction("r.f", [f]),
-                        EqualityDisjunction("s.g", [g]),
-                    ]
-                )
-            )
+            executor.execute(bind(template, f, g))
     maintainer = None
     if async_mode:
         maintainer = manager.enable_async_maintenance()
@@ -263,20 +217,9 @@ def _apply_op(db, op, x, y):
         db.update("r", row_id, f=y)
 
 
-def _answer(executor, template, fs, gs):
-    result = executor.execute(
-        template.bind(
-            [
-                EqualityDisjunction("r.f", sorted(fs)),
-                EqualityDisjunction("s.g", sorted(gs)),
-            ]
-        )
-    )
-    counts: dict[tuple, int] = {}
-    for row in result.all_rows():
-        item = tuple(row.values)
-        counts[item] = counts.get(item, 0) + 1
-    return result, counts
+def _answer(executor, template, f, g):
+    result = executor.execute(bind(template, f, g))
+    return result, multiset(result.all_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +260,8 @@ def _measure_throughput(config: CdcBenchConfig, report: CdcReport, verbose: bool
     equal = True
     for f in range(N_F):
         for g in range(N_G):
-            a_result, a_counts = _answer(a_executor, a_template, {f}, {g})
-            _, e_counts = _answer(e_executor, e_template, {f}, {g})
+            a_result, a_counts = _answer(a_executor, a_template, f, g)
+            _, e_counts = _answer(e_executor, e_template, f, g)
             if a_counts != e_counts or a_result.staleness != 0:
                 equal = False
     report.converged_answers_equal = equal
@@ -347,34 +290,16 @@ def _measure_throughput(config: CdcBenchConfig, report: CdcReport, verbose: bool
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(db):
-    return (
-        tuple(tuple(r.values) for r in db.catalog.relation("r").scan_rows()),
-        tuple(tuple(r.values) for r in db.catalog.relation("s").scan_rows()),
-    )
-
-
-def _truth_of(snap, fs, gs):
-    r_rows, s_rows = snap
-    counts: dict[tuple, int] = {}
-    for _rid, c, f, a in r_rows:
-        if f not in fs:
-            continue
-        for d, g, e in s_rows:
-            if c == d and g in gs:
-                item = (a, e, f, g)
-                counts[item] = counts.get(item, 0) + 1
-    return counts
-
-
 def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
     """Interleave writes, partial drains, and queries; verify every
     stamp by replaying the recorded history."""
-    db, manager, template, executor, maintainer = _build_world(config, async_mode=True)
+    db, manager, template, executor, maintainer = _build_world(
+        config, async_mode=True, database=Database(wal=WriteAheadLog())
+    )
     executor.freshness_bound = 25
     rng = random.Random(config.seed + 1)
     zipf = ZipfianDistribution(N_F, config.alpha, seed=config.seed + 1)
-    history = [_snapshot(db)]  # history[lsn] = state as of that LSN
+    answers: list[Answer] = []
     next_id = 2_000_000
     for _ in range(config.replay_ops):
         roll = rng.random()
@@ -385,13 +310,11 @@ def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
                 next_id += 1
             else:
                 _apply_op(db, kind, rng.randrange(1 << 20), zipf.sample_one())
-            history.append(_snapshot(db))
         elif roll < 0.75:
             maintainer.drain(max_records=rng.randrange(1, 6))
         else:
-            fs = {zipf.sample_one()}
-            gs = {rng.randrange(N_G)}
-            result, got = _answer(executor, template, fs, gs)
+            f, g = zipf.sample_one(), rng.randrange(N_G)
+            result, got = _answer(executor, template, f, g)
             now = db.current_lsn()
             stamp = result.staleness
             if result.metrics.bypassed_stale:
@@ -402,23 +325,21 @@ def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
                 )
                 continue
             report.max_staleness_seen = max(report.max_staleness_seen, stamp)
-            current = _truth_of(history[-1], fs, gs)
-            for item, count in current.items():
-                if got.get(item, 0) < count:
-                    report.stamp_failures.append(
-                        f"lost current tuple {item!r} at lsn {now}"
-                    )
-            window: dict[tuple, int] = {}
-            for lsn in range(result.applied_lsn, now + 1):
-                for item, count in _truth_of(history[lsn], fs, gs).items():
-                    window[item] = max(window.get(item, 0), count)
-            for item, count in got.items():
-                if count > window.get(item, 0):
-                    report.stamp_failures.append(
-                        f"served {item!r} x{count} outside the stamped "
-                        f"window (stamp {stamp}, lsn {now})"
-                    )
-            report.stamps_verified += 1
+            answers.append(
+                Answer(
+                    f"f={f} g={g} (stamp {stamp})",
+                    result.query,
+                    got,
+                    result.complete,
+                    now,
+                    low=result.applied_lsn,
+                )
+            )
+    report.stamp_failures.extend(
+        str(violation)
+        for violation in check_answers(answers, Replay(db.wal.records()))
+    )
+    report.stamps_verified = len(answers)
     maintainer.drain_to_convergence()
     manager.verify_consistency()
     if verbose:

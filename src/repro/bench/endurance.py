@@ -53,19 +53,18 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.core import Discretization, PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
-    WriteAheadLog,
+from repro.check import (
+    RELATIONS,
+    WriteLedger,
+    attach_view,
+    bind,
+    build_rs,
+    found_ids,
+    multiset,
+    random_binding,
+    rs_template,
 )
+from repro.engine import Database, WriteAheadLog
 from repro.engine.snapshot import (
     checkpoint as wal_checkpoint,
     recover_from_snapshot,
@@ -84,7 +83,6 @@ DRAIN_BATCH = 8
 DRAIN_EVERY = 50
 CHECKPOINT_EVERY = 75
 WINDOW_LEN = 12
-_RELATIONS = ("r", "s")
 
 
 @dataclass
@@ -118,19 +116,6 @@ class EnduranceReport:
         return not self.failures
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="eq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
-    )
-
-
 def _enospc_windows() -> FaultPlan:
     """Two sustained disk-full windows: ERROR-mode specs never disarm
     the injector, so consecutive occurrences model a disk that stays
@@ -153,32 +138,10 @@ def _setup(workdir: str, injector: FaultInjector):
     wal.fault_check = injector.check
     database = Database(wal=wal)
     database.disk.fault_check = injector.check
-    database.create_relation(
-        "r",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("c", INTEGER, nullable=False),
-            Column("f", INTEGER, nullable=False),
-            Column("a", TEXT),
-        ],
-    )
-    database.create_relation(
-        "s",
-        [
-            Column("d", INTEGER, nullable=False),
-            Column("g", INTEGER, nullable=False),
-            Column("e", TEXT),
-        ],
-    )
-    database.create_index("r_c", "r", ["c"])
-    database.create_index("s_d", "s", ["d"])
-    template = _make_template()
-    manager = PMVManager(database)
-    manager.create_view(
-        template,
-        Discretization(template),
-        tuples_per_entry=4,
-        max_entries=12,
+    build_rs(database, 0, 0, selection_indexes=False)
+    template = rs_template("eq")
+    manager = attach_view(
+        database, template, tuples_per_entry=4, max_entries=12, aux_index=False
     )
     from repro.cdc import ChangeOutbox
 
@@ -205,18 +168,14 @@ def run_endurance(
             workdir, injector
         )
         rng = random.Random(seed * 6367 + 11)
-        acked_ids: set[int] = set()
+        inserted_ids: set[int] = set()
+        deleted_ids: set[int] = set()
         next_id = 1
         snapshots: list[str] = []
         refusal_sites: dict[str, int] = {}
 
         def probe_query():
-            return template.bind(
-                [
-                    EqualityDisjunction("r.f", [rng.randrange(4)]),
-                    EqualityDisjunction("s.g", [rng.randrange(3)]),
-                ]
-            )
+            return random_binding(template, rng)
 
         def sample_wal() -> None:
             stats = database.wal.resource_stats()
@@ -240,7 +199,7 @@ def run_endurance(
                             "r",
                             (next_id, rng.randrange(6), rng.randrange(4), f"a{next_id}"),
                         )
-                        acked_ids.add(next_id)
+                        inserted_ids.add(next_id)
                         next_id += 1
                     else:
                         database.insert(
@@ -253,7 +212,7 @@ def run_endurance(
                     if rows:
                         row_id, row = rows[rng.randrange(len(rows))]
                         database.delete("r", row_id)
-                        acked_ids.discard(row["id"])
+                        deleted_ids.add(row["id"])
                         report.acked_writes += 1
                 elif roll < 0.72:  # update (never touches the id ledger column)
                     rows = list(database.catalog.relation("r").scan())
@@ -340,23 +299,13 @@ def run_endurance(
         # -- convergence: PMV answers equal full execution ------------------
         for f_val in range(4):
             for g_val in range(3):
-                query = template.bind(
-                    [
-                        EqualityDisjunction("r.f", [f_val]),
-                        EqualityDisjunction("s.g", [g_val]),
-                    ]
-                )
-                got = sorted(
-                    (tuple(r.values) for r in manager.execute(query).all_rows()),
-                    key=repr,
-                )
-                want = sorted(
-                    (tuple(r.values) for r in database.run(query)), key=repr
-                )
+                query = bind(template, f_val, g_val)
+                got = multiset(manager.execute(query).all_rows())
+                want = multiset(database.run(query))
                 if got != want:
                     report.failures.append(
                         f"post-convergence divergence at f={f_val} g={g_val}: "
-                        f"{len(got)} vs {len(want)} tuples"
+                        f"{sum(got.values())} vs {sum(want.values())} tuples"
                     )
 
         # -- restart: snapshot + log suffix, ledger exactly-once ------------
@@ -369,19 +318,18 @@ def run_endurance(
         report.archive_reads = log.archive_reads
         recovered = recover_from_snapshot(snapshot_from_json(restart_from), log)
         report.archive_reads = log.archive_reads
-        if contents_of(recovered, _RELATIONS) != contents_of(database, _RELATIONS):
+        if contents_of(recovered, RELATIONS) != contents_of(database, RELATIONS):
             report.failures.append(
                 "restart from snapshot + log suffix diverged from the "
                 "live pre-shutdown state"
             )
-        recovered_ids = [
-            row["id"] for _rid, row in recovered.catalog.relation("r").scan()
-        ]
-        if len(recovered_ids) != len(set(recovered_ids)):
+        found = found_ids(recovered)
+        verdict = WriteLedger(inserted_ids, deleted_ids).check(found)
+        if verdict["duplicate"]:
             report.failures.append("ledger: duplicate acked writes after restart")
-        if set(recovered_ids) != acked_ids:
-            lost = sorted(acked_ids - set(recovered_ids))[:5]
-            phantom = sorted(set(recovered_ids) - acked_ids)[:5]
+        lost = verdict["lost"][:5]
+        phantom = sorted(set(found) - inserted_ids)[:5] + verdict["resurrected"][:5]
+        if lost or phantom:
             report.failures.append(
                 f"ledger: acked-write loss/phantom after restart "
                 f"(lost={lost}, phantom={phantom})"

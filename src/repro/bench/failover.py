@@ -21,7 +21,8 @@ After every crash the drill asserts the PR's acceptance battery:
 - **honest staleness** — every answer a lagging replica served during
   the run was flagged ``complete=False, degraded_reason="replica_lag"``
   and is re-verified as a multiset subset of the true answer at that
-  replica's applied watermark (by incremental op-log replay);
+  replica's applied watermark, while an answer served caught-up must
+  equal it (acked op-log replay through :mod:`repro.check.oracle`);
 - **fencing** — the deposed primary refuses writes
   (:class:`~repro.errors.WALFencedError`) and its ships are rejected
   by the promoted epoch;
@@ -48,32 +49,26 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.core import Discretization, MaintenanceStrategy, PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
+from repro.check import (
+    RELATIONS,
+    Answer,
+    Cluster,
+    Replay,
+    attach_view,
+    bind,
+    build_rs,
+    check_answers,
+    multiset,
+    rs_template,
+    strategy_for_seed,
 )
 from repro.engine.snapshot import snapshot_to_json, take_snapshot
-from repro.engine.wal import replay_record
 from repro.errors import ReplicaLagError, ReproError, WALFencedError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from repro.faults.check import InvariantViolation, contents_of
 from repro.faults.inject import build_faulty_database
 from repro.faults.plan import FaultMode
-from repro.qos import ServingGate
-from repro.replication import (
-    FailoverCoordinator,
-    PrimaryNode,
-    ReplicaNode,
-    ShippedRecord,
-)
+from repro.replication import ReplicaNode, ShippedRecord
 
 __all__ = [
     "FailoverConfig",
@@ -93,7 +88,6 @@ PUMP_EVERY = 3
 PROBE_WINDOW = 30
 """Queries in the pre-crash / post-promotion hit-rate probe windows."""
 
-_RELATIONS = ("r", "s")
 
 
 @dataclass(frozen=True)
@@ -149,20 +143,7 @@ class DrillReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="tq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
-    )
-
-
-class _Cluster:
+class _Cluster(Cluster):
     """One drill's topology plus the driver-side ledgers."""
 
     def __init__(self, config: FailoverConfig, injector: FaultInjector, wal_path: str):
@@ -173,75 +154,25 @@ class _Cluster:
             buffer_pool_pages=config.buffer_pool_pages,
             page_size=config.page_size,
         )
-        database.create_relation(
-            "r",
-            [
-                Column("id", INTEGER, nullable=False),
-                Column("c", INTEGER, nullable=False),
-                Column("f", INTEGER, nullable=False),
-                Column("a", TEXT),
-            ],
-        )
-        database.create_relation(
-            "s",
-            [
-                Column("d", INTEGER, nullable=False),
-                Column("g", INTEGER, nullable=False),
-                Column("e", TEXT),
-            ],
-        )
-        database.create_index("r_f", "r", ["f"])
-        database.create_index("r_c", "r", ["c"])
-        database.create_index("s_d", "s", ["d"])
-        database.create_index("s_g", "s", ["g"])
-        for i in range(24):
-            database.insert("r", (i, i % 6, i % 4, f"a{i}"))
-        for j in range(12):
-            database.insert("s", (j % 6, j % 3, f"e{j}"))
-        self.template = _make_template()
-        strategy = (
-            MaintenanceStrategy.AUX_INDEX
-            if config.seed % 2
-            else MaintenanceStrategy.DELTA_JOIN
-        )
-        manager = PMVManager(database, maintenance_strategy=strategy)
-        manager.create_view(
+        build_rs(database, 24, 12)
+        self.template = rs_template("tq")
+        manager = attach_view(
+            database,
             self.template,
-            Discretization(self.template),
-            tuples_per_entry=3,
-            max_entries=8,
-            aux_index_columns=("r.a", "s.e"),
+            strategy_for_seed(config.seed),
             upper_bound_bytes=4096,
         )
-        self.primary = PrimaryNode(database, manager=manager)
-        self.replicas = [
-            ReplicaNode(
-                f"replica-{n}",
-                buffer_pool_pages=config.buffer_pool_pages,
-                page_size=config.page_size,
-            )
-            for n in (1, 2)
-        ]
-        for replica in self.replicas:
-            self.primary.attach_replica(replica)
-        self.primary.ship()  # DDL + seed rows reach the standbys
-        for replica in self.replicas:
-            replica.mirror_views(manager)
-        self.clock = [0.0]
-        self.gate = ServingGate(manager)
-        self.coordinator = FailoverCoordinator(
-            self.primary,
-            self.replicas,
-            gate=self.gate,
+        super().__init__(
+            database,
+            manager,
             heartbeat_interval=config.heartbeat_interval,
             missed_heartbeats=config.missed_heartbeats,
-            clock=lambda: self.clock[0],
         )
         # Driver-side ledgers: the acked op log (our own copies of every
         # acknowledged WAL record) and the replica answers to re-verify.
         self.op_log: list = []
         self._synced_lsn = 0
-        self.replica_answers: list[tuple] = []  # (query, rows, watermark, lagged)
+        self.replica_answers: list[Answer] = []  # stamped with the watermark
         self.pre_hits: list[int] = []
         self.refused_reads = 0
 
@@ -257,12 +188,7 @@ class _Cluster:
 
     def bind_query(self, rng: random.Random):
         f = rng.randrange(2) if rng.random() < 0.75 else 2 + rng.randrange(2)
-        return self.template.bind(
-            [
-                EqualityDisjunction("r.f", [f]),
-                EqualityDisjunction("s.g", [rng.randrange(3)]),
-            ]
-        )
+        return bind(self.template, f, rng.randrange(3))
 
     def serve_replica(self, rng: random.Random, query) -> None:
         """Mirror a read to one standby (warms its PMV) and ledger it."""
@@ -276,7 +202,6 @@ class _Cluster:
             # the router would retry on the primary.
             self.refused_reads += 1
             return
-        rows = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
         if lag > 0:
             if result.complete or result.degraded_reason != "replica_lag":
                 raise InvariantViolation(
@@ -284,7 +209,23 @@ class _Cluster:
                     f"flagging the answer (complete={result.complete}, "
                     f"reason={result.degraded_reason!r})"
                 )
-        self.replica_answers.append((query, rows, replica.applied_lsn, lag > 0))
+        self.replica_answers.append(
+            Answer(
+                f"{replica.name}@{replica.applied_lsn}",
+                query,
+                multiset(result.all_rows()),
+                result.complete,
+                replica.applied_lsn,
+            )
+        )
+
+    def replay(self) -> Replay:
+        """A fresh replay of the acked op log."""
+        return Replay(
+            self.op_log,
+            buffer_pool_pages=self.config.buffer_pool_pages,
+            page_size=self.config.page_size,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +270,7 @@ def _run_workload(cluster: _Cluster, rng: random.Random) -> None:
         elif roll < 0.92:  # gate query on the primary + mirrored standby read
             query = cluster.bind_query(rng)
             result = cluster.gate.execute(query)
-            got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-            want = sorted((tuple(r.values) for r in database.run(query)), key=repr)
-            if got != want:
+            if multiset(result.all_rows()) != multiset(database.run(query)):
                 raise InvariantViolation("primary gate answer diverged from truth")
             cluster.pre_hits.append(1 if result.partial_rows else 0)
             cluster.serve_replica(rng, cluster.bind_query(rng))
@@ -360,36 +299,12 @@ def _hit_rate(hits: list[int]) -> float:
 
 
 def _verify_replica_answers(cluster: _Cluster) -> int:
-    """Re-check every ledgered standby answer by op-log replay.
-
-    The ledger is replayed watermark by watermark (ascending) into one
-    scratch database; at each stop the recorded rows must be a multiset
-    subset of the true answer at that state — and lag-flagged answers
-    were already required to carry ``complete=False``.
-    """
-    config = cluster.config
-    scratch = Database(
-        buffer_pool_pages=config.buffer_pool_pages, page_size=config.page_size
-    )
-    position = 0
-    lagged = 0
-    for query, rows, watermark, was_lagged in sorted(
-        cluster.replica_answers, key=lambda item: item[2]
-    ):
-        while position < len(cluster.op_log) and cluster.op_log[position].lsn <= watermark:
-            replay_record(scratch, cluster.op_log[position])
-            position += 1
-        truth = sorted((tuple(r.values) for r in scratch.run(query)), key=repr)
-        remaining = list(truth)
-        for row in rows:
-            if row not in remaining:
-                raise InvariantViolation(
-                    f"standby answer at watermark {watermark} is not a "
-                    f"multiset subset of the state it claims: extra {row!r}"
-                )
-            remaining.remove(row)
-        lagged += was_lagged
-    return lagged
+    """Re-check every ledgered standby answer against the acked op log
+    replayed to its watermark; returns how many were served lagging
+    (those were already required to carry ``complete=False``)."""
+    for violation in check_answers(cluster.replica_answers, cluster.replay()):
+        raise InvariantViolation(f"standby {violation}")
+    return sum(not answer.complete for answer in cluster.replica_answers)
 
 
 def run_drill(
@@ -416,9 +331,9 @@ def run_drill(
             # convergence checks still must hold.
             cluster.pump()
             cluster.pump()
-            primary_contents = contents_of(cluster.primary.database, _RELATIONS)
+            primary_contents = contents_of(cluster.primary.database, RELATIONS)
             for replica in cluster.replicas:
-                if contents_of(replica.database, _RELATIONS) != primary_contents:
+                if contents_of(replica.database, RELATIONS) != primary_contents:
                     raise InvariantViolation(
                         f"{replica.name} did not converge to the primary"
                     )
@@ -462,13 +377,9 @@ def _after_crash(cluster: _Cluster, rng: random.Random, spec_text: str | None) -
     try:
         # 1. Zero acked-write loss / op-log replay agreement: the acked
         # ledger replayed into a fresh database IS the promoted state.
-        replayed = Database(
-            buffer_pool_pages=config.buffer_pool_pages, page_size=config.page_size
-        )
-        for record in cluster.op_log:
-            replay_record(replayed, record)
-        if contents_of(replayed, _RELATIONS) != contents_of(
-            new_primary.database, _RELATIONS
+        replayed = cluster.replay().advance()
+        if contents_of(replayed, RELATIONS) != contents_of(
+            new_primary.database, RELATIONS
         ):
             raise InvariantViolation(
                 f"acked op-log replay ({len(cluster.op_log)} records) "
@@ -522,11 +433,7 @@ def _after_crash(cluster: _Cluster, rng: random.Random, spec_text: str | None) -
         for _ in range(PROBE_WINDOW):
             query = cluster.bind_query(rng)
             result = cluster.gate.execute(query)
-            got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-            want = sorted(
-                (tuple(r.values) for r in new_primary.database.run(query)), key=repr
-            )
-            if got != want:
+            if multiset(result.all_rows()) != multiset(new_primary.database.run(query)):
                 raise InvariantViolation("promoted gate answer diverged from truth")
             post_hits.append(1 if result.partial_rows else 0)
         pre_rate = _hit_rate(cluster.pre_hits)
@@ -545,9 +452,9 @@ def _after_crash(cluster: _Cluster, rng: random.Random, spec_text: str | None) -
             )
         new_primary.ship()
         new_primary.ship()
-        promoted_contents = contents_of(new_primary.database, _RELATIONS)
+        promoted_contents = contents_of(new_primary.database, RELATIONS)
         for link in new_primary.links:
-            if contents_of(link.replica.database, _RELATIONS) != promoted_contents:
+            if contents_of(link.replica.database, RELATIONS) != promoted_contents:
                 raise InvariantViolation(
                     f"{link.replica.name} did not converge to the new primary"
                 )

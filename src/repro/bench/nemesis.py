@@ -26,9 +26,10 @@ ledger:
 - **honest stamps** — every ``replica_lag`` stamp is at least the true
   lag at response time (the serving node's watermark against its era
   primary's end-of-log);
-- **reads are truth subsets** — every read's rows are a multiset
-  subset of the database state at its stamped ``applied_lsn``,
-  verified by replaying the era's WAL prefix into a scratch database;
+- **reads are true at their stamp** — every read's rows are judged
+  against the database state at its stamped ``applied_lsn`` (the era's
+  WAL replayed by :mod:`repro.check.oracle`): equal to the true answer
+  when the read claims ``complete``, a multiset subset of it otherwise;
 - **monotonic sessions** — within one epoch, a session's stamped
   ``applied_lsn`` never goes backwards (the v2 ``min_lsn`` token at
   work).
@@ -49,20 +50,21 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.core import Discretization
-from repro.core.manager import PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
+from repro.check import (
+    Answer,
+    Cluster,
+    Replay,
+    WriteLedger,
+    attach_view,
+    bind,
+    build_rs,
+    check_answers,
+    found_ids,
+    multiset,
+    random_binding,
+    rs_template,
 )
-from repro.engine.wal import WriteAheadLog, replay_record
+from repro.engine import Database, WriteAheadLog
 from repro.errors import (
     NetError,
     OverloadError,
@@ -73,12 +75,7 @@ from repro.faults.partition import Nemesis, PartitionPlan
 from repro.net import ClusterFrontEnd, NetServer, PMVClient
 from repro.net.client import RetryPolicy
 from repro.qos.gate import ServingGate
-from repro.replication import (
-    ControlLink,
-    FailoverCoordinator,
-    PrimaryNode,
-    ReplicaNode,
-)
+from repro.replication import ControlLink, PrimaryNode
 
 __all__ = ["NemesisConfig", "NemesisReport", "run_nemesis", "run_sweep", "main"]
 
@@ -143,80 +140,21 @@ class NemesisReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="tq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
-    )
-
-
-class _Cluster:
+class _Cluster(Cluster):
     """A lease-gated semi-sync cluster on a fake shared clock, with
     every partition seam exposed for the nemesis."""
 
     def __init__(self, config: NemesisConfig):
         self.config = config
-        self.clock = [0.0]
-        database = Database(wal=WriteAheadLog())
-        database.create_relation(
-            "r",
-            [
-                Column("id", INTEGER, nullable=False),
-                Column("c", INTEGER, nullable=False),
-                Column("f", INTEGER, nullable=False),
-                Column("a", TEXT),
-            ],
-        )
-        database.create_relation(
-            "s",
-            [
-                Column("d", INTEGER, nullable=False),
-                Column("g", INTEGER, nullable=False),
-                Column("e", TEXT),
-            ],
-        )
-        database.create_index("r_f", "r", ["f"])
-        database.create_index("r_c", "r", ["c"])
-        database.create_index("s_d", "s", ["d"])
-        database.create_index("s_g", "s", ["g"])
-        for i in range(48):
-            database.insert("r", (i, i % 6, i % 4, f"a{i}"))
-        for j in range(24):
-            database.insert("s", (j % 6, j % 3, f"e{j}"))
-        self.template = _make_template()
-        database.register_template(self.template)
-        manager = PMVManager(database)
-        manager.create_view(
-            self.template,
-            Discretization(self.template),
-            tuples_per_entry=3,
-            max_entries=8,
-            aux_index_columns=("r.a", "s.e"),
-        )
-        self.primary = PrimaryNode(
-            database, manager=manager, clock=lambda: self.clock[0]
-        )
-        self.replicas = [ReplicaNode(f"replica-{n}") for n in (1, 2)]
-        for replica in self.replicas:
-            self.primary.attach_replica(replica)
-        self.primary.ship()
-        for replica in self.replicas:
-            replica.mirror_views(manager)
-        self.gate = ServingGate(manager)
-        self.coordinator = FailoverCoordinator(
-            self.primary,
-            self.replicas,
-            gate=self.gate,
+        database = build_rs(Database(wal=WriteAheadLog()), 48, 24)
+        self.template = rs_template("tq")
+        manager = attach_view(database, self.template)
+        super().__init__(
+            database,
+            manager,
             heartbeat_interval=config.heartbeat_interval,
             suspicion_threshold=config.suspicion_threshold,
             lease_ttl=config.lease_ttl,
-            clock=lambda: self.clock[0],
         )
         self.control = ControlLink(self.coordinator, self.primary)
         # The fence is best-effort: only when the coordinator→primary
@@ -286,14 +224,12 @@ class _Cluster:
 @dataclass
 class _ReadRecord:
     client: int
-    query: object
-    rows: list
+    answer: Answer | None  # None when the read carried no LSN stamp
     epoch: int | None
     applied_lsn: int | None
     replica_lag: int | None
     truth_last: int
-    isolated: bool
-    served_by: str | None
+    isolated: str | None  # the era's primary, when it was ISOLATED
 
 
 class _Ledger:
@@ -398,12 +334,7 @@ def _one_read(
     ledger: _Ledger,
     report: NemesisReport,
 ) -> None:
-    query = cluster.template.bind(
-        [
-            EqualityDisjunction("r.f", [rng.randrange(4)]),
-            EqualityDisjunction("s.g", [rng.randrange(3)]),
-        ]
-    )
+    query = random_binding(cluster.template, rng)
     answer = client.query(
         query,
         budget=2.0,
@@ -417,18 +348,26 @@ def _one_read(
     truth_last = (
         era_node.database.wal.last_lsn if era_node is not None else 0
     )
-    isolated = era_node.is_isolated() if era_node is not None else False
+    isolated = era_node is not None and era_node.is_isolated()
+    stamped = answer.epoch is not None and answer.applied_lsn is not None
     ledger.reads.append(
         _ReadRecord(
             client=index,
-            query=query,
-            rows=list(answer.rows),
+            answer=Answer(
+                f"read {len(ledger.reads)} (client {index}, epoch {answer.epoch}, "
+                f"served by {answer.served_by})",
+                query,
+                multiset(answer.rows),
+                answer.complete,
+                answer.applied_lsn,
+            )
+            if stamped
+            else None,
             epoch=answer.epoch,
             applied_lsn=answer.applied_lsn,
             replica_lag=answer.replica_lag,
             truth_last=truth_last,
-            isolated=isolated,
-            served_by=answer.served_by,
+            isolated=era_node.name if isolated else None,
         )
     )
     # Monotonic session: within one epoch, the stamped watermark never
@@ -451,14 +390,8 @@ def _probe_zombie(cluster: _Cluster, report: NemesisReport) -> None:
     original = cluster.eras[min(cluster.eras)]
     if cluster.coordinator.primary is original:
         return
-    probe = cluster.template.bind(
-        [
-            EqualityDisjunction("r.f", [0]),
-            EqualityDisjunction("s.g", [0]),
-        ]
-    )
     try:
-        cluster.stale_gate.execute(probe)
+        cluster.stale_gate.execute(bind(cluster.template, 0, 0))
     except ReproError:
         report.zombie_probe_refusals += 1
         return
@@ -479,30 +412,23 @@ def _check_history(
     cluster: _Cluster, ledger: _Ledger, report: NemesisReport
 ) -> None:
     # -- acked durability and at-most-once against the survivor ------------
-    database = cluster.coordinator.primary.database
-    counts: dict[int, int] = {}
-    for row in database.catalog.relation("r").scan_rows():
-        row_id = row["id"]
-        if row_id >= CLIENT_ID_BASE:
-            counts[row_id] = counts.get(row_id, 0) + 1
-    for row_id, count in sorted(counts.items()):
-        if count > 1:
-            report.violations.append(
-                f"duplicate-application: row {row_id} present {count} times"
-            )
-    for row_id in sorted(ledger.acked_inserts):
-        if row_id in ledger.acked_deletes:
-            if counts.get(row_id, 0) != 0:
-                report.violations.append(
-                    f"resurrected-delete: row {row_id} acked deleted but present"
-                )
-        elif row_id in ledger.indoubt_deletes:
-            pass  # delete in doubt: either outcome is legal
-        elif counts.get(row_id, 0) == 0:
-            report.violations.append(
-                f"acked-write-loss: row {row_id} acked but missing from "
-                f"the surviving timeline"
-            )
+    found = found_ids(cluster.coordinator.primary.database, CLIENT_ID_BASE)
+    verdict = WriteLedger(
+        ledger.acked_inserts, ledger.acked_deletes, ledger.indoubt_deletes
+    ).check(found)
+    for row_id in verdict["duplicate"]:
+        report.violations.append(
+            f"duplicate-application: row {row_id} present {found[row_id]} times"
+        )
+    for row_id in verdict["resurrected"]:
+        report.violations.append(
+            f"resurrected-delete: row {row_id} acked deleted but present"
+        )
+    for row_id in verdict["lost"]:
+        report.violations.append(
+            f"acked-write-loss: row {row_id} acked but missing from "
+            f"the surviving timeline"
+        )
     # -- one writer per era -----------------------------------------------
     writers: dict[int, set[str]] = {}
     for epoch, served_by, _lsn in ledger.write_acks:
@@ -515,10 +441,10 @@ def _check_history(
             )
     # -- per-read checks: isolation, lag honesty, truth subset -------------
     for record in ledger.reads:
-        if record.isolated:
+        if record.isolated is not None:
             report.violations.append(
-                f"isolated-serve: read for client {record.client} served while "
-                f"{record.served_by} was ISOLATED"
+                f"isolated-serve: read for client {record.client} served in epoch "
+                f"{record.epoch} while its primary {record.isolated} was ISOLATED"
             )
         if record.replica_lag is not None and record.applied_lsn is not None:
             true_lag = max(0, record.truth_last - record.applied_lsn)
@@ -527,47 +453,18 @@ def _check_history(
                     f"lag-understated: stamp {record.replica_lag} < true lag "
                     f"{true_lag} (client {record.client}, LSN {record.applied_lsn})"
                 )
-    _check_read_subsets(cluster, ledger, report)
-
-
-def _check_read_subsets(
-    cluster: _Cluster, ledger: _Ledger, report: NemesisReport
-) -> None:
-    """Replay each era's WAL prefix and require every read's rows to be
-    a multiset subset of the state at its stamped LSN."""
-    by_epoch: dict[int, list[_ReadRecord]] = {}
+    # -- every stamped read, judged against its era's WAL --------------------
+    by_epoch: dict[int, list[Answer]] = {}
     for record in ledger.reads:
-        if record.epoch is None or record.applied_lsn is None:
-            continue
-        by_epoch.setdefault(record.epoch, []).append(record)
-    for epoch, records in sorted(by_epoch.items()):
+        if record.answer is not None:
+            by_epoch.setdefault(record.epoch, []).append(record.answer)
+    for epoch, answers in sorted(by_epoch.items()):
         node = cluster.eras.get(epoch)
         if node is None:
             report.violations.append(f"unknown-era: reads stamped epoch {epoch}")
             continue
-        log = list(node.database.wal.records())
-        scratch = Database()
-        position = 0
-        for record in sorted(records, key=lambda r: r.applied_lsn):
-            while position < len(log) and log[position].lsn <= record.applied_lsn:
-                replay_record(scratch, log[position])
-                position += 1
-            names = record.query.template.select_list
-            truth = [
-                tuple(row.project(names).values)
-                for row in scratch.run(record.query)
-            ]
-            remaining = list(truth)
-            for row in record.rows:
-                if row in remaining:
-                    remaining.remove(row)
-                else:
-                    report.violations.append(
-                        f"non-subset-read: client {record.client} row {row!r} "
-                        f"absent from epoch {epoch} state at LSN "
-                        f"{record.applied_lsn}"
-                    )
-                    break
+        for violation in check_answers(answers, Replay(node.database.wal.records())):
+            report.violations.append(f"untrue-read: {violation}")
 
 
 # ---------------------------------------------------------------------------

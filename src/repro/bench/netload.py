@@ -36,25 +36,19 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.core import Discretization
-from repro.core.manager import PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
+from repro.check import (
+    Cluster,
+    WriteLedger,
+    attach_view,
+    build_rs,
+    found_ids,
+    random_binding,
+    rs_template,
 )
-from repro.engine.wal import WriteAheadLog
+from repro.engine import Database, WriteAheadLog
 from repro.errors import OverloadError, RetryExhaustedError
 from repro.net import ClusterFrontEnd, NetServer, PMVClient
 from repro.net.client import RetryPolicy
-from repro.qos.gate import ServingGate
-from repro.replication import FailoverCoordinator, PrimaryNode, ReplicaNode
 
 __all__ = ["NetloadConfig", "NetloadReport", "run_netload", "main"]
 
@@ -114,77 +108,14 @@ class NetloadReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="tq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
-    )
-
-
-class _Cluster:
+class _Cluster(Cluster):
     """Primary + two standbys + coordinator on a fake clock, all behind
     one :class:`ClusterFrontEnd`."""
 
     def __init__(self, config: NetloadConfig):
-        database = Database(wal=WriteAheadLog())
-        database.create_relation(
-            "r",
-            [
-                Column("id", INTEGER, nullable=False),
-                Column("c", INTEGER, nullable=False),
-                Column("f", INTEGER, nullable=False),
-                Column("a", TEXT),
-            ],
-        )
-        database.create_relation(
-            "s",
-            [
-                Column("d", INTEGER, nullable=False),
-                Column("g", INTEGER, nullable=False),
-                Column("e", TEXT),
-            ],
-        )
-        database.create_index("r_f", "r", ["f"])
-        database.create_index("r_c", "r", ["c"])
-        database.create_index("s_d", "s", ["d"])
-        database.create_index("s_g", "s", ["g"])
-        for i in range(48):
-            database.insert("r", (i, i % 6, i % 4, f"a{i}"))
-        for j in range(24):
-            database.insert("s", (j % 6, j % 3, f"e{j}"))
-        self.template = _make_template()
-        database.register_template(self.template)
-        manager = PMVManager(database)
-        manager.create_view(
-            self.template,
-            Discretization(self.template),
-            tuples_per_entry=3,
-            max_entries=8,
-            aux_index_columns=("r.a", "s.e"),
-        )
-        self.primary = PrimaryNode(database, manager=manager)
-        self.replicas = [ReplicaNode(f"replica-{n}") for n in (1, 2)]
-        for replica in self.replicas:
-            self.primary.attach_replica(replica)
-        self.primary.ship()  # DDL + seed rows reach the standbys
-        for replica in self.replicas:
-            replica.mirror_views(manager)
-        self.clock = [0.0]
-        self.gate = ServingGate(manager)
-        self.coordinator = FailoverCoordinator(
-            self.primary,
-            self.replicas,
-            gate=self.gate,
-            heartbeat_interval=1.0,
-            missed_heartbeats=3,
-            clock=lambda: self.clock[0],
-        )
+        database = build_rs(Database(wal=WriteAheadLog()), 48, 24)
+        self.template = rs_template("tq")
+        super().__init__(database, attach_view(database, self.template))
         self.front_end = ClusterFrontEnd(
             self.gate,
             coordinator=self.coordinator,
@@ -246,12 +177,7 @@ def _run_client(
             roll = rng.random()
             try:
                 if roll < 0.45:  # template query
-                    query = cluster.template.bind(
-                        [
-                            EqualityDisjunction("r.f", [rng.randrange(4)]),
-                            EqualityDisjunction("s.g", [rng.randrange(3)]),
-                        ]
-                    )
+                    query = random_binding(cluster.template, rng)
                     prefer_replica = rng.random() < 0.4
                     started = time.perf_counter()
                     answer = client.query(
@@ -307,28 +233,19 @@ def _run_client(
 
 
 def _verify(cluster: _Cluster, ledgers: list[_ClientLedger], report: NetloadReport) -> None:
-    database = cluster.coordinator.primary.database
-    counts: dict[int, int] = {}
-    for row in database.catalog.relation("r").scan_rows():
-        row_id = row["id"]
-        if row_id >= CLIENT_ID_BASE:
-            counts[row_id] = counts.get(row_id, 0) + 1
-    for row_id, count in sorted(counts.items()):
-        if count > 1:
-            report.duplicate_rows.append(
-                {"id": row_id, "count": count}
-            )
-    for ledger in ledgers:
-        for row_id in sorted(ledger.acked_inserts):
-            if row_id in ledger.acked_deletes:
-                if counts.get(row_id, 0) != 0:
-                    report.resurrected_deletes.append(
-                        {"client": ledger.index, "id": row_id}
-                    )
-            elif counts.get(row_id, 0) == 0:
-                report.lost_acked_writes.append(
-                    {"client": ledger.index, "id": row_id}
-                )
+    found = found_ids(cluster.coordinator.primary.database, CLIENT_ID_BASE)
+    ledger = WriteLedger(
+        acked_inserts={i for one in ledgers for i in one.acked_inserts},
+        acked_deletes={i for one in ledgers for i in one.acked_deletes},
+    )
+    verdict = ledger.check(found)
+
+    def owned(row_id: int) -> dict:
+        return {"client": (row_id - CLIENT_ID_BASE) // CLIENT_ID_STRIDE, "id": row_id}
+
+    report.duplicate_rows = [{"id": i, "count": found[i]} for i in verdict["duplicate"]]
+    report.resurrected_deletes = [owned(i) for i in verdict["resurrected"]]
+    report.lost_acked_writes = [owned(i) for i in verdict["lost"]]
 
 
 def _percentile(values: list[float], fraction: float) -> float:

@@ -14,11 +14,11 @@ maintenance) and contrasts:
   plus bounded queue wait), and queries whose budget runs out return
   the PMV partial answer explicitly marked ``complete=False``.
 
-The protected phase is **replay-verified**: every committed DML
-statement and every answer's serialization point (the executor's
-``on_o3``, which fires inside a latched section for degraded answers
-too) append to a shared op log; the log is then replayed
-single-threaded against a fresh database and
+The protected phase is **replay-verified**: the database logs to an
+in-memory WAL and every answer is stamped with the WAL position at its
+serialization point (the executor's ``on_o3``, which fires inside a
+latched section for degraded answers too); the log is then replayed
+single-threaded into a scratch database (:mod:`repro.check.oracle`) and
 
 - every ``complete=True`` answer must match the reference answer
   **row for row** (multiset equality), and
@@ -49,12 +49,8 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 
-from repro.bench.stress import (
-    _attach_pmv,
-    _bind_query,
-    _build_database,
-    _rows_key,
-)
+from repro.bench.stress import GEOMETRY, build_world
+from repro.check import Answer, Replay, check_answers, random_binding, record_answer
 from repro.engine import Database
 from repro.errors import LockError, OverloadError
 from repro.qos import (
@@ -114,6 +110,7 @@ class OverloadResult:
     subset_violations: int = 0
     queries_checked: int = 0
     changes_replayed: int = 0
+    """WAL records replayed: DML statements plus the DDL and seed rows."""
     state_transitions: int = 0
     final_state: str = ""
     breaker_opens: int = 0
@@ -130,21 +127,6 @@ def _p99(latencies: list[float]) -> float:
     return ordered[int(0.99 * (len(ordered) - 1))]
 
 
-def _multiset(rows_key: list) -> dict:
-    counts: dict = {}
-    for key in rows_key:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _is_multisubset(got: list, want: list) -> bool:
-    have = _multiset(want)
-    for key, count in _multiset(got).items():
-        if count > have.get(key, 0):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Shared run state
 # ---------------------------------------------------------------------------
@@ -153,30 +135,23 @@ def _is_multisubset(got: list, want: list) -> bool:
 class _Shared:
     """State shared by one phase's worker threads.
 
-    ``oplog`` entries are appended only from inside the statement latch
-    (the change listener fires in ``Database._notify``; ``on_o3`` fires
-    in a latched section for complete *and* degraded answers), so the
-    log order is the phase's serialization order."""
+    Every answer carries its exact serialization position in the WAL
+    (:func:`repro.check.record_answer`)."""
 
     def __init__(self) -> None:
-        self.oplog: list[tuple] = []
-        self.queries: dict[str, object] = {}
-        self.results: dict[str, dict] = {}
+        self.answers: list[Answer] = []
         self.latencies: list[float] = []
         self.latency_mutex = threading.Lock()
         self.errors: list[dict] = []
         self.writer_lock_aborts = 0
 
-    def log_change(self, change, txn) -> None:
-        self.oplog.append(
-            (
-                "change",
-                change.kind.value,
-                change.relation,
-                tuple(change.old_row.values) if change.old_row is not None else None,
-                tuple(change.new_row.values) if change.new_row is not None else None,
-            )
+    def answer(self, gate: ServingGate, label: str, query, deadline):
+        """One gated query, recorded with its serialization stamp."""
+        result, answer = record_answer(
+            label, query, gate.manager.database, gate.execute, deadline=deadline
         )
+        self.answers.append(answer)
+        return result
 
     def observe(self, seconds: float) -> None:
         with self.latency_mutex:
@@ -215,7 +190,7 @@ def _baseline_client(shared: _Shared, manager, template, config, index: int) -> 
     rng = random.Random(config.seed * 10_007 + 101 * index)
     try:
         for _ in range(config.queries_per_client):
-            query = _bind_query(template, rng)
+            query = random_binding(template, rng)
             started = time.perf_counter()
             manager.execute(query)
             shared.observe(time.perf_counter() - started)
@@ -225,8 +200,7 @@ def _baseline_client(shared: _Shared, manager, template, config, index: int) -> 
 
 def _baseline_p99(config: OverloadConfig, clients: int, result: OverloadResult) -> float:
     """One unprotected closed-loop run at ``clients`` offered load."""
-    database = _build_database()
-    manager, template = _attach_pmv(database, config.seed)
+    _database, manager, template = build_world(config.seed)
     shared = _Shared()
     hung = _run_threads(
         [
@@ -250,25 +224,14 @@ def _protected_client(shared: _Shared, gate: ServingGate, template, config, inde
     name = f"p{index}"
     try:
         for k in range(config.queries_per_client):
-            query = _bind_query(template, rng)
-            qid = f"{name}.{k}"
-
-            def at_o3(_query, qid=qid):
-                shared.oplog.append(("query", qid))
-
+            query = random_binding(template, rng)
             started = time.perf_counter()
             try:
-                answer = gate.execute(query, deadline=config.deadline, on_o3=at_o3)
+                shared.answer(gate, f"{name}.{k}", query, config.deadline)
             except OverloadError:
-                # Shed at the door: nothing ran, nothing was logged.
+                # Shed at the door: nothing ran, nothing was recorded.
                 continue
             shared.observe(time.perf_counter() - started)
-            shared.queries[qid] = query
-            shared.results[qid] = {
-                "rows": _rows_key(answer.all_rows()),
-                "complete": answer.complete,
-                "reason": answer.degraded_reason,
-            }
     except BaseException as exc:
         shared.record_error(name, exc)
 
@@ -301,48 +264,19 @@ def _writer_body(shared: _Shared, database: Database, config, index: int) -> Non
         shared.record_error(f"w{index}", exc)
 
 
-def _replay_and_check(shared: _Shared, result: OverloadResult) -> None:
-    """Replay the op log single-threaded; complete answers must match
-    the reference exactly, degraded answers must be multiset subsets."""
-    reference = _build_database()
-    for entry in shared.oplog:
-        if entry[0] == "change":
-            _, kind, relation, old_values, new_values = entry
-            if kind == "insert":
-                reference.insert(relation, new_values)
-            else:  # delete (the overload writers never update)
-                row_key = old_values[0]
-                deleted = reference.delete_where(
-                    relation, lambda row: row["id"] == row_key
-                )
-                if len(deleted) != 1:
-                    result.failures.append(
-                        f"replay-delete id {row_key}: {len(deleted)} rows"
-                    )
-            result.changes_replayed += 1
-            continue
-        qid = entry[1]
-        recorded = shared.results.get(qid)
-        if recorded is None:
-            # on_o3 fired but the client thread then died before
-            # recording — already captured as a thread error.
-            continue
-        want = _rows_key(reference.run(shared.queries[qid]))
-        got = recorded["rows"]
-        result.queries_checked += 1
-        if recorded["complete"]:
-            if got != want:
-                result.silently_incomplete += 1
-                result.failures.append(
-                    f"silently incomplete answer {qid}: "
-                    f"{len(got)} rows != {len(want)} reference rows"
-                )
-        elif not _is_multisubset(got, want):
+def _replay_and_check(shared: _Shared, database: Database, result: OverloadResult) -> None:
+    """Replay the WAL single-threaded; complete answers must match the
+    reference exactly, degraded answers must be multiset subsets."""
+    replay = Replay(database.wal.records(), **GEOMETRY)
+    for violation in check_answers(shared.answers, replay):
+        if violation.answer.complete:
+            result.silently_incomplete += 1
+        else:
             result.subset_violations += 1
-            result.failures.append(
-                f"degraded answer {qid} ({recorded['reason']}) is not a "
-                f"subset of the reference answer"
-            )
+        result.failures.append(str(violation))
+    result.queries_checked = len(shared.answers)
+    replay.advance()
+    result.changes_replayed = replay.records
 
 
 def _cooldown(gate: ServingGate, template, config: OverloadConfig) -> None:
@@ -351,14 +285,14 @@ def _cooldown(gate: ServingGate, template, config: OverloadConfig) -> None:
     rng = random.Random(config.seed * 40_009)
     for _ in range(config.cooldown_queries):
         try:
-            gate.execute(_bind_query(template, rng), deadline=1.0)
+            gate.execute(random_binding(template, rng), deadline=1.0)
         except OverloadError:
             pass
         gate.governor.tick()
     deadline = time.monotonic() + 10.0
     while gate.governor.state != QoSState.NORMAL and time.monotonic() < deadline:
         try:
-            gate.execute(_bind_query(template, rng), deadline=1.0)
+            gate.execute(random_binding(template, rng), deadline=1.0)
         except OverloadError:
             pass
         gate.governor.tick()
@@ -397,8 +331,7 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
         )
 
     # -- Phase 2: protected spike (QoS on) ----------------------------------
-    database = _build_database()
-    manager, template = _attach_pmv(database, config.seed)
+    database, manager, template = build_world(config.seed)
     gate = ServingGate(
         manager,
         admission=AdmissionController(
@@ -417,7 +350,6 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
         ),
     )
     shared = _Shared()
-    database.add_change_listener(shared.log_change)
     hung = _run_threads(
         [
             (f"p{i}", _protected_client, (shared, gate, template, config, i))
@@ -436,32 +368,20 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
     # the PMV-only answer marked incomplete.
     rng = random.Random(config.seed * 50_021)
     for k in range(3):
-        query = _bind_query(template, rng)
-        qid = f"z.{k}"
-
-        def at_o3(_query, qid=qid):
-            shared.oplog.append(("query", qid))
-
-        answer = gate.execute(query, deadline=Deadline.after(0.0), on_o3=at_o3)
-        shared.queries[qid] = query
-        shared.results[qid] = {
-            "rows": _rows_key(answer.all_rows()),
-            "complete": answer.complete,
-            "reason": answer.degraded_reason,
-        }
+        query = random_binding(template, rng)
+        answer = shared.answer(gate, f"z.{k}", query, Deadline.after(0.0))
         if answer.complete:
-            result.failures.append(f"zero-budget query {qid} claimed complete=True")
+            result.failures.append(f"zero-budget query z.{k} claimed complete=True")
 
     # -- Phase 3: recovery ----------------------------------------------------
     _cooldown(gate, template, config)
 
-    database.remove_change_listener(shared.log_change)
     result.protected_admitted_p99 = _p99(shared.latencies)
     result.thread_errors.extend(shared.errors)
     result.writer_lock_aborts = shared.writer_lock_aborts
 
     # -- Phase 4: replay verification ----------------------------------------
-    _replay_and_check(shared, result)
+    _replay_and_check(shared, database, result)
 
     stats = gate.stats()
     result.admitted = stats["qos_admitted"]

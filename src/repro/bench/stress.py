@@ -5,13 +5,13 @@ Runs N client threads (PMV-mediated queries) against M writer threads
 database, then proves the concurrent run equivalent to a
 single-threaded one:
 
-- every committed DML statement and every query's Operation O3 appends
-  to a shared **op log** from inside the statement latch, so the log
-  *is* the run's serialization order (O3's completion is a query's
-  serialization point — the S lock guarantees everything delivered in
-  O2 is re-derived there);
-- a fresh database is then built from the same seed data and the log
-  is replayed single-threaded, re-running every query at its logged
+- the database logs to an in-memory WAL, appended inside the statement
+  latch, so the log *is* the run's serialization order; every query's
+  Operation O3 records the WAL position from inside the same latch
+  (O3's completion is a query's serialization point — the S lock
+  guarantees everything delivered in O2 is re-derived there);
+- the log is then replayed single-threaded into a scratch database
+  (:mod:`repro.check.oracle`), re-running every query at its stamped
   position; each concurrent result must match the reference run
   **row for row** (multiset equality over ``Ls'`` tuples);
 - final base-relation contents of the live and replayed databases must
@@ -48,32 +48,36 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 
-from repro.core import Discretization, MaintenanceStrategy, PMVManager
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
+from repro.check import (
+    RELATIONS,
+    Answer,
+    Replay,
+    attach_view,
+    build_rs,
+    check_answers,
+    random_binding,
+    record_answer,
+    rs_template,
+    strategy_for_seed,
 )
+from repro.core import PMVManager
+from repro.engine import Database, WriteAheadLog
 from repro.errors import LockError
 from repro.faults import InterleavingScheduler
 from repro.faults.check import contents_of
 
 __all__ = [
+    "GEOMETRY",
     "StressConfig",
     "StressResult",
+    "build_world",
     "run_stress",
     "sweep_interleavings",
     "main",
 ]
 
-_RELATIONS = ("r", "s")
 JOIN_TIMEOUT = 120.0
+GEOMETRY = {"buffer_pool_pages": 64, "page_size": 1024}
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,7 @@ class StressResult:
     ok: bool = True
     queries_checked: int = 0
     changes_applied: int = 0
+    """WAL records replayed: DML statements plus the DDL and seed rows."""
     mismatches: list[dict] = field(default_factory=list)
     thread_errors: list[dict] = field(default_factory=list)
     writer_lock_aborts: int = 0
@@ -113,84 +118,18 @@ class StressResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared fixture: schema + seed data + template + PMV
+# Shared fixture: the r/s world with the ``note`` column, WAL-logged
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="sq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
+def build_world(seed: int) -> tuple[Database, PMVManager, object]:
+    """Database, manager and template of one stress/overload world."""
+    database = build_rs(Database(wal=WriteAheadLog(), **GEOMETRY), 60, 24, note=True)
+    template = rs_template("sq")
+    manager = attach_view(
+        database, template, strategy_for_seed(seed), upper_bound_bytes=4096
     )
-
-
-def _build_database() -> Database:
-    """Schema and deterministic seed data (identical for the live run
-    and the single-threaded reference replay)."""
-    database = Database(buffer_pool_pages=64, page_size=1024)
-    database.create_relation(
-        "r",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("c", INTEGER, nullable=False),
-            Column("f", INTEGER, nullable=False),
-            Column("a", TEXT),
-            Column("note", TEXT),  # not in Ls'/Cjoin: irrelevant updates
-        ],
-    )
-    database.create_relation(
-        "s",
-        [
-            Column("d", INTEGER, nullable=False),
-            Column("g", INTEGER, nullable=False),
-            Column("e", TEXT),
-        ],
-    )
-    database.create_index("r_f", "r", ["f"])
-    database.create_index("r_c", "r", ["c"])
-    database.create_index("s_d", "s", ["d"])
-    database.create_index("s_g", "s", ["g"])
-    for i in range(60):
-        database.insert("r", (i, i % 6, i % 4, f"a{i}", "seed"))
-    for j in range(24):
-        database.insert("s", (j % 6, j % 3, f"e{j}"))
-    return database
-
-
-def _attach_pmv(database: Database, seed: int) -> tuple[PMVManager, QueryTemplate]:
-    template = _make_template()
-    strategy = (
-        MaintenanceStrategy.AUX_INDEX if seed % 2 else MaintenanceStrategy.DELTA_JOIN
-    )
-    manager = PMVManager(database, maintenance_strategy=strategy)
-    manager.create_view(
-        template,
-        Discretization(template),
-        tuples_per_entry=3,
-        max_entries=8,
-        aux_index_columns=("r.a", "s.e"),
-        upper_bound_bytes=4096,
-    )
-    return manager, template
-
-
-def _bind_query(template: QueryTemplate, rng: random.Random):
-    return template.bind(
-        [
-            EqualityDisjunction("r.f", [rng.randrange(4)]),
-            EqualityDisjunction("s.g", [rng.randrange(3)]),
-        ]
-    )
-
-
-def _rows_key(rows) -> list:
-    return sorted((tuple(r.values) for r in rows), key=repr)
+    return database, manager, template
 
 
 # ---------------------------------------------------------------------------
@@ -201,29 +140,14 @@ def _rows_key(rows) -> list:
 class _Shared:
     """State shared by all worker threads of one run.
 
-    ``oplog`` is appended only from inside the statement latch (the
-    change listener fires in ``Database._notify``; ``on_o3`` fires in
-    the executor's latched O3 section), so its order is the run's
-    serialization order without any extra locking.
+    Every answer carries its exact serialization position in the WAL
+    (:func:`repro.check.record_answer`).
     """
 
     def __init__(self) -> None:
-        self.oplog: list[tuple] = []
-        self.query_results: dict[str, list] = {}
-        self.queries: dict[str, object] = {}
+        self.answers: list[Answer] = []
         self.errors: list[dict] = []
         self.writer_lock_aborts = 0
-
-    def log_change(self, change, txn) -> None:
-        self.oplog.append(
-            (
-                "change",
-                change.kind.value,
-                change.relation,
-                tuple(change.old_row.values) if change.old_row is not None else None,
-                tuple(change.new_row.values) if change.new_row is not None else None,
-            )
-        )
 
     def record_error(self, name: str, exc: BaseException) -> None:
         self.errors.append(
@@ -247,15 +171,14 @@ def _client_body(
     name = f"c{index}"
     try:
         for k in range(config.queries_per_client):
-            query = _bind_query(template, rng)
-            qid = f"{name}.{k}"
-            shared.queries[qid] = query
-
-            def at_o3(_query, qid=qid):
-                shared.oplog.append(("query", qid))
-
-            result = manager.execute(query, on_o3=at_o3)
-            shared.query_results[qid] = _rows_key(result.all_rows())
+            _result, answer = record_answer(
+                f"{name}.{k}",
+                random_binding(template, rng),
+                manager.database,
+                manager.execute,
+            )
+            answer.complete = True  # no deadline here: nothing may be missing
+            shared.answers.append(answer)
     except BaseException as exc:  # recorded, fails the run
         shared.record_error(name, exc)
 
@@ -319,67 +242,24 @@ def _writer_body(
 # ---------------------------------------------------------------------------
 
 
-def _replay_and_check(shared: _Shared, result: StressResult) -> Database:
-    """Replay the op log single-threaded and compare every query.
+def _replay_and_check(shared: _Shared, database: Database, result: StressResult) -> Database:
+    """Replay the WAL single-threaded and judge every query at its
+    stamp (every stress answer must be complete: equality).
 
     Returns the reference database, which after the full replay holds
-    the op log's final logical state."""
-    reference = _build_database()
-    schema_names = {
-        name: reference.catalog.relation(name).schema.names() for name in _RELATIONS
-    }
-    for entry in shared.oplog:
-        if entry[0] == "change":
-            _, kind, relation, old_values, new_values = entry
-            if kind == "insert":
-                reference.insert(relation, new_values)
-            elif kind == "delete":
-                row_key = old_values[0]
-                deleted = reference.delete_where(
-                    relation, lambda row: row["id"] == row_key
-                )
-                if len(deleted) != 1:
-                    result.mismatches.append(
-                        {
-                            "kind": "replay-delete",
-                            "detail": f"id {row_key}: {len(deleted)} rows deleted",
-                        }
-                    )
-            else:  # update
-                row_key = old_values[0]
-                names = schema_names[relation]
-                changes = {
-                    name: new
-                    for name, old, new in zip(names, old_values, new_values)
-                    if old != new
-                }
-                target = None
-                for row_id, row in reference.catalog.relation(relation).scan():
-                    if row["id"] == row_key:
-                        target = row_id
-                        break
-                if target is None:
-                    result.mismatches.append(
-                        {"kind": "replay-update", "detail": f"id {row_key} missing"}
-                    )
-                    continue
-                reference.update(relation, target, **changes)
-            result.changes_applied += 1
-        else:  # ("query", qid)
-            qid = entry[1]
-            query = shared.queries[qid]
-            want = _rows_key(reference.run(query))
-            got = shared.query_results.get(qid)
-            result.queries_checked += 1
-            if got != want:
-                result.mismatches.append(
-                    {
-                        "kind": "query-divergence",
-                        "query": qid,
-                        "got": len(got) if got is not None else None,
-                        "want": len(want),
-                    }
-                )
+    the log's final logical state."""
+    replay = Replay(database.wal.records(), **GEOMETRY)
+    for violation in check_answers(shared.answers, replay):
+        result.mismatches.append(
+            {
+                "kind": "query-divergence",
+                "query": violation.answer.label,
+                "detail": str(violation),
+            }
+        )
+    result.queries_checked = len(shared.answers)
+    reference = replay.advance()
+    result.changes_applied = replay.records
     return reference
 
 
@@ -392,11 +272,9 @@ def run_stress(config: StressConfig) -> StressResult:
     """Run one concurrent workload and verify it against the reference."""
     started = time.perf_counter()
     result = StressResult(config=config)
-    database = _build_database()
-    manager, template = _attach_pmv(database, config.seed)
+    database, manager, template = build_world(config.seed)
     view = manager.view(template.name)
     shared = _Shared()
-    database.add_change_listener(shared.log_change)
 
     sched = InterleavingScheduler(config.seed) if config.deterministic else None
     if sched is not None:
@@ -437,7 +315,6 @@ def run_stress(config: StressConfig) -> StressResult:
         return result
 
     # Post-run invariants on the live database, then the replay check.
-    database.remove_change_listener(shared.log_change)
     try:
         view.check_invariants()
         manager.verify_consistency()
@@ -445,12 +322,12 @@ def run_stress(config: StressConfig) -> StressResult:
         result.mismatches.append(
             {"kind": "pmv-invariant", "detail": f"{type(exc).__name__}: {exc}"}
         )
-    reference = _replay_and_check(shared, result)
-    # The replayed reference now holds the op log's final state: the
-    # live database must agree with it, relation for relation.
-    if contents_of(database, _RELATIONS) != contents_of(reference, _RELATIONS):
+    reference = _replay_and_check(shared, database, result)
+    # The replayed reference now holds the log's final state: the live
+    # database must agree with it, relation for relation.
+    if contents_of(database, RELATIONS) != contents_of(reference, RELATIONS):
         result.mismatches.append(
-            {"kind": "final-contents", "detail": "live DB != replayed op log"}
+            {"kind": "final-contents", "detail": "live DB != replayed log"}
         )
 
     result.thread_errors.extend(shared.errors)

@@ -44,24 +44,16 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.core import (
-    Discretization,
-    MaintenanceStrategy,
-    PMVManager,
+from repro.check import (
+    RELATIONS,
+    attach_view,
+    build_rs,
+    multiset,
+    random_binding,
+    rs_template,
+    strategy_for_seed,
 )
-from repro.engine import (
-    Column,
-    Database,
-    EqualityDisjunction,
-    INTEGER,
-    JoinEquality,
-    QueryTemplate,
-    SelectionSlot,
-    SlotForm,
-    TEXT,
-    WriteAheadLog,
-    recover,
-)
+from repro.engine import Database, WriteAheadLog, recover
 from repro.engine.snapshot import (
     recover_from_snapshot,
     snapshot_from_json,
@@ -75,7 +67,6 @@ from repro.faults import (
     FaultSpec,
     SimulatedCrash,
     build_faulty_database,
-    check_view_against_database,
     contents_of,
     modes_for_site,
     verify_crash_recovery,
@@ -105,8 +96,6 @@ DEFAULT_OPS = 60
 #: CRASH_AFTER) also land on the first record of a fresh segment, and
 #: every recovery reads back across segment boundaries.
 WAL_SEGMENT_BYTES = 512
-
-_RELATIONS = ("r", "s")
 
 
 @dataclass(frozen=True)
@@ -165,19 +154,6 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_template() -> QueryTemplate:
-    return QueryTemplate(
-        name="tq",
-        relations=("r", "s"),
-        select_list=("r.a", "s.e"),
-        joins=(JoinEquality("r", "c", "s", "d"),),
-        slots=(
-            SelectionSlot("r", "r.f", SlotForm.EQUALITY),
-            SelectionSlot("s", "s.g", SlotForm.EQUALITY),
-        ),
-    )
-
-
 def _setup(config: TortureConfig, injector: FaultInjector, wal_path: str):
     """Build the database, schema, seed data, and PMV.
 
@@ -193,45 +169,10 @@ def _setup(config: TortureConfig, injector: FaultInjector, wal_path: str):
         page_size=config.page_size,
         segment_bytes=WAL_SEGMENT_BYTES,
     )
-    database.create_relation(
-        "r",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("c", INTEGER, nullable=False),
-            Column("f", INTEGER, nullable=False),
-            Column("a", TEXT),
-        ],
-    )
-    database.create_relation(
-        "s",
-        [
-            Column("d", INTEGER, nullable=False),
-            Column("g", INTEGER, nullable=False),
-            Column("e", TEXT),
-        ],
-    )
-    database.create_index("r_f", "r", ["f"])
-    database.create_index("r_c", "r", ["c"])
-    database.create_index("s_d", "s", ["d"])
-    database.create_index("s_g", "s", ["g"])
-    for i in range(24):
-        database.insert("r", (i, i % 6, i % 4, f"a{i}"))
-    for j in range(12):
-        database.insert("s", (j % 6, j % 3, f"e{j}"))
-    template = _make_template()
-    strategy = (
-        MaintenanceStrategy.AUX_INDEX
-        if config.seed % 2
-        else MaintenanceStrategy.DELTA_JOIN
-    )
-    manager = PMVManager(database, maintenance_strategy=strategy)
-    manager.create_view(
-        template,
-        Discretization(template),
-        tuples_per_entry=3,
-        max_entries=8,
-        aux_index_columns=("r.a", "s.e"),
-        upper_bound_bytes=4096,
+    build_rs(database, 24, 12)
+    template = rs_template("tq")
+    manager = attach_view(
+        database, template, strategy_for_seed(config.seed), upper_bound_bytes=4096
     )
     maintainer = None
     if config.cdc:
@@ -342,18 +283,13 @@ def _apply_effect(shadow, effect) -> None:
 
 def _check_bounded_stale(result, got, want) -> None:
     """The async-mode query oracle (truth ⊆ answer, stamp honest)."""
-    want_counts: dict[tuple, int] = {}
-    for item in want:
-        want_counts[item] = want_counts.get(item, 0) + 1
-    got_counts: dict[tuple, int] = {}
-    for item in got:
-        got_counts[item] = got_counts.get(item, 0) + 1
-    for item, count in want_counts.items():
-        if got_counts.get(item, 0) < count:
-            raise InvariantViolation(
-                f"async answer lost a current tuple: {item!r} x{count} in "
-                f"truth, x{got_counts.get(item, 0)} served"
-            )
+    lost = want - got
+    if lost:
+        item = min(lost, key=repr)
+        raise InvariantViolation(
+            f"async answer lost a current tuple: {item!r} x{want[item]} in "
+            f"truth, x{got[item]} served"
+        )
     if result.staleness == 0 and got != want:
         raise InvariantViolation(
             "answer stamped staleness=0 but differs from full execution "
@@ -439,22 +375,15 @@ def _run_workload(config, database, manager, template, shadow, snapshots,
                     ]
                     database.update(relation, row_id, **{column: value})
             elif roll < 0.90:  # query (and live staleness check)
-                query = template.bind(
-                    [
-                        EqualityDisjunction("r.f", [rng.randrange(4)]),
-                        EqualityDisjunction("s.g", [rng.randrange(3)]),
-                    ]
-                )
+                query = random_binding(template, rng)
                 result = manager.execute(query)
-                got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-                want = sorted(
-                    (tuple(r.values) for r in database.run(query)), key=repr
-                )
+                got = multiset(result.all_rows())
+                want = multiset(database.run(query))
                 if maintainer is None:
                     if got != want:
                         raise InvariantViolation(
-                            f"query through PMV returned {len(got)} tuples, "
-                            f"full execution {len(want)} — stale partial results"
+                            f"query through PMV returned {sum(got.values())} tuples, "
+                            f"full execution {sum(want.values())} — stale partial results"
                         )
                 else:
                     # Bounded-stale semantics: the answer is the current
@@ -484,17 +413,10 @@ def _run_workload(config, database, manager, template, shadow, snapshots,
                     "disk-full refusal left a durable effect: WAL "
                     f"advanced {lsn_before} -> {database.wal.last_lsn}"
                 )
-            probe = template.bind(
-                [
-                    EqualityDisjunction("r.f", [rng.randrange(4)]),
-                    EqualityDisjunction("s.g", [rng.randrange(3)]),
-                ]
-            )
+            probe = random_binding(template, rng)
             result = manager.execute(probe)
-            got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-            want = sorted(
-                (tuple(r.values) for r in database.run(probe)), key=repr
-            )
+            got = multiset(result.all_rows())
+            want = multiset(database.run(probe))
             if maintainer is None:
                 if got != want:
                     raise InvariantViolation(
@@ -554,8 +476,8 @@ def _check_recovery(config, wal_path, expected, expected_plus, snapshots) -> Non
             buffer_pool_pages=config.buffer_pool_pages,
             page_size=config.page_size,
         )
-        if contents_of(from_snapshot, _RELATIONS) != contents_of(
-            recovered, _RELATIONS
+        if contents_of(from_snapshot, RELATIONS) != contents_of(
+            recovered, RELATIONS
         ):
             raise InvariantViolation(
                 "snapshot-based recovery disagrees with full-log recovery"
@@ -573,15 +495,8 @@ def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
     New writes must then flow outbox → drain → convergence, after
     which the strict consistency check still holds.
     """
-    template = _make_template()
-    manager = PMVManager(recovered)
-    manager.create_view(
-        template,
-        Discretization(template),
-        tuples_per_entry=3,
-        max_entries=8,
-        aux_index_columns=("r.a", "s.e"),
-    )
+    template = rs_template("tq")
+    manager = attach_view(recovered, template)
     maintainer = None
     if config.cdc:
         from repro.cdc import ChangeOutbox
@@ -589,16 +504,9 @@ def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
         maintainer = manager.enable_async_maintenance(outbox=ChangeOutbox())
     rng = random.Random(config.seed + 1)
     for _ in range(3):
-        query = template.bind(
-            [
-                EqualityDisjunction("r.f", [rng.randrange(4)]),
-                EqualityDisjunction("s.g", [rng.randrange(3)]),
-            ]
-        )
+        query = random_binding(template, rng)
         result = manager.execute(query)
-        got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-        want = sorted((tuple(r.values) for r in recovered.run(query)), key=repr)
-        if got != want:
+        if multiset(result.all_rows()) != multiset(recovered.run(query)):
             raise InvariantViolation(
                 "restarted PMV disagrees with full execution on the "
                 "recovered database"
@@ -609,16 +517,10 @@ def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
             row_id, _ = rows[0]
             recovered.delete("r", row_id)
         maintainer.drain_to_convergence()
-        query = template.bind(
-            [
-                EqualityDisjunction("r.f", [rng.randrange(4)]),
-                EqualityDisjunction("s.g", [rng.randrange(3)]),
-            ]
-        )
+        query = random_binding(template, rng)
         result = manager.execute(query)
-        got = sorted((tuple(r.values) for r in result.all_rows()), key=repr)
-        want = sorted((tuple(r.values) for r in recovered.run(query)), key=repr)
-        if got != want or (result.staleness or 0) != 0:
+        exact = multiset(result.all_rows()) == multiset(recovered.run(query))
+        if not exact or (result.staleness or 0) != 0:
             raise InvariantViolation(
                 "restarted async PMV did not converge after the post-"
                 "recovery write was drained"
@@ -644,7 +546,7 @@ def _check_completed(config, database, manager, wal_path, shadow,
                 f"watermark {view.applied_lsn} trails LSN "
                 f"{database.current_lsn()} after a convergence drain"
             )
-    live = contents_of(database, _RELATIONS)
+    live = contents_of(database, RELATIONS)
     if live != _shadow_contents(shadow):
         raise InvariantViolation("live contents diverged from the op-level shadow")
     verify_database(database)
@@ -655,7 +557,7 @@ def _check_completed(config, database, manager, wal_path, shadow,
         raise InvariantViolation("WAL has a torn tail without any crash")
     recovered = recover(log, database_factory=_recovered_factory(config))
     verify_database(recovered)
-    if contents_of(recovered, _RELATIONS) != live:
+    if contents_of(recovered, RELATIONS) != live:
         raise InvariantViolation(
             "recovering the WAL of a live database does not reproduce it"
         )
@@ -675,8 +577,8 @@ def _run(config: TortureConfig, plan: FaultPlan | None) -> PointResult:
         # Arm the plan only now: occurrences count workload arrivals.
         injector.plan = plan if plan is not None else FaultPlan.none()
         injector.counts.clear()
-        shadow: dict[str, dict[tuple, int]] = {name: {} for name in _RELATIONS}
-        for name in _RELATIONS:
+        shadow: dict[str, dict[tuple, int]] = {name: {} for name in RELATIONS}
+        for name in RELATIONS:
             for row in database.catalog.relation(name).scan_rows():
                 values = tuple(row.values)
                 shadow[name][values] = shadow[name].get(values, 0) + 1
@@ -741,8 +643,8 @@ def enumerate_points(
         wal_path = os.path.join(workdir, "wal")
         database, manager, template, maintainer = _setup(config, injector, wal_path)
         injector.counts.clear()
-        shadow = {name: {} for name in _RELATIONS}
-        for name in _RELATIONS:
+        shadow = {name: {} for name in RELATIONS}
+        for name in RELATIONS:
             for row in database.catalog.relation(name).scan_rows():
                 values = tuple(row.values)
                 shadow[name][values] = shadow[name].get(values, 0) + 1

@@ -180,6 +180,10 @@ class ClusterFrontEnd:
         if token_epoch is not None and token_epoch != self._epoch:
             min_lsn = None
         if prefer_replica and self.coordinator is not None and self.coordinator.replicas:
+            # The lag stamp below is measured against this primary's
+            # log: an ISOLATED primary can no longer vouch for it.
+            if self.gate.serving_check is not None:
+                self.gate.serving_check()
             bound = self.staleness_bound if staleness_bound is None else staleness_bound
             replica = self._pick_replica()
             replica.note_watermark(self.database.wal.last_lsn)

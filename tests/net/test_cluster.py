@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EqualityDisjunction
-from repro.errors import OverloadError, WALFencedError
+from repro import check
+from repro.engine import Database, EqualityDisjunction, WriteAheadLog
+from repro.errors import NodeIsolatedError, OverloadError, WALFencedError
+from repro.net import ClusterFrontEnd
 from repro.net.cluster import IdempotencyTable, classify_error
 
 
@@ -159,3 +161,28 @@ class TestFailoverContract:
             assert sorted(after.rows) == sorted(before.rows)
         finally:
             client.close()
+
+
+class TestIsolatedFrontEnd:
+    def test_isolated_primary_refuses_replica_routed_reads(self):
+        """A front end whose primary's lease expired must not route a
+        read to a standby and stamp its lag against a log it can no
+        longer vouch for (nemesis seeds 9 and 10)."""
+        database = check.build_rs(Database(wal=WriteAheadLog()), 12, 6)
+        template = check.rs_template("tq")
+        cluster = check.Cluster(
+            database, check.attach_view(database, template), lease_ttl=4.0
+        )
+        front_end = ClusterFrontEnd(
+            cluster.gate, coordinator=cluster.coordinator, staleness_bound=8
+        )
+        query = check.bind(template, 0, 0)
+        served = front_end.execute_query(query, prefer_replica=True)
+        assert served["served_by"].startswith("replica-")
+        assert served["replica_lag"] == 0
+
+        cluster.clock[0] = 4.5  # the lease ran out; no heartbeat renewed it
+        assert cluster.primary.is_isolated()
+        with pytest.raises(NodeIsolatedError):
+            front_end.execute_query(query, prefer_replica=True)
+        assert cluster.primary.isolated_refusals == 1

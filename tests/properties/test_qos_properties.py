@@ -3,9 +3,10 @@
 Hypothesis draws an interleaving seed and a stream of per-query
 deadline budgets (from instantly-spent to effectively-unbounded) and
 runs concurrent PMV clients against concurrent writers under the
-deterministic :class:`~repro.faults.InterleavingScheduler`.  The
-serialization op log (changes + every answer's latched ``on_o3``
-point) is replayed single-threaded, and for every answer:
+deterministic :class:`~repro.faults.InterleavingScheduler`.  Every
+answer is stamped with the WAL position at its latched ``on_o3`` point,
+the WAL is replayed single-threaded (:mod:`repro.check`), and for every
+answer:
 
 - ``complete=True``  -> the rows must equal the reference answer
   **row for row** (multiset equality) — a deadline must never make an
@@ -19,11 +20,18 @@ whatever the deadline does, every delivered tuple is a true result.
 """
 
 import random
-import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.stress import _attach_pmv, _bind_query, _build_database, _rows_key
+from repro.bench.stress import GEOMETRY, build_world
+from repro.check import (
+    Answer,
+    Replay,
+    check_answers,
+    multiset,
+    random_binding,
+    record_answer,
+)
 from repro.errors import LockError
 from repro.faults import InterleavingScheduler
 from repro.qos import Deadline
@@ -34,59 +42,28 @@ _JOIN_TIMEOUT = 60.0
 _BUDGETS = (0.0, 0.0002, 0.001, 0.005, 60.0)
 
 
-def _multiset(keys):
-    counts = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _is_multisubset(got, want):
-    have = _multiset(want)
-    return all(count <= have.get(key, 0) for key, count in _multiset(got).items())
-
-
 def _run_session(seed: int, budgets: list[float], clients: int = 2, writers: int = 1):
-    """One scheduled concurrent session; returns (oplog, queries, results,
-    errors) with results[qid] = (rows_key, complete)."""
-    database = _build_database()
-    manager, template = _attach_pmv(database, seed)
+    """One scheduled concurrent session; returns (database, answers,
+    errors), every answer stamped with its serialization LSN."""
+    database, manager, template = build_world(seed)
     sched = InterleavingScheduler(seed)
     database.install_scheduler(sched)
 
-    oplog: list[tuple] = []
-    queries: dict[str, object] = {}
-    results: dict[str, tuple] = {}
+    answers: list[Answer] = []
     errors: list[str] = []
-
-    def log_change(change, txn):
-        oplog.append(
-            (
-                "change",
-                change.kind.value,
-                change.relation,
-                tuple(change.old_row.values) if change.old_row is not None else None,
-                tuple(change.new_row.values) if change.new_row is not None else None,
-            )
-        )
-
-    database.add_change_listener(log_change)
 
     def client_body(index: int) -> None:
         rng = random.Random(seed * 7919 + 101 * index)
         try:
             for k, budget in enumerate(budgets):
-                query = _bind_query(template, rng)
-                qid = f"c{index}.{k}"
-
-                def at_o3(_query, qid=qid):
-                    oplog.append(("query", qid))
-
-                answer = manager.execute(
-                    query, on_o3=at_o3, deadline=Deadline.after(budget)
+                _result, answer = record_answer(
+                    f"c{index}.{k}",
+                    random_binding(template, rng),
+                    database,
+                    manager.execute,
+                    deadline=Deadline.after(budget),
                 )
-                queries[qid] = query
-                results[qid] = (_rows_key(answer.all_rows()), answer.complete)
+                answers.append(answer)
         except BaseException as exc:
             errors.append(f"c{index}: {type(exc).__name__}: {exc}")
 
@@ -123,43 +100,9 @@ def _run_session(seed: int, budgets: list[float], clients: int = 2, writers: int
         thread.join(_JOIN_TIMEOUT)
     hung = [t.name for t in threads if t.is_alive()]
     database.install_scheduler(None)
-    database.remove_change_listener(log_change)
     if hung:
         errors.append(f"hang: {','.join(hung)}")
-    return oplog, queries, results, errors
-
-
-def _replay_subset_check(oplog, queries, results):
-    """Replay the op log; returns a list of violation descriptions."""
-    reference = _build_database()
-    violations = []
-    for entry in oplog:
-        if entry[0] == "change":
-            _, kind, relation, old_values, new_values = entry
-            if kind == "insert":
-                reference.insert(relation, new_values)
-            else:
-                row_key = old_values[0]
-                deleted = reference.delete_where(
-                    relation, lambda row: row["id"] == row_key
-                )
-                if len(deleted) != 1:
-                    violations.append(f"replay-delete id {row_key}")
-            continue
-        qid = entry[1]
-        if qid not in results:
-            continue  # client died after on_o3; captured in errors
-        got, complete = results[qid]
-        want = _rows_key(reference.run(queries[qid]))
-        if complete:
-            if got != want:
-                violations.append(
-                    f"{qid}: complete answer diverges "
-                    f"({len(got)} rows != {len(want)})"
-                )
-        elif not _is_multisubset(got, want):
-            violations.append(f"{qid}: degraded answer is not a subset")
-    return violations
+    return database, answers, errors
 
 
 @given(
@@ -171,10 +114,11 @@ def test_degraded_answers_are_subsets_under_concurrent_writers(seed, budgets):
     """The tentpole property: whatever the deadline and the
     interleaving do, a degraded answer is a true subset of the full
     answer at its serialization point, and a complete answer is exact."""
-    oplog, queries, results, errors = _run_session(seed, budgets)
+    database, answers, errors = _run_session(seed, budgets)
     assert not errors, errors
-    violations = _replay_subset_check(oplog, queries, results)
-    assert not violations, violations
+    assert len(answers) == 2 * len(budgets)
+    violations = check_answers(answers, Replay(database.wal.records(), **GEOMETRY))
+    assert not violations, [str(violation) for violation in violations]
 
 
 @given(seed=st.integers(0, 31))
@@ -182,17 +126,15 @@ def test_degraded_answers_are_subsets_under_concurrent_writers(seed, budgets):
 def test_zero_budget_answer_is_explicitly_partial(seed):
     """A spent budget must always yield complete=False and only cached
     (true) tuples — never a silently truncated 'complete' answer."""
-    database = _build_database()
-    manager, template = _attach_pmv(database, seed)
+    database, manager, template = build_world(seed)
     rng = random.Random(seed)
-    query = _bind_query(template, rng)
+    query = random_binding(template, rng)
     # Warm the PMV so the degraded answer has cached rows to serve.
     manager.execute(query)
     answer = manager.execute(query, deadline=Deadline.after(0.0))
     assert answer.complete is False
     assert answer.degraded_reason in ("deadline-skip", "deadline-abandon")
-    full = _rows_key(database.run(query))
-    assert _is_multisubset(_rows_key(answer.all_rows()), full)
+    assert not multiset(answer.all_rows()) - multiset(database.run(query))
     view = manager.view(template.name)
     assert view.metrics.snapshot()["qos_partial_answers"] >= 1
 
@@ -202,12 +144,11 @@ def test_zero_budget_answer_is_explicitly_partial(seed):
 def test_unbounded_budget_answers_stay_exact(seed):
     """A generous deadline changes nothing: the PMV-mediated answer
     still equals plain blocking execution row for row."""
-    database = _build_database()
-    manager, template = _attach_pmv(database, seed)
+    database, manager, template = build_world(seed)
     rng = random.Random(seed ^ 0xBEEF)
     for _ in range(3):
-        query = _bind_query(template, rng)
+        query = random_binding(template, rng)
         answer = manager.execute(query, deadline=Deadline.after(60.0))
         assert answer.complete is True
         assert answer.degraded_reason is None
-        assert _rows_key(answer.all_rows()) == _rows_key(database.run(query))
+        assert multiset(answer.all_rows()) == multiset(database.run(query))
