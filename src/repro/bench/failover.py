@@ -50,6 +50,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.check import (
+    HEARTBEAT_INTERVAL,
+    LEASE_TTL,
     RELATIONS,
     Answer,
     Cluster,
@@ -98,8 +100,6 @@ class FailoverConfig:
     buffer_pool_pages: int = DEFAULT_POOL_PAGES
     staleness_bound: int = 2 * PUMP_EVERY
     hit_factor: float = 0.5
-    heartbeat_interval: float = 1.0
-    missed_heartbeats: int = 3
 
 
 @dataclass
@@ -162,12 +162,7 @@ class _Cluster(Cluster):
             strategy_for_seed(config.seed),
             upper_bound_bytes=4096,
         )
-        super().__init__(
-            database,
-            manager,
-            heartbeat_interval=config.heartbeat_interval,
-            missed_heartbeats=config.missed_heartbeats,
-        )
+        super().__init__(database, manager)
         # Driver-side ledgers: the acked op log (our own copies of every
         # acknowledged WAL record) and the replica answers to re-verify.
         self.op_log: list = []
@@ -239,7 +234,7 @@ def _run_workload(cluster: _Cluster, rng: random.Random) -> None:
     database = cluster.primary.database
     next_r_id = 1000
     for op in range(config.ops):
-        cluster.clock[0] += config.heartbeat_interval * 0.2
+        cluster.clock[0] += HEARTBEAT_INTERVAL * 0.2
         cluster.primary.heartbeat(cluster.coordinator)
         roll = rng.random()
         if roll < 0.30:  # insert
@@ -361,8 +356,8 @@ def _after_crash(cluster: _Cluster, rng: random.Random, spec_text: str | None) -
     """Primary died: detect, fail over, and run the acceptance battery."""
     config = cluster.config
     seed = config.seed
-    # Heartbeats stop; advance past the miss budget and tick.
-    cluster.clock[0] += config.heartbeat_interval * (config.missed_heartbeats + 1)
+    # Heartbeats stop; advance past the miss budget and the lease, and tick.
+    cluster.clock[0] += LEASE_TTL + HEARTBEAT_INTERVAL
     if not cluster.coordinator.primary_suspected():
         return DrillResult(
             seed, spec_text, False, "divergence",

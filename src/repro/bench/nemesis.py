@@ -20,9 +20,7 @@ ledger:
 - **one writer per era** — no two nodes ever acknowledged writes
   stamped with the same epoch;
 - **no zombie reads** — no read was served by a node in ISOLATED mode,
-  and a stale router still bound to the deposed primary is *refused*
-  (with ``lease_ttl=None`` — the legacy fence-only configuration — the
-  same probe serves, which is the regression the lease layer closes);
+  and a stale router still bound to the deposed primary is *refused*;
 - **honest stamps** — every ``replica_lag`` stamp is at least the true
   lag at response time (the serving node's watermark against its era
   primary's end-of-log);
@@ -39,7 +37,7 @@ Failures print replay handles — ``SEED=<n> SCHEDULE=<events>`` — and
 
 Run as a module::
 
-    python -m repro.bench.nemesis --seeds 0 1 2 3 --report BENCH_nemesis.json
+    python -m repro.bench.nemesis --seeds 0 1 2 3 --report NEMESIS_report.json
 """
 
 from __future__ import annotations
@@ -90,11 +88,6 @@ class NemesisConfig:
     seed: int = 0
     steps: int = 80
     clients: int = 3
-    heartbeat_interval: float = 1.0
-    suspicion_threshold: int = 3
-    lease_ttl: float | None = 4.0
-    """None runs the legacy fence-only cluster — the configuration the
-    zombie-read regression test proves the checker catches."""
     step_seconds: float = 0.5
     staleness_bound: int = 256
     retry_attempts: int = 3
@@ -149,13 +142,7 @@ class _Cluster(Cluster):
         database = build_rs(Database(wal=WriteAheadLog()), 48, 24)
         self.template = rs_template("tq")
         manager = attach_view(database, self.template)
-        super().__init__(
-            database,
-            manager,
-            heartbeat_interval=config.heartbeat_interval,
-            suspicion_threshold=config.suspicion_threshold,
-            lease_ttl=config.lease_ttl,
-        )
+        super().__init__(database, manager)
         self.control = ControlLink(self.coordinator, self.primary)
         # The fence is best-effort: only when the coordinator→primary
         # direction of the control link is up can it reach the old WAL.
@@ -167,9 +154,8 @@ class _Cluster(Cluster):
         )
         # The stale router: a second gate bound to the *original*
         # primary that never learns about failovers — the zombie-read
-        # window made probeable.  Lease-gated, its reads must be
-        # refused once the original primary is deposed; fence-only,
-        # they keep serving (the regression).
+        # window made probeable.  Its reads must be refused once the
+        # original primary is deposed.
         self.stale_gate = ServingGate(manager)
         self.primary.bind_gate(self.stale_gate)
         # era registry: epoch -> the node that served it (its WAL is
@@ -385,8 +371,8 @@ def _one_read(
 
 def _probe_zombie(cluster: _Cluster, report: NemesisReport) -> None:
     """Read through the stale router still bound to the original
-    primary.  Once deposed, a lease-gated original must refuse; a
-    serve after deposition is the zombie-read window."""
+    primary.  Once deposed, the original must refuse; a serve after
+    deposition is the zombie-read window."""
     original = cluster.eras[min(cluster.eras)]
     if cluster.coordinator.primary is original:
         return
@@ -579,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--report", metavar="PATH", default=None,
-        help="write the JSON report here (e.g. BENCH_nemesis.json)",
+        help="write the JSON report here (e.g. NEMESIS_report.json)",
     )
     args = parser.parse_args(argv)
     if args.schedule is not None:

@@ -17,14 +17,14 @@ real TCP socket:
    insert that was not later acknowledged-deleted is present in the
    surviving timeline exactly once (zero acked-write loss), no
    client-owned row appears twice (no duplicate DML application), and
-   every acknowledged delete stayed deleted;
-5. check the admitted-query latency distribution over the socket path
-   against the same protected SLO ``repro.bench.overload`` enforces
-   (``admitted_p99_slo``).
+   every acknowledged delete stayed deleted.
+
+Socket-path latency is the perf harness's to measure (``hot_socket`` /
+``mixed_socket`` ``read_p99_ms``), not this drill's.
 
 Run as a module::
 
-    python -m repro.bench.netload --clients 8 --ops 40 --report BENCH_net.json
+    python -m repro.bench.netload --clients 8 --ops 40 --report NETLOAD_report.json
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.check import (
+    HEARTBEAT_INTERVAL,
+    LEASE_TTL,
     Cluster,
     WriteLedger,
     attach_view,
@@ -66,7 +68,6 @@ class NetloadConfig:
     drop_every: int = 7  # drop the response of every Nth applied write
     query_budget: float = 2.0
     staleness_bound: int = 4
-    admitted_p99_slo: float = 1.0  # overload.OverloadConfig's protected SLO
     retry_attempts: int = 10
     retry_base_delay: float = 0.01
 
@@ -84,9 +85,6 @@ class NetloadReport:
     sheds: int = 0
     retry_exhausted: int = 0
     failovers: int = 0
-    admitted_p50: float = 0.0
-    admitted_p99: float = 0.0
-    admitted_p99_slo: float = 0.0
     lost_acked_writes: list = field(default_factory=list)
     duplicate_rows: list = field(default_factory=list)
     resurrected_deletes: list = field(default_factory=list)
@@ -99,7 +97,6 @@ class NetloadReport:
             and not self.duplicate_rows
             and not self.resurrected_deletes
             and self.failovers >= 1
-            and self.admitted_p99 <= self.admitted_p99_slo
         )
 
 
@@ -123,8 +120,9 @@ class _Cluster(Cluster):
         )
 
     def inject_failover(self) -> None:
-        """Silence the primary past the heartbeat budget and tick."""
-        self.clock[0] += 10.0  # 3 missed 1s heartbeats and change
+        """Silence the primary past the heartbeat budget and the lease
+        it holds, and tick."""
+        self.clock[0] += LEASE_TTL + HEARTBEAT_INTERVAL
         promoted = self.coordinator.tick()
         if promoted is None:
             raise RuntimeError("failover injection did not promote a standby")
@@ -147,7 +145,6 @@ class _ClientLedger:
         self.duplicates = 0
         self.sheds = 0
         self.retry_exhausted = 0
-        self.latencies: list[float] = []
         self.retries = 0
 
 
@@ -179,14 +176,12 @@ def _run_client(
                 if roll < 0.45:  # template query
                     query = random_binding(cluster.template, rng)
                     prefer_replica = rng.random() < 0.4
-                    started = time.perf_counter()
                     answer = client.query(
                         query,
                         budget=config.query_budget,
                         staleness_bound=config.staleness_bound,
                         prefer_replica=prefer_replica,
                     )
-                    ledger.latencies.append(time.perf_counter() - started)
                     ledger.queries += 1
                     # replica_lag is the routed-read marker: the primary
                     # path never sets it (a promoted standby keeps its
@@ -246,14 +241,6 @@ def _verify(cluster: _Cluster, ledgers: list[_ClientLedger], report: NetloadRepo
     report.duplicate_rows = [{"id": i, "count": found[i]} for i in verdict["duplicate"]]
     report.resurrected_deletes = [owned(i) for i in verdict["resurrected"]]
     report.lost_acked_writes = [owned(i) for i in verdict["lost"]]
-
-
-def _percentile(values: list[float], fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1) + 0.5))
-    return ordered[index]
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +318,9 @@ def run_netload(
     report = NetloadReport(
         clients=config.clients,
         ops=total_ops,
-        admitted_p99_slo=config.admitted_p99_slo,
         failovers=cluster.coordinator.failovers,
         dropped_responses=drop_state["dropped"],
     )
-    latencies: list[float] = []
     for ledger in ledgers:
         report.queries += ledger.queries
         report.replica_served += ledger.replica_served
@@ -344,9 +329,6 @@ def run_netload(
         report.client_retries += ledger.retries
         report.sheds += ledger.sheds
         report.retry_exhausted += ledger.retry_exhausted
-        latencies.extend(ledger.latencies)
-    report.admitted_p50 = _percentile(latencies, 0.50)
-    report.admitted_p99 = _percentile(latencies, 0.99)
     _verify(cluster, ledgers, report)
     report.elapsed_seconds = time.perf_counter() - started
 
@@ -359,11 +341,6 @@ def run_netload(
             f"{report.duplicates_acked} dedup-acked retries, "
             f"{report.client_retries} client retries, "
             f"{report.sheds} sheds, {report.retry_exhausted} gave up"
-        )
-        print(
-            f"[netload] admitted p50 {report.admitted_p50 * 1000:.1f}ms "
-            f"p99 {report.admitted_p99 * 1000:.1f}ms "
-            f"(SLO {report.admitted_p99_slo:.3f}s)"
         )
         verdict = "ALL INVARIANTS HELD" if report.ok else "INVARIANT VIOLATIONS"
         print(
@@ -389,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--report", metavar="PATH", default=None,
-        help="write the JSON report here (e.g. BENCH_net.json)",
+        help="write the JSON report here",
     )
     args = parser.parse_args(argv)
     config = NetloadConfig(

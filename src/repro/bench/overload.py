@@ -1,20 +1,15 @@
-"""Overload-protection benchmark: the QoS SLO story, measured.
+"""Overload-protection drill: what the serving gate promises under a spike.
 
-Ramps offered load past saturation twice over the same workload
-(PMV-mediated join queries + concurrent writers triggering PMV
-maintenance) and contrasts:
+Offers more load than the admission limit (PMV-mediated join queries +
+concurrent writers triggering PMV maintenance) to a
+:class:`repro.qos.ServingGate` with admission control, per-query
+deadlines, and the degradation governor: excess load is shed with typed
+errors at the door, and queries whose budget runs out return the PMV
+partial answer explicitly marked ``complete=False``.  How *fast* the
+admitted queries are is the perf harness's question
+(``python -m bench.perf``), not this drill's.
 
-- **baseline** (QoS off): every arriving query piles onto the
-  statement latch and the lock queues; tail latency grows with offered
-  load — the collapse admission control exists to prevent;
-- **protected** (QoS on — :class:`repro.qos.ServingGate` with
-  admission control, per-query deadlines, and the degradation
-  governor): excess load is shed with typed errors at the door, every
-  *admitted* query finishes within a bounded time (its deadline budget
-  plus bounded queue wait), and queries whose budget runs out return
-  the PMV partial answer explicitly marked ``complete=False``.
-
-The protected phase is **replay-verified**: the database logs to an
+The spike is **replay-verified**: the database logs to an
 in-memory WAL and every answer is stamped with the WAL position at its
 serialization point (the executor's ``on_o3``, which fires inside a
 latched section for degraded answers too); the log is then replayed
@@ -72,9 +67,7 @@ class OverloadConfig:
 
     seed: int = 0
     clients: int = 12
-    """Client threads in the saturated phases (offered load)."""
-    light_clients: int = 2
-    """Client threads in the baseline's light phase."""
+    """Client threads in the spike (offered load)."""
     writers: int = 2
     queries_per_client: int = 25
     ops_per_writer: int = 12
@@ -83,9 +76,7 @@ class OverloadConfig:
     max_queue_depth: int = 4
     queue_timeout: float = 0.2
     deadline: float = 0.02
-    """Per-query budget (seconds) in the protected phase."""
-    admitted_p99_slo: float = 1.0
-    """The protected phase's hard tail-latency bound (seconds)."""
+    """Per-query budget (seconds)."""
     cooldown_queries: int = 48
     """Light queries after the spike, draining the latency window."""
 
@@ -97,9 +88,6 @@ class OverloadResult:
     config: OverloadConfig
     ok: bool = True
     failures: list[str] = field(default_factory=list)
-    baseline_light_p99: float = 0.0
-    baseline_saturated_p99: float = 0.0
-    protected_admitted_p99: float = 0.0
     admitted: int = 0
     shed: int = 0
     shed_by_reason: dict = field(default_factory=dict)
@@ -120,13 +108,6 @@ class OverloadResult:
     elapsed_seconds: float = 0.0
 
 
-def _p99(latencies: list[float]) -> float:
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    return ordered[int(0.99 * (len(ordered) - 1))]
-
-
 # ---------------------------------------------------------------------------
 # Shared run state
 # ---------------------------------------------------------------------------
@@ -140,8 +121,6 @@ class _Shared:
 
     def __init__(self) -> None:
         self.answers: list[Answer] = []
-        self.latencies: list[float] = []
-        self.latency_mutex = threading.Lock()
         self.errors: list[dict] = []
         self.writer_lock_aborts = 0
 
@@ -152,10 +131,6 @@ class _Shared:
         )
         self.answers.append(answer)
         return result
-
-    def observe(self, seconds: float) -> None:
-        with self.latency_mutex:
-            self.latencies.append(seconds)
 
     def record_error(self, name: str, exc: BaseException) -> None:
         self.errors.append(
@@ -182,40 +157,7 @@ def _run_threads(bodies: list[tuple]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline phase: no QoS, latency vs offered load
-# ---------------------------------------------------------------------------
-
-
-def _baseline_client(shared: _Shared, manager, template, config, index: int) -> None:
-    rng = random.Random(config.seed * 10_007 + 101 * index)
-    try:
-        for _ in range(config.queries_per_client):
-            query = random_binding(template, rng)
-            started = time.perf_counter()
-            manager.execute(query)
-            shared.observe(time.perf_counter() - started)
-    except BaseException as exc:
-        shared.record_error(f"b{index}", exc)
-
-
-def _baseline_p99(config: OverloadConfig, clients: int, result: OverloadResult) -> float:
-    """One unprotected closed-loop run at ``clients`` offered load."""
-    _database, manager, template = build_world(config.seed)
-    shared = _Shared()
-    hung = _run_threads(
-        [
-            (f"b{i}", _baseline_client, (shared, manager, template, config, i))
-            for i in range(clients)
-        ]
-    )
-    if hung:
-        result.failures.append(f"baseline hang: {','.join(hung)}")
-    result.thread_errors.extend(shared.errors)
-    return _p99(shared.latencies)
-
-
-# ---------------------------------------------------------------------------
-# Protected phase: ServingGate + writers + op log
+# The spike: ServingGate + writers + op log
 # ---------------------------------------------------------------------------
 
 
@@ -225,13 +167,10 @@ def _protected_client(shared: _Shared, gate: ServingGate, template, config, inde
     try:
         for k in range(config.queries_per_client):
             query = random_binding(template, rng)
-            started = time.perf_counter()
             try:
                 shared.answer(gate, f"{name}.{k}", query, config.deadline)
             except OverloadError:
-                # Shed at the door: nothing ran, nothing was recorded.
-                continue
-            shared.observe(time.perf_counter() - started)
+                pass  # shed at the door: nothing ran, nothing was recorded
     except BaseException as exc:
         shared.record_error(name, exc)
 
@@ -289,8 +228,9 @@ def _cooldown(gate: ServingGate, template, config: OverloadConfig) -> None:
         except OverloadError:
             pass
         gate.governor.tick()
-    deadline = time.monotonic() + 10.0
-    while gate.governor.state != QoSState.NORMAL and time.monotonic() < deadline:
+    for _ in range(1000):
+        if gate.governor.state == QoSState.NORMAL:
+            break
         try:
             gate.execute(random_binding(template, rng), deadline=1.0)
         except OverloadError:
@@ -305,32 +245,12 @@ def _cooldown(gate: ServingGate, template, config: OverloadConfig) -> None:
 
 
 def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> OverloadResult:
-    """Baseline ramp, protected spike, replay verification, recovery."""
+    """Spike, recovery, replay verification."""
     config = config or OverloadConfig()
     started = time.perf_counter()
     result = OverloadResult(config=config)
 
-    # -- Phase 1: baseline (QoS off) — p99 grows with offered load ----------
-    result.baseline_light_p99 = _baseline_p99(config, config.light_clients, result)
-    result.baseline_saturated_p99 = _baseline_p99(config, config.clients, result)
-    if verbose:
-        print(
-            f"[overload] baseline p99: {result.baseline_light_p99 * 1e3:.1f}ms at "
-            f"{config.light_clients} clients -> "
-            f"{result.baseline_saturated_p99 * 1e3:.1f}ms at {config.clients} clients"
-        )
-    # The collapse story: tail latency must not *shrink* as offered
-    # load grows.  A 2x tolerance keeps sub-millisecond smoke scales
-    # (where scheduler noise dominates) from flaking; at the default
-    # scale the saturated p99 is an order of magnitude above light.
-    if result.baseline_saturated_p99 < result.baseline_light_p99 * 0.5:
-        result.failures.append(
-            "baseline p99 shrank under offered load "
-            f"({result.baseline_saturated_p99:.4f}s < 0.5 x "
-            f"{result.baseline_light_p99:.4f}s)"
-        )
-
-    # -- Phase 2: protected spike (QoS on) ----------------------------------
+    # -- Phase 1: the spike -------------------------------------------------
     database, manager, template = build_world(config.seed)
     gate = ServingGate(
         manager,
@@ -341,7 +261,7 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
         ),
         governor_config=GovernorConfig(
             degrade_p99=max(0.002, config.deadline / 4),
-            shed_p99=config.admitted_p99_slo,
+            shed_p99=1.0,
             degrade_queue=2,
             shed_queue=max(3, config.max_queue_depth),
             recover_ticks=2,
@@ -373,14 +293,13 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
         if answer.complete:
             result.failures.append(f"zero-budget query z.{k} claimed complete=True")
 
-    # -- Phase 3: recovery ----------------------------------------------------
+    # -- Phase 2: recovery ----------------------------------------------------
     _cooldown(gate, template, config)
 
-    result.protected_admitted_p99 = _p99(shared.latencies)
     result.thread_errors.extend(shared.errors)
     result.writer_lock_aborts = shared.writer_lock_aborts
 
-    # -- Phase 4: replay verification ----------------------------------------
+    # -- Phase 3: replay verification ----------------------------------------
     _replay_and_check(shared, database, result)
 
     stats = gate.stats()
@@ -397,12 +316,7 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
         stats["swallowed_errors"] + stats["database_swallowed_errors"]
     )
 
-    # -- SLO assertions -------------------------------------------------------
-    if result.protected_admitted_p99 > config.admitted_p99_slo:
-        result.failures.append(
-            f"admitted p99 {result.protected_admitted_p99:.3f}s exceeds the "
-            f"{config.admitted_p99_slo:.3f}s SLO"
-        )
+    # -- Verdict ----------------------------------------------------------------
     if result.partial_answers < 1:
         result.failures.append("no deadline-degraded answers were produced")
     if result.final_state != QoSState.NORMAL:
@@ -416,7 +330,7 @@ def run_overload(config: OverloadConfig | None = None, verbose: bool = True) -> 
     if verbose:
         print(
             f"[overload] protected: admitted={result.admitted} shed={result.shed} "
-            f"{result.shed_by_reason} p99={result.protected_admitted_p99 * 1e3:.1f}ms"
+            f"{result.shed_by_reason}"
         )
         print(
             f"[overload] answers: complete={result.complete_answers} "

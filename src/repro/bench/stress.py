@@ -17,7 +17,11 @@ single-threaded one:
 - final base-relation contents of the live and replayed databases must
   agree, the PMV must pass its invariant + no-phantom battery, and no
   thread may die on an unhandled exception — a ``LockError`` escaping
-  to a client is exactly the bug this layer exists to rule out.
+  to a client is exactly the bug this layer exists to rule out;
+- one more writer issues statements that *abort* after their prepare
+  phase (a row grown past what any page holds): the abort must release
+  the X lock it prepared, leave the old row and its index entries in
+  place, log nothing, and reach no answer at any later LSN.
 
 Two modes:
 
@@ -52,9 +56,11 @@ from repro.check import (
     RELATIONS,
     Answer,
     Replay,
+    WriteLedger,
     attach_view,
     build_rs,
     check_answers,
+    found_ids,
     random_binding,
     record_answer,
     rs_template,
@@ -62,7 +68,7 @@ from repro.check import (
 )
 from repro.core import PMVManager
 from repro.engine import Database, WriteAheadLog
-from repro.errors import LockError
+from repro.errors import LockError, StorageError
 from repro.faults import InterleavingScheduler
 from repro.faults.check import contents_of
 
@@ -78,6 +84,7 @@ __all__ = [
 
 JOIN_TIMEOUT = 120.0
 GEOMETRY = {"buffer_pool_pages": 64, "page_size": 1024}
+ABORTER_ID_BASE = 10_000_000  # above every ordinary writer's id range
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,7 @@ class StressResult:
     mismatches: list[dict] = field(default_factory=list)
     thread_errors: list[dict] = field(default_factory=list)
     writer_lock_aborts: int = 0
+    aborted_statements: int = 0
     lock_stats: dict = field(default_factory=dict)
     pmv_bypassed_lock: int = 0
     maintenance_lock_retries: int = 0
@@ -148,6 +156,8 @@ class _Shared:
         self.answers: list[Answer] = []
         self.errors: list[dict] = []
         self.writer_lock_aborts = 0
+        self.aborter_acked: set[int] = set()
+        self.aborted_statements = 0
 
     def record_error(self, name: str, exc: BaseException) -> None:
         self.errors.append(
@@ -237,6 +247,41 @@ def _writer_body(
         shared.record_error(name, exc)
 
 
+def _aborting_writer_body(
+    shared: _Shared, database: Database, config: StressConfig
+) -> None:
+    """The writer whose statements fail after their prepare phase.
+
+    Each round inserts one row that stays, then tries to grow it past
+    what any page holds (a relevant update: its prepare took the view's
+    X lock) and to insert a second row just as large.  Both must raise
+    :class:`StorageError`, and neither may leave a trace.
+    """
+    rng = random.Random(config.seed * 30_013)
+    too_big = "x" * GEOMETRY["page_size"]
+    try:
+        for k in range(config.ops_per_writer):
+            kept = ABORTER_ID_BASE + 2 * k
+            row_id = database.insert(
+                "r", (kept, rng.randrange(6), rng.randrange(4), f"a{kept}", "fresh")
+            )
+            shared.aborter_acked.add(kept)
+            for doomed in (
+                lambda: database.update("r", row_id, a=too_big),
+                lambda: database.insert("r", (kept + 1, 0, 0, too_big, "doomed")),
+            ):
+                try:
+                    doomed()
+                except StorageError:
+                    shared.aborted_statements += 1
+                except LockError:
+                    shared.writer_lock_aborts += 1  # refused before it could fail
+                else:
+                    raise AssertionError("a row larger than a page was accepted")
+    except BaseException as exc:
+        shared.record_error("a0", exc)
+
+
 # ---------------------------------------------------------------------------
 # Reference replay + checks
 # ---------------------------------------------------------------------------
@@ -286,7 +331,7 @@ def run_stress(config: StressConfig) -> StressResult:
     ] + [
         (f"w{i}", _writer_body, (shared, database, config, i))
         for i in range(config.writers)
-    ]
+    ] + [("a0", _aborting_writer_body, (shared, database, config))]
     if sched is not None:
         threads = [sched.spawn(name, body, *args) for name, body, args in bodies]
     else:
@@ -330,8 +375,18 @@ def run_stress(config: StressConfig) -> StressResult:
             {"kind": "final-contents", "detail": "live DB != replayed log"}
         )
 
+    # The aborting writer's rows: the kept ones exactly once, the
+    # aborted ones nowhere.
+    found = found_ids(database, ABORTER_ID_BASE)
+    verdict = WriteLedger(shared.aborter_acked).check(found)
+    verdict["aborted-row-present"] = sorted(found.keys() - shared.aborter_acked)
+    for kind, ids in verdict.items():
+        if ids:
+            result.mismatches.append({"kind": kind, "detail": f"r.id {ids}"})
+
     result.thread_errors.extend(shared.errors)
     result.writer_lock_aborts = shared.writer_lock_aborts
+    result.aborted_statements = shared.aborted_statements
     result.lock_stats = database.lock_manager.stats()
     result.pmv_bypassed_lock = view.metrics.pmv_bypassed_lock
     result.maintenance_lock_retries = view.metrics.maintenance_lock_retries
@@ -472,6 +527,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{result.changes_applied} changes replayed, "
             f"bypasses={result.pmv_bypassed_lock}, "
             f"writer_aborts={result.writer_lock_aborts}, "
+            f"aborted_statements={result.aborted_statements}, "
             f"lock_stats={result.lock_stats}"
         )
         if not ok:

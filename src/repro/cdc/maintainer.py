@@ -79,8 +79,6 @@ class AsyncMaintainer:
         self.lock_yields = 0
         self.failsafe_clears = 0
         self.advance_skips = 0
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- registration ----------------------------------------------------------
 
@@ -115,17 +113,6 @@ class AsyncMaintainer:
             self.outbox.mark_applied_up_to(lsn, view.name)
             view.applied_lsn = lsn
             self._registered[view.name] = maintainer
-        self._update_retention()
-
-    def unregister(self, view_name: str) -> None:
-        """Return one view to eager maintenance (it must first be
-        drained or cleared by the caller to be immediately fresh)."""
-        maintainer = self._registered.pop(view_name, None)
-        if maintainer is not None:
-            maintainer.async_mode = False
-            maintainer.splitter = None
-            maintainer.outbox = None
-            maintainer.view.async_maintenance = False
         self._update_retention()
 
     def lag(self, view) -> int:
@@ -327,34 +314,6 @@ class AsyncMaintainer:
                 record.applied_views.add(maintainer.view.name)
         finally:
             txn.commit()
-
-    # -- optional background pump ----------------------------------------------
-
-    def start(self, interval: float = 0.01) -> None:
-        """Run the drain on a daemon thread every ``interval`` seconds."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def pump() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.drain()
-                except Exception:
-                    # The pump must survive organic failures (they are
-                    # already accounted by the fail-safe counters); it
-                    # dies only with the process.
-                    continue
-
-        self._thread = threading.Thread(target=pump, name="pmv-async-drain", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
 
     # -- introspection ---------------------------------------------------------
 

@@ -8,17 +8,13 @@ designated hot set is applied to the PMV at write time (the classic
 X-lock path), everything else rides the outbox feed and is applied by
 the background drain.
 
-Hot sets come from the operator (``hot_parts``) or from popularity:
-:meth:`HeavyLightSplitter.from_residency` designates every condition
-part the view's replacement policy currently keeps resident — the
-policy's reference-based retention *is* the popularity signal.
+Hot sets come from the operator (``hot_parts``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.engine.template import SlotForm
 from repro.engine.transactions import Change
 
 __all__ = ["HeavyLightSplitter"]
@@ -42,34 +38,7 @@ class HeavyLightSplitter:
         self.hot_values: dict[str, set[Any]] = {
             column: set(values) for column, values in (hot_parts or {}).items()
         }
-        # Columns whose hot set is expressed in bcp-key component space
-        # (basic-interval ids for interval slots) rather than raw
-        # attribute values — the residency-derived case.
-        self._component_space: set[str] = set()
         self.default_hot = default_hot
-
-    @classmethod
-    def from_residency(cls, view) -> "HeavyLightSplitter":
-        """Popularity designation: hot = the view's resident bcps.
-
-        The replacement policy keeps the most-referenced condition
-        parts resident, so the resident key set is exactly the
-        popularity-ranked head.  Non-resident parts hold no cached
-        tuples the eager path could protect anyway.
-        """
-        slots = view.template.slots
-        per_column: dict[str, set[Any]] = {slot.column: set() for slot in slots}
-        with view.latch:
-            keys = [key for key, _ in view.entry_values()]
-        for key in keys:
-            for slot, component in zip(slots, key):
-                per_column[slot.column].add(component)
-        splitter = cls({c: v for c, v in per_column.items() if v})
-        # Residency keys store interval slots as basic-interval ids.
-        splitter._component_space = {
-            slot.column for slot in slots if slot.form is SlotForm.INTERVAL
-        }
-        return splitter
 
     def is_hot(self, change: Change, view) -> bool:
         """True when the change touches a hot condition part of ``view``.
@@ -89,8 +58,6 @@ class HeavyLightSplitter:
                 continue
             saw_hot_set = True
             value = row[slot.column.split(".", 1)[1]]
-            if slot.column in self._component_space:
-                value = view.discretization.grid(slot.column).id_for_value(value)
             if value in hot:
                 return True
         if saw_hot_set:

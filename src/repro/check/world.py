@@ -28,6 +28,8 @@ from repro.qos.gate import ServingGate
 from repro.replication import FailoverCoordinator, PrimaryNode, ReplicaNode
 
 __all__ = [
+    "HEARTBEAT_INTERVAL",
+    "LEASE_TTL",
     "RELATIONS",
     "Cluster",
     "attach_view",
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 RELATIONS = ("r", "s")
+
+HEARTBEAT_INTERVAL = 1.0
+LEASE_TTL = 4.0
+"""The cluster's timing on its fake clock, in seconds."""
 
 DOMAINS = (6, 4, 3)
 """Distinct values of the join key ``r.c``/``s.d``, of ``r.f`` and of ``s.g``."""
@@ -149,11 +155,11 @@ class Cluster:
     and failover coordinator, all on the fake clock ``clock[0]``.
 
     The standbys get the primary's page geometry (replay addresses rows
-    physically); ``coordinator_options`` go to
-    :class:`~repro.replication.FailoverCoordinator` unchanged.
+    physically).  A drill that wants a promotion advances ``clock[0]``
+    past :data:`LEASE_TTL` first.
     """
 
-    def __init__(self, database: Database, manager: PMVManager, **coordinator_options):
+    def __init__(self, database: Database, manager: PMVManager):
         self.clock = [0.0]
         self.primary = PrimaryNode(
             database, manager=manager, clock=lambda: self.clock[0]
@@ -176,6 +182,7 @@ class Cluster:
             self.primary,
             self.replicas,
             gate=self.gate,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+            lease_ttl=LEASE_TTL,
             clock=lambda: self.clock[0],
-            **coordinator_options,
         )

@@ -48,6 +48,14 @@ __all__ = [
     "compute_delta_join",
 ]
 
+# The X-lock acquisition policy: wait up to X_LOCK_TIMEOUT seconds per
+# attempt and retry X_LOCK_RETRIES times with a linear backoff when the
+# request loses to readers, before letting the LockError abort the
+# writing statement.
+X_LOCK_TIMEOUT = 0.2
+X_LOCK_RETRIES = 2
+X_LOCK_BACKOFF = 0.05
+
 
 class MaintenanceStrategy(enum.Enum):
     """How deletes/updates locate affected cached tuples."""
@@ -153,24 +161,11 @@ class PMVMaintainer:
         database: Database,
         view: PartialMaterializedView,
         strategy: MaintenanceStrategy = MaintenanceStrategy.DELTA_JOIN,
-        x_lock_wait: bool = True,
-        x_lock_timeout: float = 0.2,
-        x_lock_retries: int = 2,
-        x_lock_backoff: float = 0.05,
     ) -> None:
         self.database = database
         self.view = view
         self.strategy = strategy
         self._attached = False
-        # X-lock acquisition policy: wait up to ``x_lock_timeout`` per
-        # attempt, retrying ``x_lock_retries`` times with a linear
-        # backoff when the request loses to readers, before letting the
-        # LockError abort the writing statement.  ``x_lock_wait=False``
-        # restores the historical try-once, no-wait policy.
-        self.x_lock_wait = x_lock_wait
-        self.x_lock_timeout = x_lock_timeout
-        self.x_lock_retries = x_lock_retries
-        self.x_lock_backoff = x_lock_backoff
         # QoS hook: the degradation governor attaches its CircuitBreaker
         # here while DEGRADED (and detaches it on recovery).  When the
         # breaker is open, _acquire_x collapses to a single no-wait
@@ -307,14 +302,10 @@ class PMVMaintainer:
                 raise
             breaker.record_success()
             return
-        attempts = self.x_lock_retries + 1 if self.x_lock_wait else 1
+        attempts = X_LOCK_RETRIES + 1
         for attempt in range(1, attempts + 1):
             try:
-                txn.lock_exclusive(
-                    self.view.name,
-                    wait=self.x_lock_wait,
-                    timeout=self.x_lock_timeout,
-                )
+                txn.lock_exclusive(self.view.name, wait=True, timeout=X_LOCK_TIMEOUT)
                 if breaker is not None:
                     breaker.record_success()
                 return
@@ -324,7 +315,7 @@ class PMVMaintainer:
                         breaker.record_failure()
                     raise
                 self.view.metrics.maintenance_lock_retries += 1
-                time.sleep(self.x_lock_backoff * attempt)
+                time.sleep(X_LOCK_BACKOFF * attempt)
 
     def _push_route(self, hot: bool) -> None:
         ident = threading.get_ident()
@@ -453,7 +444,7 @@ class PMVMaintainer:
                 # strictly no-wait, because this path runs inside the
                 # statement latch where waiting could deadlock.
                 pending = self.database.begin()
-                pending.lock_exclusive(self.view.name)
+                pending.lock_exclusive(self.view.name, wait=False)
         try:
             self._fire_fault("maintenance.apply")
             if self.strategy is MaintenanceStrategy.AUX_INDEX:

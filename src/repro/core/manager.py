@@ -64,7 +64,6 @@ class PMVManager:
         maintenance_strategy: MaintenanceStrategy | None = None,
         o1_cache_size: int = DEFAULT_O1_CACHE_SIZE,
         executor_options: dict | None = None,
-        maintainer_options: dict | None = None,
     ) -> PartialMaterializedView:
         """Create, register, and wire a PMV for ``template``.
 
@@ -72,10 +71,8 @@ class PMVManager:
         attaches a maintainer, and makes the manager route the
         template's queries to the new view.  ``o1_cache_size`` sizes
         the executor's decomposition memo (must be positive).
-        ``executor_options``/``maintainer_options`` are extra keyword
-        arguments for :class:`PMVExecutor` / :class:`PMVMaintainer` —
-        e.g. the concurrency knobs ``lock_timeout`` and
-        ``x_lock_retries`` (see DESIGN.md §8).
+        ``executor_options`` are extra keyword arguments for
+        :class:`PMVExecutor` — e.g. ``lock_timeout`` (see DESIGN.md §8).
         """
         if template.name in self._views:
             raise PMVError(f"template {template.name!r} already has a PMV")
@@ -101,9 +98,7 @@ class PMVManager:
             upper_bound_bytes=upper_bound_bytes,
         )
         strategy = maintenance_strategy or self.maintenance_strategy
-        maintainer = PMVMaintainer(
-            self.database, view, strategy=strategy, **(maintainer_options or {})
-        ).attach()
+        maintainer = PMVMaintainer(self.database, view, strategy=strategy).attach()
         executor = PMVExecutor(
             self.database, view, o1_cache_size=o1_cache_size,
             **(executor_options or {}),
@@ -129,7 +124,6 @@ class PMVManager:
             "maintenance_strategy": strategy,
             "o1_cache_size": o1_cache_size,
             "executor_options": dict(executor_options or {}),
-            "maintainer_options": dict(maintainer_options or {}),
         }
         return view
 
@@ -235,12 +229,6 @@ class PMVManager:
 
     # -- failure handling ---------------------------------------------------------
 
-    def clear_all(self) -> int:
-        """Fail-safe reset: empty every managed PMV (each restarts
-        correct-by-construction and refills from queries).  Returns the
-        number of entries dropped across the fleet."""
-        return sum(managed.view.clear() for managed in self._views.values())
-
     def verify_consistency(self) -> None:
         """Assert that no managed PMV could serve a tuple it shouldn't.
 
@@ -283,9 +271,8 @@ class PMVManager:
         the named views (all of them by default) with a fresh
         :class:`~repro.cdc.AsyncMaintainer`, and returns it — the
         caller owns the drain cadence (call ``drain()`` /
-        ``drain_to_convergence()``, or ``start()`` for a background
-        pump).  ``splitter`` routes hot condition parts back to the
-        eager path (DESIGN.md §13); ``drain_batch`` sets how many feed
+        ``drain_to_convergence()``).  ``splitter`` routes hot condition
+        parts back to the eager path (DESIGN.md §13); ``drain_batch`` sets how many feed
         records one drain round applies per X-lock acquisition.
         """
         from repro.cdc import AsyncMaintainer

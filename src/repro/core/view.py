@@ -23,7 +23,7 @@ import math
 import threading
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.condition import BasicConditionPart, BcpKey, EqualityDim, IntervalDim
+from repro.core.condition import BcpKey
 from repro.core.discretize import Discretization
 from repro.core.metrics import PMVMetrics
 from repro.core.replacement import ReferenceResult, ReplacementPolicy, make_policy
@@ -177,13 +177,12 @@ class PartialMaterializedView:
         # Structural latch: replacement-policy state and the entry dict
         # are not thread-safe on their own, and O2 probes run outside
         # the database's statement latch.  Re-entrant because clear()
-        # nests discard_entry() and add_tuple() nests _enforce_budget().
+        # nests discard_entry() and add_value_tuple() nests _enforce_budget().
         # Lock-ordering rule: nothing is awaited while holding it.
         self.latch = threading.RLock()
         self._entries: dict[BcpKey, _Entry] = {}
         self.current_bytes = 0
         self._stored_tuples = 0
-        self._tuple_bytes = 0
         # Captured from the first stored tuple's schema: Row
         # materialization target, per-column byte sizers, and aux-index
         # column positions (every result tuple shares the expanded
@@ -252,19 +251,6 @@ class PartialMaterializedView:
 
         return extract
 
-    def bcp_of_row(self, row: Row) -> BasicConditionPart:
-        """Full :class:`BasicConditionPart` for the tuple ``row``."""
-        dims = []
-        for slot in self.template.slots:
-            value = row[slot.column]
-            if slot.form is SlotForm.INTERVAL:
-                grid = self.discretization.grid(slot.column)
-                basic_id = grid.id_for_value(value)
-                dims.append(IntervalDim(slot.column, grid.interval(basic_id), basic_id))
-            else:
-                dims.append(EqualityDim(slot.column, value))
-        return BasicConditionPart(tuple(dims))
-
     # -- residency / replacement ----------------------------------------------------
 
     def reference(self, key: BcpKey) -> ReferenceResult:
@@ -286,10 +272,6 @@ class PartialMaterializedView:
                 self._entries[key] = _Entry()
                 self.current_bytes += self._key_cost
             return result
-
-    def contains(self, key: BcpKey) -> bool:
-        """Whether the bcp is resident (its entry can serve tuples)."""
-        return key in self._entries
 
     def lookup(self, key: BcpKey) -> list[Row] | None:
         """Cached tuples of a resident bcp, or ``None`` on a miss.
@@ -347,45 +329,14 @@ class PartialMaterializedView:
 
     # -- tuple storage -----------------------------------------------------------------
 
-    def add_tuple(self, key: BcpKey, row: Row) -> bool:
-        """Store one result tuple under a *resident* bcp (Operation O3).
-
-        Returns False (and stores nothing) when the bcp is not resident
-        or already holds ``F`` tuples.
-        """
-        with self.latch:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            values_list = entry.values
-            if len(values_list) >= self.tuples_per_entry:
-                self.metrics.tuples_rejected_full += 1
-                return False
-            if self._row_schema is None:
-                self._capture_schema(row.schema)
-            values = row.values
-            values_list.append(values)
-            entry.version += 1
-            rows = entry._rows
-            if rows is not None:
-                rows.append(row)
-            size = row.byte_size()
-            entry.bytes += size
-            self.current_bytes += size
-            self._stored_tuples += 1
-            self._tuple_bytes += size
-            self.metrics.tuples_cached += 1
-            self._aux_add(key, values)
-            self._enforce_budget()
-            return True
-
     def add_value_tuple(self, key: BcpKey, values: tuple, schema) -> bool:
-        """Columnar twin of :meth:`add_tuple`: store one result *value
-        tuple* under a resident bcp, no ``Row`` object involved.
+        """Store one result *value tuple* under a *resident* bcp
+        (Operation O3), no ``Row`` object involved.
 
         ``schema`` describes the tuple's columns (captured once for Row
-        materialization and byte sizing).  Same residency/F semantics
-        and metrics as :meth:`add_tuple`.
+        materialization and byte sizing).  Returns False (and stores
+        nothing) when the bcp is not resident or already holds ``F``
+        tuples.
         """
         with self.latch:
             entry = self._entries.get(key)
@@ -406,7 +357,6 @@ class PartialMaterializedView:
             entry.bytes += size
             self.current_bytes += size
             self._stored_tuples += 1
-            self._tuple_bytes += size
             self.metrics.tuples_cached += 1
             self._aux_add(key, values)
             self._enforce_budget()
@@ -436,7 +386,6 @@ class PartialMaterializedView:
             entry.bytes -= size
             self.current_bytes -= size
             self._stored_tuples -= 1
-            self._tuple_bytes -= size
             self.metrics.maintenance_tuples_removed += 1
             self._aux_remove(key, values)
             return True
@@ -578,16 +527,8 @@ class PartialMaterializedView:
             # total, so eviction is O(1) in tuple sizing.
             self.current_bytes -= entry.bytes
             self._stored_tuples -= len(values_list)
-            self._tuple_bytes -= entry.bytes
         self.current_bytes -= self._key_cost
         return True
-
-    @property
-    def average_tuple_bytes(self) -> int:
-        """Observed At: average size of the currently cached tuples."""
-        if not self._stored_tuples:
-            return NOMINAL_TUPLE_BYTES
-        return max(1, self._tuple_bytes // self._stored_tuples)
 
     # -- inspection --------------------------------------------------------------------
 
@@ -610,12 +551,6 @@ class PartialMaterializedView:
     def entries(self) -> Iterator[tuple[BcpKey, list[Row]]]:
         for key, entry in self._entries.items():
             yield key, list(self._rows_of(entry))
-
-    def entry_values(self) -> Iterator[tuple[BcpKey, list[tuple]]]:
-        """Iterate entries as live value-tuple lists (read-only), the
-        columnar counterpart of :meth:`entries`."""
-        for key, entry in self._entries.items():
-            yield key, entry.values
 
     def check_invariants(self) -> None:
         """Internal consistency checks (used by tests).

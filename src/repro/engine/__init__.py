@@ -27,7 +27,7 @@ from repro.engine.index import HashIndex, OrderedIndex, build_index
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.page import PAGE_SIZE, Page
 from repro.engine.parser import parse_query, parse_template
-from repro.engine.planner import Plan, plan_query
+from repro.engine.planner import Plan
 from repro.engine.predicate import (
     EqualityDisjunction,
     Interval,
@@ -104,7 +104,6 @@ __all__ = [
     "checkpoint",
     "parse_query",
     "parse_template",
-    "plan_query",
     "recover_from_snapshot",
     "restore_snapshot",
     "take_snapshot",

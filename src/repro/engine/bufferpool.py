@@ -78,6 +78,10 @@ class BufferPool:
         return self._capacity
 
     @property
+    def page_size(self) -> int:
+        return self._disk.page_size
+
+    @property
     def resident_pages(self) -> int:
         return len(self._frames)
 

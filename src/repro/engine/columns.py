@@ -68,12 +68,6 @@ class ColumnBatch:
     def from_columns(cls, columns: list[list], schema: Schema) -> "ColumnBatch":
         return cls(schema, columns=columns)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], schema: Schema) -> "ColumnBatch":
-        """Wrap a row-pipeline batch (the compatibility boundary for
-        operators that only implement the row path)."""
-        return cls(schema, tuples=[row.values for row in rows])
-
     # -- layout access ----------------------------------------------------------
 
     def tuples(self) -> list[tuple]:

@@ -502,10 +502,11 @@ class Database:
         self._notify_prepare(change, txn)
         with self.statement_latch:
             try:
-                for index in self.catalog.indexes_on(relation_name):
-                    index.delete(old_row, row_id)
+                # Heap first: when it refuses (a row that fits on no
+                # page) no index has been touched yet.
                 old_row, new_row, new_id = relation.update(row_id, **changes)
                 for index in self.catalog.indexes_on(relation_name):
+                    index.delete(old_row, row_id)
                     index.insert(new_row, new_id)
             except BaseException:
                 # See insert(): cleanup broadcast, runs for control
@@ -552,15 +553,6 @@ class Database:
     def plan(self, query: Query, blocking: bool = True) -> Plan:
         """Plan ``query``, re-binding a cached compiled plan when possible."""
         return self.plan_cache.plan(query, blocking, statistics=self.statistics)
-
-    def execute(self, query: Query, blocking: bool = True) -> Iterator[Row]:
-        """Plan and execute ``query``, yielding ``Ls'`` rows.
-
-        The returned iterator is lazy and NOT latched — concurrent
-        callers should use :meth:`run`, which materializes the result
-        under the statement latch for a consistent snapshot.
-        """
-        return self.plan(query, blocking=blocking).execute()
 
     def run(self, query: Query, blocking: bool = True) -> list[Row]:
         plan = self.plan(query, blocking=blocking)

@@ -182,10 +182,6 @@ class DataType:
         # TEXT: length bytes plus a 2-byte length header.
         return len(value) + 2
 
-    def is_orderable(self) -> bool:
-        """All supported types have a total order."""
-        return True
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is TypeKind.TEXT and self.width:
             return f"text({self.width})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.bufferpool import BufferPool
+from repro.engine.page import PAGE_HEADER, SLOT_OVERHEAD
 from repro.engine.row import Row, RowId
 from repro.engine.schema import Schema
 from repro.errors import PageFullError, StorageError
@@ -86,6 +87,7 @@ class HeapRelation:
         """Validate and insert a row; return its :class:`RowId`."""
         payload = self.schema.validate_values(values)
         size = Row(payload, self.schema).byte_size()
+        self._check_fits(size)
         # Try pages known to have space, most recently used last.
         while self._open_page_nos:
             page_no = self._open_page_nos[-1]
@@ -102,16 +104,18 @@ class HeapRelation:
                 self._retire_open_page(page_no)
                 self._pool.unpin(page_no)
         page = self._allocate_page()
-        try:
-            slot_no = page.insert(payload, size)
-        except PageFullError as exc:  # a single row larger than a page
-            self._pool.unpin(page.page_no)
-            raise StorageError(
-                f"row of {size}B does not fit on an empty page"
-            ) from exc
+        slot_no = page.insert(payload, size)
         self._pool.unpin(page.page_no, dirty=True)
         self._row_count += 1
         return RowId(page.page_no, slot_no)
+
+    def _check_fits(self, size: int) -> None:
+        """Refuse a row that fits on no page *before* anything mutates:
+        a statement that fails must leave the heap — rows, open-page
+        list, allocated pages — exactly as it found it, or the live
+        layout drifts from what the WAL replays to."""
+        if size + SLOT_OVERHEAD > self._pool.page_size - PAGE_HEADER:
+            raise StorageError(f"row of {size}B does not fit on an empty page")
 
     def insert_many(self, rows: Iterator[Sequence[Any]] | Sequence[Sequence[Any]]) -> list[RowId]:
         """Bulk insert; returns the row ids in input order.
@@ -185,6 +189,7 @@ class HeapRelation:
         new_row = old_row.replace(**changes)
         payload = self.schema.validate_values(new_row.values)
         size = new_row.byte_size()
+        self._check_fits(size)
         page = self._pool.fetch(row_id.page_no)
         try:
             page.update(row_id.slot_no, payload, size)

@@ -89,24 +89,6 @@ class HashIndex(_BaseIndex):
         bucket = self._buckets.get(key)
         return bucket.copy() if bucket is not None else []
 
-    def probe_many(self, keys: Sequence[Any]) -> list[RowId]:
-        """Row ids matching any of ``keys``, in key order.
-
-        Counts one probe per key, exactly like repeated :meth:`probe`
-        calls, but builds a single flat result list.
-        """
-        self.probes += len(keys)
-        buckets = self._buckets
-        out: list[RowId] = []
-        for key in keys:
-            bucket = buckets.get(key)
-            if bucket is not None:
-                out.extend(bucket)
-        return out
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self._buckets)
-
     def supports_range(self) -> bool:
         return False
 

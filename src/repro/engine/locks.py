@@ -6,10 +6,10 @@ transaction that would change the PMV needs an X lock, so the query's
 partial results cannot be invalidated mid-flight — for a genuinely
 concurrent engine:
 
-- ``acquire(..., wait=False)`` (the default) keeps the historical
-  no-wait policy: a conflicting request raises :class:`LockError`
-  immediately, which doubles as deadlock avoidance for single-threaded
-  callers.
+- ``acquire(..., wait=False)`` never blocks: a conflicting request
+  raises :class:`LockError` immediately.  It is for callers that must
+  not park — maintenance with the circuit breaker open, or already
+  inside the statement latch.
 - ``acquire(..., wait=True, timeout=...)`` queues the request on the
   object's FIFO wait queue and blocks the calling thread until a
   releasing holder grants it.  Grants are made *by the releaser* in
@@ -111,7 +111,7 @@ class LockManager:
         txn_id: int,
         obj: str,
         mode: LockMode,
-        wait: bool = False,
+        wait: bool,
         timeout: float | None = None,
     ) -> None:
         """Grant ``mode`` on ``obj`` to ``txn_id``.
@@ -314,12 +314,6 @@ class LockManager:
             if state is None:
                 return set(), None
             return set(state.shared), state.exclusive
-
-    def waiting(self, obj: str) -> int:
-        """Number of requests queued on ``obj``."""
-        with self._mutex:
-            state = self._locks.get(obj)
-            return len(state.waiters) if state is not None else 0
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for the stress driver and tests.

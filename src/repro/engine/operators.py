@@ -41,8 +41,6 @@ __all__ = [
     "Materialize",
     "NestedLoopJoin",
     "DEFAULT_BATCH_ROWS",
-    "iter_batches",
-    "iter_column_batches",
 ]
 
 RowPredicate = Callable[[Row], bool]
@@ -51,9 +49,8 @@ ColumnTests = Sequence[tuple[str, Callable[[Any], bool]]]
 """Vectorizable conjunctive predicate: ``(column_name, value_test)`` pairs."""
 
 DEFAULT_BATCH_ROWS = 256
-"""Rows per batch: the chunk size when an operator has to batch a
-row-at-a-time child, and the target the scans coalesce small pages and
-probes up to per :class:`ColumnBatch`."""
+"""Rows per batch: the target the scans coalesce small pages and probes
+up to per :class:`ColumnBatch`."""
 
 
 def _compile_tests(schema: Schema, tests: ColumnTests) -> tuple[tuple[int, Callable], ...]:
@@ -64,10 +61,9 @@ def _compile_tests(schema: Schema, tests: ColumnTests) -> tuple[tuple[int, Calla
 class Operator:
     """Base class for plan operators.
 
-    Subclasses implement :meth:`execute_batches` (the native path);
-    :meth:`execute` flattens it.  A subclass that only overrides
-    ``execute`` still gets batching through the chunking fallback —
-    but must override at least one of the two methods.
+    Subclasses implement :meth:`execute_columns` (the path every
+    query runs) and :meth:`execute_batches` (its row twin, the tests'
+    reference); :meth:`execute` flattens the latter.
     """
 
     schema: Schema
@@ -77,25 +73,10 @@ class Operator:
             yield from batch
 
     def execute_batches(self) -> Iterator[list[Row]]:
-        chunk: list[Row] = []
-        for row in self.execute():
-            chunk.append(row)
-            if len(chunk) >= DEFAULT_BATCH_ROWS:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
+        raise NotImplementedError
 
     def execute_columns(self) -> Iterator[ColumnBatch]:
-        """Columnar fallback: wrap the row path's batches.
-
-        Operators with a native vector implementation override this;
-        everything else (including black-box predicates) stays correct
-        by flowing through the authoritative row path.
-        """
-        schema = self.schema
-        for batch in iter_batches(self):
-            yield ColumnBatch.from_rows(batch, schema)
+        raise NotImplementedError
 
     def explain(self, indent: int = 0) -> str:
         """A one-line-per-operator plan rendering (for debugging/tests)."""
@@ -109,61 +90,6 @@ class Operator:
 
     def _children(self) -> Sequence["Operator"]:
         return ()
-
-
-def iter_batches(op: Operator) -> Iterator[list[Row]]:
-    """Yield ``op``'s output as row batches, honouring subclass overrides.
-
-    Prefers the operator's native :meth:`~Operator.execute_batches`,
-    but if a subclass overrides ``execute`` *below* the class that
-    provides ``execute_batches`` (e.g. a test shim observing rows as
-    they stream), the row path is authoritative: route through
-    ``execute`` and chunk, so the override is not silently bypassed.
-    Parent operators consume children through this helper.
-    """
-    for klass in type(op).__mro__:
-        if klass is Operator:
-            break
-        namespace = klass.__dict__
-        if "execute_batches" in namespace:
-            yield from op.execute_batches()
-            return
-        if "execute" in namespace:
-            chunk: list[Row] = []
-            for row in op.execute():
-                chunk.append(row)
-                if len(chunk) >= DEFAULT_BATCH_ROWS:
-                    yield chunk
-                    chunk = []
-            if chunk:
-                yield chunk
-            return
-    yield from op.execute_batches()
-
-
-def iter_column_batches(op: Operator) -> Iterator[ColumnBatch]:
-    """Yield ``op``'s output as :class:`ColumnBatch`es, honouring overrides.
-
-    Mirrors :func:`iter_batches`: an operator's native
-    ``execute_columns`` is preferred, but a subclass that overrides the
-    row-level ``execute``/``execute_batches`` *below* the class
-    providing ``execute_columns`` is authoritative — its rows are
-    wrapped, not bypassed.  Parent operators consume children through
-    this helper on the columnar path.
-    """
-    for klass in type(op).__mro__:
-        if klass is Operator:
-            break
-        namespace = klass.__dict__
-        if "execute_columns" in namespace:
-            yield from op.execute_columns()
-            return
-        if "execute_batches" in namespace or "execute" in namespace:
-            schema = op.schema
-            for batch in iter_batches(op):
-                yield ColumnBatch.from_rows(batch, schema)
-            return
-    yield from op.execute_columns()
 
 
 class SeqScan(Operator):
@@ -381,7 +307,7 @@ class Filter(Operator):
 
     def execute_batches(self) -> Iterator[list[Row]]:
         predicate = self.predicate
-        for batch in iter_batches(self.child):
+        for batch in self.child.execute_batches():
             out = [row for row in batch if predicate(row)]
             if out:
                 yield out
@@ -389,13 +315,13 @@ class Filter(Operator):
     def execute_columns(self) -> Iterator[ColumnBatch]:
         if self._equal_positions is not None:
             left, right = self._equal_positions
-            for batch in iter_column_batches(self.child):
+            for batch in self.child.execute_columns():
                 out = batch.filter_equal_columns(left, right)
                 if out:
                     yield out
         elif self._tests is not None:
             tests = self._tests
-            for batch in iter_column_batches(self.child):
+            for batch in self.child.execute_columns():
                 out = batch.filter(tests)
                 if out:
                     yield out
@@ -426,7 +352,7 @@ class Project(Operator):
     def execute_batches(self) -> Iterator[list[Row]]:
         positions = self._positions
         schema = self.schema
-        for batch in iter_batches(self.child):
+        for batch in self.child.execute_batches():
             yield [
                 Row([values[p] for p in positions], schema)
                 for values in (row.values for row in batch)
@@ -436,7 +362,7 @@ class Project(Operator):
         # Zero-copy: the projected batch shares the picked column lists.
         positions = self._positions
         schema = self.schema
-        for batch in iter_column_batches(self.child):
+        for batch in self.child.execute_columns():
             yield batch.project(positions, schema)
 
     def _describe(self) -> str:
@@ -487,7 +413,7 @@ class IndexNestedLoopJoin(Operator):
         probe = self.inner_index.probe
         fetch = self.inner_relation.fetch
         predicate = self.inner_predicate
-        for outer_batch in iter_batches(self.outer):
+        for outer_batch in self.outer.execute_batches():
             out: list[Row] = []
             append = out.append
             for outer_row in outer_batch:
@@ -508,7 +434,7 @@ class IndexNestedLoopJoin(Operator):
         probe = self.inner_index.probe
         fetch_payloads = self.inner_relation.fetch_payloads
         tests = self._inner_tests or ()
-        for outer_batch in iter_column_batches(self.outer):
+        for outer_batch in self.outer.execute_columns():
             out: list[tuple] = []
             append = out.append
             for outer_t in outer_batch.tuples():
@@ -592,7 +518,7 @@ class NestedLoopJoin(Operator):
         key_pos = self._key_pos
         table = self._build_table()
         get = table.get
-        for outer_batch in iter_batches(self.outer):
+        for outer_batch in self.outer.execute_batches():
             out: list[Row] = []
             append = out.append
             for outer_row in outer_batch:
@@ -609,7 +535,7 @@ class NestedLoopJoin(Operator):
         schema = self.schema
         key_pos = self._key_pos
         get = self._build_payload_table().get
-        for outer_batch in iter_column_batches(self.outer):
+        for outer_batch in self.outer.execute_columns():
             out: list[tuple] = []
             append = out.append
             for outer_t in outer_batch.tuples():
@@ -644,11 +570,11 @@ class Materialize(Operator):
         self.schema = child.schema
 
     def execute_batches(self) -> Iterator[list[Row]]:
-        buffered = list(iter_batches(self.child))
+        buffered = list(self.child.execute_batches())
         yield from buffered
 
     def execute_columns(self) -> Iterator[ColumnBatch]:
-        buffered = list(iter_column_batches(self.child))
+        buffered = list(self.child.execute_columns())
         yield from buffered
 
     def _describe(self) -> str:

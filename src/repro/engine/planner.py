@@ -19,7 +19,6 @@ cheap:
   one bound query by substituting the slot values into the compiled
   skeleton.
 
-:func:`plan_query` composes the two for one-shot use;
 :class:`repro.engine.database.Database` caches compiled plans per
 (template, blocking, driver) and re-binds them per query.
 """
@@ -43,8 +42,6 @@ from repro.engine.operators import (
     Operator,
     Project,
     SeqScan,
-    iter_batches,
-    iter_column_batches,
 )
 from repro.engine.predicate import (
     EqualityDisjunction,
@@ -64,7 +61,6 @@ __all__ = [
     "driver_candidates",
     "choose_driver_slot",
     "compile_plan",
-    "plan_query",
 ]
 
 
@@ -76,22 +72,15 @@ class Plan:
     query: Query
     blocking: bool
 
-    def execute(self) -> Iterator[Row]:
-        """Yield result rows (with the expanded select list ``Ls'``)."""
-        return self.root.execute()
-
-    def execute_batches(self) -> Iterator[list[Row]]:
-        """Yield result rows in batches (page/probe granularity)."""
-        return iter_batches(self.root)
-
     def execute_column_batches(self) -> Iterator[ColumnBatch]:
         """Yield the result as :class:`ColumnBatch`es (the vectorized
         path — no :class:`Row` objects until someone asks for them)."""
-        return iter_column_batches(self.root)
+        return self.root.execute_columns()
 
     def run(self) -> list[Row]:
-        """Execute to completion and return all rows."""
-        return [row for batch in iter_batches(self.root) for row in batch]
+        """Execute to completion and return all rows (with the expanded
+        select list ``Ls'``) through the row operators."""
+        return list(self.root.execute())
 
     def explain(self) -> str:
         return self.root.explain()
@@ -447,32 +436,3 @@ def compile_plan(
         steps=tuple(steps),
         project_names=template.expanded_select_list(),
     )
-
-
-def plan_query(
-    catalog: Catalog,
-    query: Query,
-    blocking: bool = True,
-    statistics: StatisticsCollector | None = None,
-) -> Plan:
-    """Build a plan for ``query`` (one-shot compile + bind).
-
-    Parameters
-    ----------
-    catalog:
-        Catalog supplying relations and indexes.
-    query:
-        A bound ``qt``-form query.
-    blocking:
-        Materialize the full result before emitting the first row,
-        modelling the traditional (blocking) execution the paper
-        contrasts PMVs with.  The PMV layer leaves this ``True``.
-    statistics:
-        Optional ANALYZE output; when present and covering the
-        candidate relations, the most selective indexed slot drives
-        the plan.
-    """
-    candidates = driver_candidates(catalog, query.template)
-    driver_slot = choose_driver_slot(candidates, query, statistics)
-    compiled = compile_plan(catalog, query.template, blocking, driver_slot)
-    return compiled.bind(query)

@@ -197,9 +197,6 @@ class EqualityDisjunction:
         evaluation (a frozenset ``__contains__`` bound method)."""
         return frozenset(self.values).__contains__
 
-    def is_equality(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return " or ".join(f"{self.column}={v!r}" for v in self.values)
 
@@ -241,9 +238,6 @@ class IntervalDisjunction:
 
         return test
 
-    def is_equality(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return " or ".join(f"{self.column} in {iv}" for iv in self.intervals)
 
@@ -268,11 +262,6 @@ class SelectionConjunction:
         if len(set(columns)) != len(columns):
             raise ConditionError("each Cselect attribute may appear in only one Ci")
         object.__setattr__(self, "conditions", conds)
-
-    @property
-    def arity(self) -> int:
-        """The paper's m: number of conjoined conditions."""
-        return len(self.conditions)
 
     def columns(self) -> tuple[str, ...]:
         return tuple(c.column for c in self.conditions)

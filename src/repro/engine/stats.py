@@ -148,10 +148,6 @@ class StatisticsCollector:
         self._tables[relation.name] = table
         return table
 
-    def analyze_all(self, relations: Sequence[HeapRelation]) -> None:
-        for relation in relations:
-            self.analyze(relation)
-
     def _equi_depth_bounds(self, counter: Counter, ordered: list[Any]) -> list[Any]:
         """Bucket bounds such that each bucket holds ~equal row mass."""
         total = sum(counter.values())

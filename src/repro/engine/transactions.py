@@ -113,13 +113,13 @@ class Transaction:
     # -- locking -------------------------------------------------------------------
 
     def lock_shared(
-        self, obj: str, wait: bool = False, timeout: float | None = None
+        self, obj: str, wait: bool, timeout: float | None = None
     ) -> None:
         self._check_active()
         self._locks.acquire(self.txn_id, obj, LockMode.SHARED, wait=wait, timeout=timeout)
 
     def lock_exclusive(
-        self, obj: str, wait: bool = False, timeout: float | None = None
+        self, obj: str, wait: bool, timeout: float | None = None
     ) -> None:
         self._check_active()
         if self.read_only:
@@ -132,9 +132,6 @@ class Transaction:
 
     def holds_shared(self, obj: str) -> bool:
         return self._locks.holds(self.txn_id, obj, LockMode.SHARED)
-
-    def holds_exclusive(self, obj: str) -> bool:
-        return self._locks.holds(self.txn_id, obj, LockMode.EXCLUSIVE)
 
     # -- change capture --------------------------------------------------------------
 

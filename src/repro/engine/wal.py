@@ -603,11 +603,13 @@ class WriteAheadLog:
         }
 
     @staticmethod
-    def load(path: str) -> "WriteAheadLog":
+    def load(path: str, archive_dir: str | None = None) -> "WriteAheadLog":
         """Read a log directory back (the crashed process's log).
 
-        Archived segments first, then live ones, in sequence order, all
-        through :func:`_read_segment`, whose three outcomes map to:
+        ``archive_dir`` is the one the log was constructed with
+        (``<path>/archive`` when omitted).  Archived segments first,
+        then live ones, in sequence order, all through
+        :func:`_read_segment`, whose three outcomes map to:
 
         - *clean* — the records join the log;
         - *repairable tail* — reading stops at the damage and
@@ -633,7 +635,7 @@ class WriteAheadLog:
             raise EngineError(f"{path!r} is not a directory of log segments")
         log = WriteAheadLog()
         log.path = path
-        log.archive_dir = os.path.join(path, "archive")
+        log.archive_dir = archive_dir or os.path.join(path, "archive")
         archived = _list_segments(log.archive_dir)
         live = _list_segments(path)
         listing = archived + live
@@ -646,7 +648,10 @@ class WriteAheadLog:
 
         def adopt(seq: int, seg_path: str, records: list[LogRecord], size: int):
             for record in records:
-                if log._next_lsn > 1 and record.lsn != log._next_lsn:
+                if log._next_lsn == 1:
+                    # History before the first surviving record is gone.
+                    log.pruned_lsn = record.lsn - 1
+                elif record.lsn != log._next_lsn:
                     raise WALCorruptionError(
                         f"segment {seg_path!r}: LSN {record.lsn} follows LSN "
                         f"{log._next_lsn - 1} — records are missing or out "

@@ -112,10 +112,6 @@ class FaultInjector:
             )
         raise SimulatedCrash(spec)
 
-    @property
-    def total_arrivals(self) -> int:
-        return sum(self.counts.values())
-
 
 class FaultyWAL(WriteAheadLog):
     """A write-ahead log with an injectable ``append``/``checkpoint``.

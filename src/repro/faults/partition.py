@@ -124,10 +124,6 @@ class PartitionPlan:
                 at = heal_at + rng.randint(min_gap, max_gap)
         return cls(events)
 
-    def due(self, step: int) -> tuple[PartitionEvent, ...]:
-        """The events scheduled exactly at ``step``."""
-        return tuple(event for event in self.events if event.step == step)
-
     def __iter__(self) -> Iterator[PartitionEvent]:
         return iter(self.events)
 
@@ -201,10 +197,3 @@ class Nemesis:
         """Force every registered link healthy (end-of-run cleanup)."""
         for _cut, heal in self._links.values():
             heal("both")
-
-    def stats(self) -> dict:
-        return {
-            "scheduled": len(self.plan),
-            "fired": len(self.fired),
-            "schedule": self.plan.describe(),
-        }

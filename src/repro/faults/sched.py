@@ -252,17 +252,3 @@ class InterleavingScheduler:
         self.trace.append(f"{self.decisions}:{site}->{chosen.name}")
         self._current = chosen
         chosen.event.set()
-
-    # -- inspection ---------------------------------------------------------
-
-    def handle(self) -> str:
-        """Replay handle, torture-harness style: ``sched/<seed>``."""
-        return f"sched/{self.seed}"
-
-    def stats(self) -> dict[str, int]:
-        with self._mutex:
-            return {
-                "decisions": self.decisions,
-                "deadlocks_seen": self.deadlocks_seen,
-                "threads": len(self._workers),
-            }

@@ -21,7 +21,7 @@ Backoff uses *seeded full jitter*: after a partition heals, every
 client that queued up behind it wakes at a different moment instead of
 hammering the server in lockstep.  The jitter stream is seeded from
 the client id, so a replayed run produces the identical retry
-schedule; ``jitter=0`` restores the old deterministic delays.
+schedule.
 
 Each client is also a *session* for monotonic reads: it remembers the
 highest ``applied_lsn`` it has observed (per serving epoch) and stamps
@@ -57,31 +57,22 @@ from repro.net import protocol
 __all__ = ["PMVClient", "RetryPolicy", "RemoteAnswer"]
 
 
+BACKOFF_FACTOR = 2.0
+MAX_DELAY = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with full jitter and a bounded budget.
-
-    ``jitter`` is the jittered fraction of each delay: 1.0 (the
-    default) is classic full jitter — a uniform draw from
-    ``[0, ceiling]``; 0 disables jitter entirely (the pre-jitter
-    deterministic schedule, kept as an escape hatch for tests that
-    assert exact delays); values in between jitter only that fraction
-    of the ceiling.  The ceiling itself is the usual
-    ``min(max_delay, base_delay * factor**attempt)``.
-    """
+    """Exponential backoff with full jitter and a bounded budget: each
+    delay is a uniform draw from ``[0, ceiling]``, the ceiling being
+    ``min(MAX_DELAY, base_delay * BACKOFF_FACTOR**attempt)``."""
 
     attempts: int = 5
     base_delay: float = 0.02
-    factor: float = 2.0
-    max_delay: float = 0.5
-    jitter: float = 1.0
 
-    def delay(self, attempt: int, rng: random.Random | None = None) -> float:
-        ceiling = min(self.max_delay, self.base_delay * (self.factor ** attempt))
-        if self.jitter <= 0 or rng is None:
-            return ceiling
-        jittered = min(1.0, self.jitter)
-        return ceiling * (1.0 - jittered) + rng.random() * jittered * ceiling
+    def delay(self, attempt: int, rng: random.Random) -> float:
+        ceiling = min(MAX_DELAY, self.base_delay * BACKOFF_FACTOR**attempt)
+        return rng.random() * ceiling
 
 
 @dataclass
@@ -231,7 +222,7 @@ class PMVClient:
         for attempt in range(self.retry.attempts):
             if attempt:
                 self.retries += 1
-                self._sleep(self.retry.delay(attempt - 1, rng=self._retry_rng))
+                self._sleep(self.retry.delay(attempt - 1, self._retry_rng))
             try:
                 conn = self._checkout()
                 try:

@@ -47,6 +47,9 @@ from repro.errors import (
 
 __all__ = ["ClusterFrontEnd", "IdempotencyTable"]
 
+ACK_RETRIES = 3
+"""Ship pumps one write waits through for its semi-sync ack."""
+
 
 class IdempotencyTable:
     """Dedup table for DML keyed on the client's ``client_id:seq``.
@@ -93,9 +96,8 @@ class ClusterFrontEnd:
       — the coordinator owns primary identity; bounded-staleness reads
       round-robin over ``coordinator.replicas``.
 
-    ``ship_on_write`` (default True) pumps the primary's WAL after each
-    write so the semi-sync ack is reachable without a background pump —
-    deterministic for tests and the bench.
+    Every write pumps the primary's WAL (up to :data:`ACK_RETRIES`
+    times) so the semi-sync ack is reachable without a background pump.
     """
 
     def __init__(
@@ -104,15 +106,11 @@ class ClusterFrontEnd:
         coordinator=None,
         metrics: NetMetrics | None = None,
         staleness_bound: int = 0,
-        ship_on_write: bool = True,
-        ack_retries: int = 3,
     ) -> None:
         self.gate = gate
         self.coordinator = coordinator
         self.metrics = metrics or NetMetrics()
         self.staleness_bound = staleness_bound
-        self.ship_on_write = ship_on_write
-        self.ack_retries = ack_retries
         self.dedup = IdempotencyTable()
         self._write_mutex = threading.Lock()
         self._rr = 0
@@ -292,9 +290,9 @@ class ClusterFrontEnd:
         if self.coordinator is None:
             return
         primary = self.coordinator.primary
-        if primary.acked_lsn >= lsn or not self.ship_on_write:
+        if primary.acked_lsn >= lsn:
             return
-        for _ in range(self.ack_retries):
+        for _ in range(ACK_RETRIES):
             primary.ship()
             if primary.acked_lsn >= lsn:
                 return

@@ -5,16 +5,16 @@ queueing-theory poison: every retry parks a writer thread on the lock
 queue for another timeout+backoff round while fresh readers keep
 arriving.  The breaker turns that loop off when it stops paying:
 
-- **CLOSED** — normal operation, retries allowed.  ``failure_threshold``
-  *consecutive* failures (retry budgets exhausted, or maintenance
-  fail-safe clears) trip it OPEN.
+- **CLOSED** — normal operation, retries allowed.
+  :data:`FAILURE_THRESHOLD` *consecutive* failures (retry budgets
+  exhausted, or maintenance fail-safe clears) trip it OPEN.
 - **OPEN** — retries are paused: :meth:`allow_retries` answers False,
   so maintenance makes exactly one immediate no-wait attempt and a
   denial aborts the writing statement fast instead of stalling the
-  pipeline.  After ``reset_timeout`` seconds the next caller is let
+  pipeline.  After :data:`RESET_TIMEOUT` seconds the next caller is let
   through as a half-open probe.
 - **HALF_OPEN** — one probe runs with full retries.  Success closes
-  the breaker; failure re-opens it for another ``reset_timeout``.
+  the breaker; failure re-opens it for another :data:`RESET_TIMEOUT`.
 
 Thread-safe; state transitions are reported to an optional
 :class:`~repro.core.metrics.QoSMetrics` so ``stats()`` can expose the
@@ -27,7 +27,10 @@ import threading
 import time
 from typing import Callable
 
-__all__ = ["CircuitBreaker"]
+__all__ = ["CircuitBreaker", "FAILURE_THRESHOLD", "RESET_TIMEOUT"]
+
+FAILURE_THRESHOLD = 3
+RESET_TIMEOUT = 1.0
 
 
 class CircuitBreaker:
@@ -39,15 +42,9 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        reset_timeout: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         metrics=None,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
         self._clock = clock
         self.metrics = metrics
         self._mutex = threading.Lock()
@@ -68,7 +65,7 @@ class CircuitBreaker:
         """State after applying the reset timeout (mutex held)."""
         if (
             self._state == self.OPEN
-            and self._clock() - self._opened_at >= self.reset_timeout
+            and self._clock() - self._opened_at >= RESET_TIMEOUT
         ):
             self._state = self.HALF_OPEN
             self._probe_in_flight = False
@@ -113,7 +110,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if (
                 state == self.CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self._consecutive_failures >= FAILURE_THRESHOLD
             ):
                 self._trip()
 

@@ -29,14 +29,14 @@ reversed when the machine returns to NORMAL:
 - async-maintained views' freshness bounds are widened by
   ``freshness_widen_factor`` *first* — trading staleness before memory,
   so answers stay on the PMV path (DESIGN.md §13);
-- every managed PMV's UB byte budget is shrunk by ``ub_shrink_factor``
+- every managed PMV's UB byte budget is shrunk by :data:`UB_SHRINK_FACTOR`
   (``PartialMaterializedView.set_upper_bound`` sheds entries via the
   replacement policy; below one entry the view degrades to
   empty-but-alive, never an error);
 - deferred-maintenance retries are put behind the
   :class:`~repro.qos.breaker.CircuitBreaker`, so writer statements
   stop parking on the lock queue when retries keep losing;
-- query deadlines are tightened by ``deadline_factor`` (the serving
+- query deadlines are tightened by :data:`DEADLINE_FACTOR` (the serving
   gate consults :meth:`deadline_factor_now`).
 
 Entering SHED additionally flips the admission controller into
@@ -60,6 +60,14 @@ from repro.qos.breaker import CircuitBreaker
 __all__ = ["QoSState", "GovernorConfig", "DegradationGovernor"]
 
 
+LOCK_TIMEOUT_RATE = 5
+"""Lock timeouts per tick at which NORMAL escalates to DEGRADED."""
+UB_SHRINK_FACTOR = 0.5
+"""DEGRADED shrinks every managed PMV's UB to this fraction."""
+DEADLINE_FACTOR = 0.5
+"""DEGRADED multiplies each query's deadline budget by this."""
+
+
 class QoSState:
     NORMAL = "NORMAL"
     DEGRADED = "DEGRADED"
@@ -78,8 +86,6 @@ class GovernorConfig:
     """Admission queue depth at which NORMAL escalates to DEGRADED."""
     shed_queue: int = 24
     """Admission queue depth at which anything escalates to SHED."""
-    lock_timeout_rate: int = 5
-    """Lock timeouts per tick at which NORMAL escalates to DEGRADED."""
     degrade_backlog: int = 512
     """Pending CDC outbox records at which NORMAL escalates to
     DEGRADED (maintenance backpressure instead of unbounded memory)."""
@@ -88,15 +94,11 @@ class GovernorConfig:
     recover_ticks: int = 2
     """Consecutive healthy ticks required before stepping down one
     state (the hysteresis)."""
-    ub_shrink_factor: float = 0.5
-    """DEGRADED shrinks every managed PMV's UB to this fraction."""
     freshness_widen_factor: float = 4.0
     """DEGRADED multiplies every async-maintained executor's
     ``freshness_bound`` by this, *before* any UB is shrunk: tolerating
     more staleness keeps answers on the cheap PMV path and relieves
     pressure without giving up cache residency (DESIGN.md §13)."""
-    deadline_factor: float = 0.5
-    """DEGRADED multiplies each query's deadline budget by this."""
     latency_window: int = 256
     """Completed-query latencies kept for the p99 estimate."""
     tick_interval: float = 0.25
@@ -164,7 +166,7 @@ class DegradationGovernor:
         with self._mutex:
             if self._state == QoSState.NORMAL:
                 return 1.0
-            return self.config.deadline_factor
+            return DEADLINE_FACTOR
 
     # -- the tick -------------------------------------------------------------
 
@@ -211,7 +213,7 @@ class DegradationGovernor:
         if (
             p99 >= cfg.degrade_p99
             or queue_depth >= cfg.degrade_queue
-            or timeout_delta >= cfg.lock_timeout_rate
+            or timeout_delta >= LOCK_TIMEOUT_RATE
             or backlog >= cfg.degrade_backlog
         ):
             return "elevated"
@@ -325,7 +327,7 @@ class DegradationGovernor:
             self._saved_upper_bounds[view.name] = view.upper_bound_bytes
             if view.upper_bound_bytes is not None:
                 view.set_upper_bound(
-                    max(1, int(view.upper_bound_bytes * self.config.ub_shrink_factor))
+                    max(1, int(view.upper_bound_bytes * UB_SHRINK_FACTOR))
                 )
             managed.maintainer.breaker = self.breaker
         self._transition(QoSState.DEGRADED)

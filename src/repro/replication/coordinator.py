@@ -9,23 +9,22 @@ drive time explicitly).
 **Failure detection** counts *consecutive missed heartbeat intervals*
 with hysteresis rather than firing on a single silence sample: every
 whole ``heartbeat_interval`` of silence adds one unit of suspicion
-debt, every on-time heartbeat pays ``hysteresis`` units back, and the
-primary is suspected only once debt plus the current silence reaches
-``suspicion_threshold`` whole intervals.  One delayed heartbeat under
-load therefore cannot trigger a spurious failover, and the
-``misses``/``suspicions`` counters in :meth:`stats` make the
+debt, every on-time heartbeat pays :data:`HYSTERESIS` units back, and
+the primary is suspected only once debt plus the current silence
+reaches :data:`SUSPICION_THRESHOLD` whole intervals.  One delayed
+heartbeat under load therefore cannot trigger a spurious failover, and
+the ``misses``/``suspicions`` counters in :meth:`stats` make the
 detector's behaviour observable.
 
 Once suspected, :meth:`tick` runs the failover protocol:
 
-1. **lease gate** — when lease-gated promotion is enabled
-   (``lease_ttl``), promotion is *refused* until the last lease this
+1. **lease gate** — promotion is *refused* until the last lease this
    coordinator granted has provably expired on the shared clock.  The
    old primary self-isolates when it cannot renew (ISOLATED mode, see
    :mod:`repro.replication.lease`), so by the time promotion is
-   allowed the old primary has already stopped serving — closing the
-   promote-while-zombie-serves window that fence-first alone leaves
-   open for reads under an asymmetric partition;
+   allowed the old primary has already stopped serving — there is no
+   promote-while-zombie-serves window for reads under an asymmetric
+   partition, which a fence alone cannot close;
 2. **watermark gate** — promotion is also refused while the best
    candidate's applied LSN does not cover the last acknowledged
    watermark this coordinator recorded from the primary's heartbeats:
@@ -37,7 +36,7 @@ Once suspected, :meth:`tick` runs the failover protocol:
    guarantees the old primary stopped.  Stale-epoch ships are rejected
    by every replica's epoch check either way;
 4. **promote** — the most-caught-up replica becomes the primary for
-   the bumped epoch and (when lease-gated) receives a fresh lease;
+   the bumped epoch and receives a fresh lease;
 5. **rechain** — surviving replicas are attached to the new primary;
 6. **rewire** — the :class:`~repro.qos.gate.ServingGate`, when one is
    registered, is rebound to the promoted fleet (the governor restores
@@ -54,7 +53,13 @@ from repro.errors import ReplicationError
 from repro.replication.lease import Lease
 from repro.replication.node import PrimaryNode, ReplicaNode
 
-__all__ = ["FailoverCoordinator"]
+__all__ = ["FailoverCoordinator", "SUSPICION_THRESHOLD"]
+
+SUSPICION_THRESHOLD = 3
+"""Whole heartbeat intervals of suspicion debt at which the primary is
+suspected."""
+HYSTERESIS = 1
+"""Debt units an on-time heartbeat pays back."""
 
 
 class FailoverCoordinator:
@@ -64,12 +69,10 @@ class FailoverCoordinator:
         self,
         primary: PrimaryNode,
         replicas: list[ReplicaNode],
+        *,
+        lease_ttl: float,
         gate=None,
         heartbeat_interval: float = 1.0,
-        missed_heartbeats: int = 3,
-        suspicion_threshold: int | None = None,
-        hysteresis: int = 1,
-        lease_ttl: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not replicas:
@@ -78,15 +81,6 @@ class FailoverCoordinator:
         self.replicas = list(replicas)
         self.gate = gate
         self.heartbeat_interval = heartbeat_interval
-        self.missed_heartbeats = missed_heartbeats
-        # ``missed_heartbeats`` predates the suspicion counter and keeps
-        # working as its default — existing configs see no change.
-        self.suspicion_threshold = (
-            missed_heartbeats if suspicion_threshold is None else suspicion_threshold
-        )
-        if self.suspicion_threshold < 1:
-            raise ReplicationError("suspicion_threshold must be >= 1")
-        self.hysteresis = max(0, hysteresis)
         self.lease_ttl = lease_ttl
         self._clock = clock
         self._last_heartbeat = clock()
@@ -109,10 +103,9 @@ class FailoverCoordinator:
         self._recorded_acked_lsn = primary.acked_lsn
         self._lease_expiry = clock()
         self.primary_reachable: Callable[[], bool] | None = None
-        if self.lease_ttl is not None:
-            primary.adopt_lease(self._mint_lease(primary.epoch))
-            if gate is not None:
-                primary.bind_gate(gate)
+        primary.adopt_lease(self._mint_lease(primary.epoch))
+        if gate is not None:
+            primary.bind_gate(gate)
 
     def add_failover_listener(self, listener: Callable[[PrimaryNode], None]) -> None:
         """Subscribe to promotions: called with the new primary after
@@ -135,32 +128,29 @@ class FailoverCoordinator:
     def notify_heartbeat(self, acked_lsn: int | None = None) -> None:
         """Record one heartbeat arrival from the current primary.
 
-        An on-time arrival pays ``hysteresis`` units of suspicion debt
-        back; a late one banks its missed intervals as debt, so a
+        An on-time arrival pays :data:`HYSTERESIS` units of suspicion
+        debt back; a late one banks its missed intervals as debt, so a
         primary that keeps arriving late accumulates suspicion even
         though no single gap reaches the threshold on its own.
         """
         whole = self._observe_silence()
-        self._debt = max(0, self._debt + whole - self.hysteresis)
+        self._debt = max(0, self._debt + whole - HYSTERESIS)
         self._counted_since_hb = 0
         self._last_heartbeat = self._clock()
-        if self._debt < self.suspicion_threshold:
+        if self._debt < SUSPICION_THRESHOLD:
             self._was_suspected = False
         if acked_lsn is not None:
             self._recorded_acked_lsn = max(self._recorded_acked_lsn, acked_lsn)
 
     def heartbeat_from(self, primary: PrimaryNode) -> Lease | None:
         """Accept a heartbeat from ``primary``; returns the renewed
-        lease (None when lease gating is off, or when the caller is a
-        deposed primary — which must *not* have its lease renewed)."""
+        lease (None when the caller is a deposed primary — which must
+        *not* have its lease renewed)."""
         if primary is not self.primary:
             self.stale_heartbeats += 1
             return None
         self.notify_heartbeat(acked_lsn=primary.acked_lsn)
-        if self.lease_ttl is None:
-            return None
-        lease = self._mint_lease(primary.epoch)
-        return lease
+        return self._mint_lease(primary.epoch)
 
     def _mint_lease(self, epoch: int) -> Lease:
         now = self._clock()
@@ -171,7 +161,7 @@ class FailoverCoordinator:
     def primary_suspected(self) -> bool:
         """Whether accumulated suspicion reaches the threshold."""
         whole = self._observe_silence()
-        suspected = self._debt + whole >= self.suspicion_threshold
+        suspected = self._debt + whole >= SUSPICION_THRESHOLD
         if suspected and not self._was_suspected:
             self.suspicions += 1
             self._was_suspected = True
@@ -200,7 +190,7 @@ class FailoverCoordinator:
         acked writes get lost or two eras serve at once.
         """
         now = self._clock()
-        if self.lease_ttl is not None and now < self._lease_expiry:
+        if now < self._lease_expiry:
             self.promotions_refused_lease += 1
             self.last_refusal = (
                 f"lease valid until {self._lease_expiry:.3f} (now {now:.3f})"
@@ -239,10 +229,9 @@ class FailoverCoordinator:
         self.failovers += 1
         self.epoch_history.append(new_epoch)
         self._recorded_acked_lsn = new_primary.acked_lsn
-        if self.lease_ttl is not None:
-            new_primary.adopt_lease(self._mint_lease(new_epoch))
-            if self.gate is not None:
-                new_primary.bind_gate(self.gate)
+        new_primary.adopt_lease(self._mint_lease(new_epoch))
+        if self.gate is not None:
+            new_primary.bind_gate(self.gate)
         self._reset_suspicion()  # the new primary starts with a fresh budget
         for listener in self._failover_listeners:
             listener(new_primary)
@@ -264,11 +253,10 @@ class FailoverCoordinator:
             "replicas": [replica.stats() for replica in self.replicas],
             "suspected": self.primary_suspected(),
             "suspicion_debt": self._debt,
-            "suspicion_threshold": self.suspicion_threshold,
             "misses": self.misses,
             "suspicions": self.suspicions,
             "lease_ttl": self.lease_ttl,
-            "lease_expiry": self._lease_expiry if self.lease_ttl is not None else None,
+            "lease_expiry": self._lease_expiry,
             "recorded_acked_lsn": self._recorded_acked_lsn,
             "promotions_refused_lease": self.promotions_refused_lease,
             "promotions_refused_watermark": self.promotions_refused_watermark,

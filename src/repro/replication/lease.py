@@ -117,13 +117,3 @@ class ControlLink:
         self.primary = primary
         self.up = True
         self.down = True
-
-    def stats(self) -> dict:
-        return {
-            "up": self.up,
-            "down": self.down,
-            "heartbeats_delivered": self.heartbeats_delivered,
-            "heartbeats_lost": self.heartbeats_lost,
-            "leases_delivered": self.leases_delivered,
-            "leases_lost": self.leases_lost,
-        }

@@ -71,9 +71,8 @@ class PrimaryNode:
         self.epoch = epoch
         self.name = name
         self.links: list[ReplicationLink] = []
-        # Lease gating (DESIGN.md §16): until a coordinator grants one,
-        # ``lease`` is None and the node serves ungated (legacy mode —
-        # standalone primaries and fence-only clusters keep working).
+        # Lease gating (DESIGN.md §16): a coordinator grants the lease;
+        # a standalone primary has none and serves ungated.
         self._clock = clock
         self.lease: Lease | None = None
         self.isolated_refusals = 0
@@ -136,24 +135,20 @@ class PrimaryNode:
         return max((link.acked_lsn for link in self.links), default=0)
 
     def heartbeat(self, coordinator) -> None:
-        """Tell the failover coordinator this primary is alive.
-
-        When the coordinator runs lease-gated promotion the accepted
-        heartbeat returns a renewed :class:`Lease`, which this node
-        adopts; without leases nothing comes back and the call degrades
-        to the legacy liveness notification."""
+        """Tell the failover coordinator this primary is alive and
+        adopt the renewed :class:`Lease` an accepted heartbeat returns."""
         self.adopt_lease(coordinator.heartbeat_from(self))
 
     # -- lease gating ---------------------------------------------------------
 
     def adopt_lease(self, lease: Lease | None) -> None:
-        """Install a coordinator-granted lease (None is ignored, so an
-        ungated heartbeat round trip changes nothing)."""
+        """Install a coordinator-granted lease (None — the coordinator
+        refused a deposed primary — is ignored)."""
         if lease is not None:
             self.lease = lease
 
     def is_isolated(self) -> bool:
-        """Whether this node is lease-gated *and* its lease expired.
+        """Whether this node holds a lease *and* it has expired.
 
         An isolated node must refuse reads and writes: its heartbeats
         stopped reaching the coordinator, so for all it knows a standby
@@ -215,17 +210,6 @@ class PrimaryNode:
         return {
             link.replica.name: max(0, last - link.replica.applied_lsn)
             for link in self.links
-        }
-
-    def stats(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "last_lsn": self.database.wal.last_lsn,
-            "acked_lsn": self.acked_lsn,
-            "links": [link.stats() for link in self.links],
-            "mode": self.mode,
-            "lease_expires_at": None if self.lease is None else self.lease.expires_at,
-            "isolated_refusals": self.isolated_refusals,
         }
 
 
@@ -421,7 +405,6 @@ class ReplicaNode:
                 maintenance_strategy=spec["maintenance_strategy"],
                 o1_cache_size=spec["o1_cache_size"],
                 executor_options=spec["executor_options"],
-                maintainer_options=spec["maintainer_options"],
             )
 
     def promote(

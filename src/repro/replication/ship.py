@@ -162,16 +162,3 @@ class ReplicationLink:
         if not self.partitioned:
             self.acked_lsn = max(self.acked_lsn, self.replica.applied_lsn)
         return self.acked_lsn
-
-    def stats(self) -> dict:
-        return {
-            "acked_lsn": self.acked_lsn,
-            "partitioned": self.partitioned,
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "reordered": self.reordered,
-            "partitions": self.partitions,
-            "stale_epoch_rejects": self.stale_epoch_rejects,
-        }

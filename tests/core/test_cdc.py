@@ -18,7 +18,7 @@ from repro.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.faults.check import InvariantViolation, check_view_against_database
 from repro.faults.plan import FaultMode, FaultSpec
 from repro.qos.admission import AdmissionController
-from repro.qos.breaker import CircuitBreaker
+from repro.qos.breaker import FAILURE_THRESHOLD, CircuitBreaker
 from repro.qos.governor import DegradationGovernor, GovernorConfig, QoSState
 from tests.conftest import eqt_query
 
@@ -118,7 +118,7 @@ class TestFeedWiring:
         db, eqt, manager, view, executor = world
         go_async(manager, splitter=HeavyLightSplitter(default_hot=True))
         reader = db.begin(read_only=True)
-        reader.lock_shared(view.name)
+        reader.lock_shared(view.name, wait=False)
         with pytest.raises(LockError):
             db.delete_where("r", lambda row: row["id"] == 1)
         reader.commit()
@@ -162,18 +162,6 @@ class TestRouting:
         db.delete_where("r", lambda row: row["a"] == victim)  # f == 1: cold
         assert view.metrics.maintenance_deferred == 1
         assert maintainer.lag(view) == 1
-
-    def test_residency_splitter_marks_resident_parts_hot(self, world):
-        db, eqt, manager, view, executor = world
-        splitter = HeavyLightSplitter.from_residency(view)
-        maintainer = go_async(manager, splitter=splitter)
-        victim = view.lookup((1, 2))[0]["r.a"]
-        # (f=1, g=2) is resident, so its deletes route hot...
-        db.delete_where("r", lambda row: row["a"] == victim)
-        assert maintainer.lag(view) == 0
-        # ...while a non-resident part's delete routes cold.
-        db.delete_where("r", lambda row: row["f"] == 5 and row["id"] < 12)
-        assert view.metrics.maintenance_deferred >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +243,10 @@ class TestDrain:
     def test_lock_denial_requeues_and_yields(self, world):
         db, eqt, manager, view, executor = world
         maintainer = go_async(manager)
-        maintainer._registered[view.name].x_lock_wait = False
         victim = view.lookup((1, 2))[0]["r.a"]
         db.delete_where("r", lambda row: row["a"] == victim)
         reader = db.begin(read_only=True)
-        reader.lock_shared(view.name)
+        reader.lock_shared(view.name, wait=False)
         assert maintainer.drain() == 0
         assert maintainer.lock_yields == 1
         assert len(db.outbox) == 1  # requeued, not lost
@@ -270,14 +257,15 @@ class TestDrain:
     def test_breaker_gates_drain_lock_acquisition(self, world):
         db, eqt, manager, view, executor = world
         maintainer = go_async(manager)
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=999.0)
+        breaker = CircuitBreaker(clock=lambda: 0.0)
         maintainer._registered[view.name].breaker = breaker
-        breaker.record_failure()
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
         victim = view.lookup((1, 2))[0]["r.a"]
         db.delete_where("r", lambda row: row["a"] == victim)
         reader = db.begin(read_only=True)
-        reader.lock_shared(view.name)
+        reader.lock_shared(view.name, wait=False)
         # Open breaker: a single no-wait attempt, no parking, a yield.
         assert maintainer.drain() == 0
         assert maintainer.lock_yields == 1
@@ -445,20 +433,6 @@ class TestManagerWiring:
         am.register(managed)
         assert view.async_maintenance
         assert managed.maintainer.async_mode
-
-    def test_unregister_returns_view_to_eager(self, world):
-        db, eqt, manager, view, executor = world
-        maintainer = go_async(manager)
-        maintainer.unregister(view.name)
-        assert not view.async_maintenance
-        before = view.stored_tuple_count
-        victim = view.lookup((1, 2))[0]["r.a"]
-        db.delete_where("r", lambda row: row["a"] == victim)
-        # Eager again: maintained at write time despite the live outbox.
-        assert all(
-            row["r.a"] != victim for row in (view.lookup((1, 2)) or [])
-        )
-        assert view.stored_tuple_count < before
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,7 @@ class TestBypassedExecution:
         if how == "lock":
             # Maintenance in flight: another transaction holds X.
             writer = world.db.begin()
-            writer.lock_exclusive(world.view.name)
+            writer.lock_exclusive(world.view.name, wait=False)
             return world, "bypassed_lock"
         world.manager.enable_async_maintenance()
         world.db.insert("s", (11, 9, "lag"))  # undrained: the view trails by 1

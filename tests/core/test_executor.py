@@ -161,7 +161,7 @@ class TestLocking:
         # still complete and correct.
         eqt_executor.lock_timeout = 0.01  # keep the test fast
         writer = eqt_db.begin()
-        writer.lock_exclusive(eqt_pmv.name)
+        writer.lock_exclusive(eqt_pmv.name, wait=False)
         result = run(eqt_executor, eqt, [1], [2])
         assert result.metrics.bypassed_lock
         assert result.partial_rows == []
@@ -178,7 +178,7 @@ class TestLocking:
         eqt_executor.lock_timeout = 0.01
         run(eqt_executor, eqt, [1], [2])  # warm the view
         writer = eqt_db.begin()
-        writer.lock_exclusive(eqt_pmv.name)
+        writer.lock_exclusive(eqt_pmv.name, wait=False)
         result = eqt_executor.preview(eqt_query(eqt, [1], [2]))
         assert result.metrics.bypassed_lock
         assert result.partial_rows == [] and result.remaining_rows == []

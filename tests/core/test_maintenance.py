@@ -201,7 +201,7 @@ class TestLocking:
         db, eqt, pmv, executor = warmed
         PMVMaintainer(db, pmv).attach()
         reader = db.begin(read_only=True)
-        reader.lock_shared(pmv.name)
+        reader.lock_shared(pmv.name, wait=False)
         from repro.errors import LockError
 
         with pytest.raises(LockError):

@@ -12,6 +12,7 @@ from repro.core.metrics import PMVMetrics, QoSMetrics
 from repro.core.view import entries_for_budget
 from repro.engine import Database
 from repro.errors import LockError, OverloadError, QoSError, ViewCapacityError
+from repro.qos.breaker import FAILURE_THRESHOLD
 from repro.qos import (
     AdmissionController,
     CircuitBreaker,
@@ -179,10 +180,16 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 
 
+def _tripped(breaker):
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         breaker.record_success()  # success resets the streak
         breaker.record_failure()
@@ -194,8 +201,7 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_and_close(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0, clock=clock)
-        breaker.record_failure()
+        breaker = _tripped(CircuitBreaker(clock=clock))
         assert not breaker.allow_retries()
         clock.advance(1.5)
         assert breaker.state == "half_open"
@@ -206,8 +212,7 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0, clock=clock)
-        breaker.record_failure()
+        breaker = _tripped(CircuitBreaker(clock=clock))
         clock.advance(1.5)
         assert breaker.allow_retries()
         breaker.record_failure()
@@ -215,8 +220,7 @@ class TestCircuitBreaker:
 
     def test_metrics_report_transitions(self):
         metrics = QoSMetrics()
-        breaker = CircuitBreaker(failure_threshold=1, metrics=metrics)
-        breaker.record_failure()
+        breaker = _tripped(CircuitBreaker(metrics=metrics))
         assert metrics.snapshot()["breaker_state"] == "open"
         assert metrics.snapshot()["breaker_opens"] == 1
         breaker.reset()
@@ -459,11 +463,10 @@ class TestBreakerGatedMaintenance:
         database = eqt_manager.database
         maintainer = eqt_manager.maintainer("Eqt")
         view = eqt_manager.view("Eqt")
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
-        breaker.record_failure()
+        breaker = _tripped(CircuitBreaker(clock=FakeClock()))
         maintainer.breaker = breaker
         reader = database.begin()
-        reader.lock_shared(view.name)
+        reader.lock_shared(view.name, wait=False)
         retries_before = view.metrics.maintenance_lock_retries
         target = next(iter(database.catalog.relation("r").scan()))[0]
         with pytest.raises(LockError):
@@ -476,8 +479,7 @@ class TestBreakerGatedMaintenance:
         database = eqt_manager.database
         maintainer = eqt_manager.maintainer("Eqt")
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0, clock=clock)
-        breaker.record_failure()
+        breaker = _tripped(CircuitBreaker(clock=clock))
         maintainer.breaker = breaker
         clock.advance(2.0)  # half-open: the probe goes through the retry path
         target = next(iter(database.catalog.relation("r").scan()))[0]

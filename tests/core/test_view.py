@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.view import (
-    NOMINAL_TUPLE_BYTES,
     PartialMaterializedView,
     entries_for_budget,
 )
@@ -39,6 +38,10 @@ def make_view(eqt, F=2, entries=4, policy="clock", aux=()):
         policy=policy,
         aux_index_columns=aux,
     )
+
+
+def add_tuple(view, key, row):
+    return view.add_value_tuple(key, row.values, row.schema)
 
 
 def result_row(schema, a, e, f, g):
@@ -112,33 +115,31 @@ class TestKeyRecovery:
         view = PartialMaterializedView(template, disc, 2, 4)
         schema = template_result_schema(template, eqt_db)
         assert view.key_of_row(result_row(schema, "a", "e", 1, 3)) == (1, 1)
-        bcp = view.bcp_of_row(result_row(schema, "a", "e", 1, 3))
-        assert bcp.key == (1, 1)
 
 
 class TestStorage:
     def test_add_requires_residency(self, setup):
         _, eqt, schema = setup
         view = make_view(eqt)
-        assert not view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        assert not add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         view.reference((1, 2))
-        assert view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        assert add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         assert view.tuple_count((1, 2)) == 1
 
     def test_f_bound_enforced(self, setup):
         _, eqt, schema = setup
         view = make_view(eqt, F=2)
         view.reference((1, 2))
-        assert view.add_tuple((1, 2), result_row(schema, "a1", "e", 1, 2))
-        assert view.add_tuple((1, 2), result_row(schema, "a2", "e", 1, 2))
-        assert not view.add_tuple((1, 2), result_row(schema, "a3", "e", 1, 2))
+        assert add_tuple(view, (1, 2), result_row(schema, "a1", "e", 1, 2))
+        assert add_tuple(view, (1, 2), result_row(schema, "a2", "e", 1, 2))
+        assert not add_tuple(view, (1, 2), result_row(schema, "a3", "e", 1, 2))
         assert view.metrics.tuples_rejected_full == 1
 
     def test_lookup_returns_copy(self, setup):
         _, eqt, schema = setup
         view = make_view(eqt)
         view.reference((1, 2))
-        view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         cached = view.lookup((1, 2))
         cached.clear()
         assert view.tuple_count((1, 2)) == 1
@@ -153,7 +154,7 @@ class TestStorage:
         view = make_view(eqt, entries=2)
         for f in (1, 2, 3):
             view.reference((f, 0))
-            view.add_tuple((f, 0), result_row(schema, "a", "e", f, 0))
+            add_tuple(view, (f, 0), result_row(schema, "a", "e", f, 0))
         assert view.entry_count == 2
         assert view.metrics.entries_evicted == 1
         view.check_invariants()
@@ -163,16 +164,16 @@ class TestStorage:
         view = make_view(eqt, policy="2q")
         result = view.reference((1, 2))
         assert not result.admitted
-        assert not view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        assert not add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         view.reference((1, 2))  # promotes
-        assert view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        assert add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
 
     def test_remove_tuple_recovers_bcp(self, setup):
         _, eqt, schema = setup
         view = make_view(eqt)
         target = result_row(schema, "a", "e", 1, 2)
         view.reference((1, 2))
-        view.add_tuple((1, 2), target)
+        add_tuple(view, (1, 2), target)
         assert view.remove_tuple(result_row(schema, "a", "e", 1, 2))
         assert view.tuple_count((1, 2)) == 0
         assert not view.remove_tuple(target)
@@ -181,9 +182,9 @@ class TestStorage:
         _, eqt, schema = setup
         view = make_view(eqt)
         view.reference((1, 2))
-        view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         assert view.discard_entry((1, 2))
-        assert not view.contains((1, 2))
+        assert view.lookup((1, 2)) is None
         assert not view.policy.contains((1, 2))
         view.check_invariants()
 
@@ -197,19 +198,10 @@ class TestSizeAccounting:
         after_key = view.current_bytes
         assert after_key > 0
         target = result_row(schema, "a", "e", 1, 2)
-        view.add_tuple((1, 2), target)
+        add_tuple(view, (1, 2), target)
         assert view.current_bytes == after_key + target.byte_size()
         view.discard_entry((1, 2))
         assert view.current_bytes == 0
-
-    def test_average_tuple_bytes(self, setup):
-        _, eqt, schema = setup
-        view = make_view(eqt)
-        assert view.average_tuple_bytes == NOMINAL_TUPLE_BYTES
-        view.reference((1, 2))
-        target = result_row(schema, "aa", "ee", 1, 2)
-        view.add_tuple((1, 2), target)
-        assert view.average_tuple_bytes == target.byte_size()
 
 
 class TestAuxIndexes:
@@ -217,7 +209,7 @@ class TestAuxIndexes:
         _, eqt, schema = setup
         view = make_view(eqt, aux=("r.a",))
         view.reference((1, 2))
-        view.add_tuple((1, 2), result_row(schema, "hot", "e", 1, 2))
+        add_tuple(view, (1, 2), result_row(schema, "hot", "e", 1, 2))
         assert view.entries_with_value("r.a", "hot") == [(1, 2)]
         assert view.entries_with_value("r.a", "cold") == []
 
@@ -226,8 +218,8 @@ class TestAuxIndexes:
         view = make_view(eqt, aux=("r.a",))
         view.reference((1, 2))
         view.reference((3, 2))
-        view.add_tuple((1, 2), result_row(schema, "x", "e1", 1, 2))
-        view.add_tuple((3, 2), result_row(schema, "x", "e2", 3, 2))
+        add_tuple(view, (1, 2), result_row(schema, "x", "e1", 1, 2))
+        add_tuple(view, (3, 2), result_row(schema, "x", "e2", 3, 2))
         rows = view.rows_with_value("r.a", "x")
         assert len(rows) == 2
 
@@ -235,7 +227,7 @@ class TestAuxIndexes:
         _, eqt, schema = setup
         view = make_view(eqt, entries=1, aux=("r.a",))
         view.reference((1, 2))
-        view.add_tuple((1, 2), result_row(schema, "x", "e", 1, 2))
+        add_tuple(view, (1, 2), result_row(schema, "x", "e", 1, 2))
         view.reference((5, 5))  # evicts (1,2)
         assert view.entries_with_value("r.a", "x") == []
 
@@ -251,7 +243,7 @@ class TestInvariantChecker:
         _, eqt, schema = setup
         view = make_view(eqt, F=1)
         view.reference((1, 2))
-        view.add_tuple((1, 2), result_row(schema, "a", "e", 1, 2))
+        add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         view._entries[(1, 2)].values.append(result_row(schema, "b", "e", 1, 2).values)
         with pytest.raises(ViewCapacityError):
             view.check_invariants()

@@ -50,11 +50,6 @@ class TestLayouts:
         assert empty_cols.tuples() == []
         assert len(empty_cols) == 0
 
-    def test_from_rows(self, schema):
-        rows = [Row(t, schema) for t in TUPLES]
-        batch = ColumnBatch.from_rows(rows, schema)
-        assert batch.tuples() == TUPLES
-
     def test_rows_materialization(self, schema):
         batch = ColumnBatch.from_tuples(list(TUPLES), schema)
         rows = batch.rows()

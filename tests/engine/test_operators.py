@@ -132,10 +132,10 @@ class TestProjectFilterMaterialize:
         consumed = []
 
         class Recording(SeqScan):
-            def execute(self):
-                for row in super().execute():
-                    consumed.append(row)
-                    yield row
+            def execute_batches(self):
+                for batch in super().execute_batches():
+                    consumed.extend(batch)
+                    yield batch
 
         plan = Materialize(Recording(relation))
         iterator = plan.execute()

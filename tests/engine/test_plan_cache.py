@@ -17,8 +17,8 @@ from repro.engine import (
     QueryTemplate,
     SelectionSlot,
     SlotForm,
-    plan_query,
 )
+from repro.engine.database import PlanCache
 from tests.conftest import eqt_query
 
 
@@ -46,7 +46,7 @@ def _bind(template, values):
 
 def _fresh(db, query):
     """The uncached reference: a from-scratch compile + bind."""
-    plan = plan_query(db.catalog, query, statistics=db.statistics)
+    plan = PlanCache(db.catalog).plan(query, True, statistics=db.statistics)
     return [tuple(r.values) for r in plan.run()]
 
 

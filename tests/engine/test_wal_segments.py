@@ -139,6 +139,25 @@ class TestReclaim:
         # Past the pruned horizon the archive still serves.
         assert [r.lsn for r in wal.records(after_lsn=wal.pruned_lsn)]
 
+    def test_load_restores_pruned_horizon_and_custom_archive_dir(self, tmp_path):
+        """A reloaded pruned log fails as loudly as the live one did,
+        instead of streaming a history that starts mid-way."""
+        wal = segmented(
+            tmp_path, archive_dir=str(tmp_path / "cold"), archive_max_bytes=600
+        )
+        db = build_db(wal)
+        fill(db, 60)
+        snapshot_checkpoint(db)
+        assert wal.pruned_lsn > 0
+        wal.close()
+        reloaded = WriteAheadLog.load(wal.path, archive_dir=wal.archive_dir)
+        assert reloaded.pruned_lsn == wal.pruned_lsn
+        with pytest.raises(EngineError, match="bootstrap from a snapshot"):
+            list(reloaded.records(after_lsn=0))
+        assert [r.lsn for r in reloaded.records(after_lsn=reloaded.pruned_lsn)] == [
+            r.lsn for r in wal.records(after_lsn=wal.pruned_lsn)
+        ]
+
     def test_load_directory_restores_archive_state(self, tmp_path):
         wal = segmented(tmp_path)
         db = build_db(wal)

@@ -58,16 +58,13 @@ class TestProtocolEnforced:
     def test_maintenance_denied_while_query_holds_s_lock(
         self, eqt_db, eqt, eqt_pmv, eqt_executor
     ):
-        # Fast-fail knobs: the reader never releases, so waiting is
-        # pointless and the statement must abort with a LockError.
-        PMVMaintainer(
-            eqt_db, eqt_pmv, x_lock_timeout=0.01, x_lock_retries=1,
-            x_lock_backoff=0.001,
-        ).attach()
+        # The reader never releases, so the statement waits out its
+        # retry budget and must abort with a LockError.
+        PMVMaintainer(eqt_db, eqt_pmv).attach()
         eqt_executor.execute(eqt_query(eqt, [1], [2]))
         reader = eqt_db.begin(read_only=True)
         # The query is "between O2 and O3": it holds the S lock.
-        reader.lock_shared(eqt_pmv.name)
+        reader.lock_shared(eqt_pmv.name, wait=False)
         with pytest.raises(LockError):
             eqt_db.delete_where("r", lambda row: row["f"] == 1)
         reader.commit()
@@ -83,7 +80,7 @@ class TestProtocolEnforced:
         # still returns the complete answer.
         eqt_executor.lock_timeout = 0.01
         writer = eqt_db.begin()
-        writer.lock_exclusive(eqt_pmv.name)
+        writer.lock_exclusive(eqt_pmv.name, wait=False)
         degraded = eqt_executor.execute(eqt_query(eqt, [1], [2]))
         assert degraded.metrics.bypassed_lock
         assert degraded.metrics.remaining_tuples > 0
@@ -131,7 +128,7 @@ class TestAnomalyWithoutProtocol:
         eqt_executor.execute(eqt_query(eqt, [1], [2]))
         assert eqt_pmv.tuple_count((1, 2)) == 2
         reader = eqt_db.begin(read_only=True)
-        reader.lock_shared(eqt_pmv.name)
+        reader.lock_shared(eqt_pmv.name, wait=False)
         # No LockError: the unsafe maintainer ignores the protocol and
         # shrinks the PMV out from under the reader.
         eqt_db.delete_where("s", lambda row: row["g"] == 2)
@@ -146,10 +143,7 @@ class TestSerializableSequences:
         """Two O2 probes inside one transaction see the same PMV state
         because the S lock is held for the transaction's duration and
         writers are denied in between."""
-        PMVMaintainer(
-            eqt_db, eqt_pmv, x_lock_timeout=0.01, x_lock_retries=1,
-            x_lock_backoff=0.001,
-        ).attach()
+        PMVMaintainer(eqt_db, eqt_pmv).attach()
         eqt_executor.execute(eqt_query(eqt, [1], [2]))
         txn = eqt_db.begin(read_only=True)
         first = eqt_executor.preview(eqt_query(eqt, [1], [2]), txn=txn)
@@ -181,7 +175,7 @@ class TestThreadedProtocol:
     ):
         """A maintenance X request against a live S holder PARKS (it no
         longer fails fast) and completes once the reader commits."""
-        PMVMaintainer(eqt_db, eqt_pmv, x_lock_timeout=10.0).attach()
+        PMVMaintainer(eqt_db, eqt_pmv).attach()
         reader = eqt_db.begin(read_only=True)
         eqt_executor.execute(eqt_query(eqt, {1}, {2}), txn=reader)  # holds S
         errors = []
@@ -211,8 +205,8 @@ class TestThreadedProtocol:
         """Two S holders that both upgrade wait on each other — a true
         deadlock; the timeout policy must break it, not hang."""
         lm = eqt_db.lock_manager
-        lm.acquire(1, eqt_pmv.name, LockMode.SHARED)
-        lm.acquire(2, eqt_pmv.name, LockMode.SHARED)
+        lm.acquire(1, eqt_pmv.name, LockMode.SHARED, wait=False)
+        lm.acquire(2, eqt_pmv.name, LockMode.SHARED, wait=False)
         outcomes = {}
 
         def upgrade(txn_id):
@@ -242,7 +236,7 @@ class TestThreadedProtocol:
         complete answers, zero LockErrors."""
         executor = PMVExecutor(eqt_db, eqt_pmv, lock_timeout=0.02)
         writer = eqt_db.begin()
-        writer.lock_exclusive(eqt_pmv.name)
+        writer.lock_exclusive(eqt_pmv.name, wait=False)
         results, errors = [], []
 
         def reader(index):

@@ -7,16 +7,17 @@ while clients can still reach everything:
 - **lease-gated** (the fix): the deposed primary self-isolates before
   promotion is allowed, so the stale-router zombie probe is *refused*
   and the history checker passes;
-- **fence-only legacy** (``lease_ttl=None``, the pre-lease
-  configuration): the deposed primary keeps serving through the stale
-  router, and the checker *catches* the zombie-read window — the
-  regression this drill exists to keep caught.
+- **a zombie built by hand**: the same cluster with the lease check
+  unbound from the stale router's gate, so the deposed primary keeps
+  serving through it — and the checker *catches* the zombie-read
+  window, the regression this drill exists to keep caught.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench import nemesis
 from repro.bench.nemesis import NemesisConfig, run_nemesis
 from repro.faults.partition import PartitionPlan
 
@@ -43,9 +44,21 @@ def lease_run():
     return run_nemesis(_config())
 
 
+class _ZombieCluster(nemesis._Cluster):
+    """The drill's cluster, except that the stale router's gate was
+    never bound to the original primary's lease: once deposed, that
+    primary is a zombie that still answers."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.stale_gate.serving_check = None
+
+
 @pytest.fixture(scope="module")
 def legacy_run():
-    return run_nemesis(_config(lease_ttl=None))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nemesis, "_Cluster", _ZombieCluster)
+        return run_nemesis(_config())
 
 
 class TestLeaseGatedRun:
@@ -74,16 +87,16 @@ class TestLeaseGatedRun:
 
 class TestLegacyZombieRegression:
     def test_checker_catches_the_zombie_window(self, legacy_run):
-        """Without leases the deposed-but-reachable primary keeps
-        serving — and the history checker must say so."""
+        """With no lease check on its gate the deposed-but-reachable
+        primary keeps serving — and the history checker must say so."""
         assert legacy_run.failovers >= 1
         assert legacy_run.zombie_probe_serves >= 1
         assert any("zombie-read" in v for v in legacy_run.violations)
         assert not legacy_run.ok
 
     def test_acked_writes_still_survive_without_leases(self, legacy_run):
-        """Fence-only mode lies about serving, but semi-sync still
-        protects durability: no acked-write-loss flavour violations."""
+        """The zombie lies about serving, but semi-sync still protects
+        durability: no acked-write-loss flavour violations."""
         assert not any(
             "acked-write-loss" in v or "duplicate-application" in v
             for v in legacy_run.violations

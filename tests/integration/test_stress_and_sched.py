@@ -62,9 +62,7 @@ class TestInterleavingScheduler:
 
     def test_handle_and_stats(self):
         sched = InterleavingScheduler(42)
-        assert sched.handle() == "sched/42"
-        stats = sched.stats()
-        assert stats == {"decisions": 0, "deadlocks_seen": 0, "threads": 0}
+        assert (sched.seed, sched.decisions, sched.deadlocks_seen) == (42, 0, 0)
 
 
 class TestStressDriver:
@@ -80,6 +78,20 @@ class TestStressDriver:
         # Nothing may stay locked once every worker has finished.
         assert result.lock_stats["active_objects"] == 0
         assert result.lock_stats["queued"] == 0
+
+    def test_aborted_statements_leave_no_trace(self):
+        """The aborting writer: a statement that fails after its prepare
+        phase releases its X lock, keeps the old row and its index
+        entries, logs nothing — so the WAL still replays to the live
+        layout and no answer ever sees the aborted values."""
+        config = StressConfig(
+            seed=0, clients=2, writers=1, queries_per_client=4, ops_per_writer=6,
+            deterministic=True,
+        )
+        result = run_stress(config)
+        assert result.aborted_statements == 2 * config.ops_per_writer
+        assert result.ok, (result.mismatches, result.thread_errors)
+        assert result.lock_stats["active_objects"] == 0
 
     def test_scheduled_run_is_deterministic(self):
         outcomes = sweep_interleavings(

@@ -110,21 +110,23 @@ class ClusterWorld:
             max_entries=16,
             aux_index_columns=("r.a", "s.e"),
         )
-        self.primary = PrimaryNode(self.db, manager=self.manager)
+        self.clock = [0.0]
+        self.primary = PrimaryNode(
+            self.db, manager=self.manager, clock=lambda: self.clock[0]
+        )
         self.replicas = [ReplicaNode(f"replica-{n}") for n in (1, 2)]
         for replica in self.replicas:
             self.primary.attach_replica(replica)
         self.primary.ship()
         for replica in self.replicas:
             replica.mirror_views(self.manager)
-        self.clock = [0.0]
         self.gate = ServingGate(self.manager)
         self.coordinator = FailoverCoordinator(
             self.primary,
             self.replicas,
             gate=self.gate,
             heartbeat_interval=1.0,
-            missed_heartbeats=3,
+            lease_ttl=4.0,
             clock=lambda: self.clock[0],
         )
         self.front_end = ClusterFrontEnd(
@@ -138,7 +140,7 @@ class ClusterWorld:
         return PMVClient(self.host, self.port, client_id, **kwargs)
 
     def fail_over(self):
-        self.clock[0] += 10.0
+        self.clock[0] += 10.0  # past the suspicion threshold and the lease
         promoted = self.coordinator.tick()
         assert promoted is not None
         return promoted

@@ -170,9 +170,7 @@ class TestIsolatedFrontEnd:
         longer vouch for (nemesis seeds 9 and 10)."""
         database = check.build_rs(Database(wal=WriteAheadLog()), 12, 6)
         template = check.rs_template("tq")
-        cluster = check.Cluster(
-            database, check.attach_view(database, template), lease_ttl=4.0
-        )
+        cluster = check.Cluster(database, check.attach_view(database, template))
         front_end = ClusterFrontEnd(
             cluster.gate, coordinator=cluster.coordinator, staleness_bound=8
         )

@@ -13,55 +13,44 @@ from repro.errors import (
     OverloadError,
     RetryExhaustedError,
 )
-from repro.net.client import PMVClient, RetryPolicy, _Connection
+from repro.net.client import (
+    BACKOFF_FACTOR,
+    MAX_DELAY,
+    PMVClient,
+    RetryPolicy,
+    _Connection,
+)
 from repro.net.cluster import classify_error
 
 from .conftest import SingleNode
 
 
 class TestJitter:
-    def test_zero_jitter_is_deterministic_ceiling(self):
-        policy = RetryPolicy(base_delay=0.02, factor=2.0, max_delay=0.5, jitter=0)
-        rng = random.Random(1)
-        assert policy.delay(0, rng=rng) == pytest.approx(0.02)
-        assert policy.delay(1, rng=rng) == pytest.approx(0.04)
-        assert policy.delay(10, rng=rng) == pytest.approx(0.5)  # capped
-
-    def test_no_rng_is_deterministic_ceiling(self):
+    def test_delay_is_the_seeded_draw_of_the_ceiling(self):
         policy = RetryPolicy(base_delay=0.02)
-        assert policy.delay(2) == pytest.approx(0.08)
+        draws = random.Random(1)
+        rng = random.Random(1)
+        assert policy.delay(0, rng) == draws.random() * 0.02
+        assert policy.delay(1, rng) == draws.random() * 0.04
+        assert policy.delay(10, rng) == draws.random() * MAX_DELAY  # capped
 
     def test_full_jitter_within_bounds(self):
-        policy = RetryPolicy(base_delay=0.02, factor=2.0, max_delay=0.5)
+        policy = RetryPolicy(base_delay=0.02)
         rng = random.Random(7)
         for attempt in range(12):
-            ceiling = min(0.5, 0.02 * 2.0 ** attempt)
-            delay = policy.delay(attempt, rng=rng)
-            assert 0.0 <= delay <= ceiling
+            ceiling = min(MAX_DELAY, 0.02 * BACKOFF_FACTOR ** attempt)
+            assert 0.0 <= policy.delay(attempt, rng) <= ceiling
 
     def test_lockstep_regression_two_clients_diverge(self):
         """Pre-jitter, every client slept the identical schedule and the
         thundering herd re-collided after each heal.  Seeded full jitter
         breaks the lockstep while staying replayable per client id."""
         policy = RetryPolicy(base_delay=0.02)
-        schedule_a = [
-            policy.delay(i, rng=random.Random("retry:a")) for i in range(6)
-        ]
-        schedule_b = [
-            policy.delay(i, rng=random.Random("retry:b")) for i in range(6)
-        ]
+        schedule_a = [policy.delay(i, random.Random("retry:a")) for i in range(6)]
+        schedule_b = [policy.delay(i, random.Random("retry:b")) for i in range(6)]
         assert schedule_a != schedule_b  # no lockstep
-        replay_a = [
-            policy.delay(i, rng=random.Random("retry:a")) for i in range(6)
-        ]
+        replay_a = [policy.delay(i, random.Random("retry:a")) for i in range(6)]
         assert schedule_a == replay_a  # but replayable
-
-    def test_partial_jitter_fraction(self):
-        policy = RetryPolicy(base_delay=0.1, factor=1.0, max_delay=1.0, jitter=0.5)
-        rng = random.Random(3)
-        for _ in range(20):
-            delay = policy.delay(0, rng=rng)
-            assert 0.05 <= delay <= 0.1  # half fixed, half jittered
 
 
 class TestTimeouts:

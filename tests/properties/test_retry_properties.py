@@ -1,13 +1,11 @@
-"""Property-based retry backoff: jitter always lands inside the
-deterministic ceiling, never goes negative, and replays exactly.
+"""Property-based retry backoff: the delay is exactly the seeded draw
+scaled by the ceiling, never goes negative, and replays exactly.
 
 The invariants the thundering-herd fix rests on:
 
 - for every (policy, attempt, rng draw): ``0 <= delay <= ceiling``
-  where ``ceiling = min(max_delay, base * factor**attempt)`` — jitter
-  may only *shrink* a wait, never extend the worst case;
-- ``jitter=0`` (or no rng) reproduces the exact pre-jitter schedule —
-  the escape hatch really is the old behaviour;
+  where ``ceiling = min(MAX_DELAY, base * BACKOFF_FACTOR**attempt)`` —
+  jitter may only *shrink* a wait, never extend the worst case;
 - the same seed draws the same schedule — a replayed nemesis seed
   retries at the same instants.
 """
@@ -16,44 +14,35 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.net.client import RetryPolicy
+from repro.net.client import BACKOFF_FACTOR, MAX_DELAY, RetryPolicy
 
 policies = st.builds(
     RetryPolicy,
     attempts=st.integers(min_value=1, max_value=10),
     base_delay=st.floats(min_value=1e-4, max_value=1.0),
-    factor=st.floats(min_value=1.0, max_value=4.0),
-    max_delay=st.floats(min_value=1e-4, max_value=10.0),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(policy=policies, attempt=st.integers(min_value=0, max_value=30), seed=st.integers())
 def test_jitter_bounded_by_deterministic_ceiling(policy, attempt, seed):
-    ceiling = min(policy.max_delay, policy.base_delay * policy.factor ** attempt)
-    delay = policy.delay(attempt, rng=random.Random(seed))
-    assert 0.0 <= delay <= ceiling + 1e-12
+    ceiling = min(MAX_DELAY, policy.base_delay * BACKOFF_FACTOR ** attempt)
+    delay = policy.delay(attempt, random.Random(seed))
+    assert 0.0 <= delay <= ceiling
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    base=st.floats(min_value=1e-4, max_value=1.0),
-    factor=st.floats(min_value=1.0, max_value=4.0),
-    max_delay=st.floats(min_value=1e-4, max_value=10.0),
-    attempt=st.integers(min_value=0, max_value=30),
-    seed=st.integers(),
-)
-def test_zero_jitter_is_exactly_the_ceiling(base, factor, max_delay, attempt, seed):
-    policy = RetryPolicy(base_delay=base, factor=factor, max_delay=max_delay, jitter=0)
-    expected = min(max_delay, base * factor ** attempt)
-    assert policy.delay(attempt, rng=random.Random(seed)) == expected
-    assert policy.delay(attempt) == expected  # no rng: same escape hatch
+@given(policy=policies, attempt=st.integers(min_value=0, max_value=30), seed=st.integers())
+def test_delay_is_exactly_the_seeded_draw_of_the_ceiling(policy, attempt, seed):
+    ceiling = min(MAX_DELAY, policy.base_delay * BACKOFF_FACTOR ** attempt)
+    assert policy.delay(attempt, random.Random(seed)) == (
+        random.Random(seed).random() * ceiling
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(policy=policies, seed=st.integers())
 def test_same_seed_replays_identical_schedule(policy, seed):
-    first = [policy.delay(i, rng=random.Random(seed)) for i in range(8)]
-    second = [policy.delay(i, rng=random.Random(seed)) for i in range(8)]
+    first = [policy.delay(i, random.Random(seed)) for i in range(8)]
+    second = [policy.delay(i, random.Random(seed)) for i in range(8)]
     assert first == second

@@ -10,7 +10,7 @@ directed coordinator↔primary channel the nemesis cuts.
 import pytest
 
 from repro.engine import Column, Database, INTEGER, TEXT, WriteAheadLog
-from repro.errors import NodeIsolatedError, ReplicationError
+from repro.errors import NodeIsolatedError
 from repro.replication import (
     ControlLink,
     FailoverCoordinator,
@@ -18,6 +18,7 @@ from repro.replication import (
     PrimaryNode,
     ReplicaNode,
 )
+from repro.replication.coordinator import SUSPICION_THRESHOLD
 
 
 class FakeClock:
@@ -37,7 +38,7 @@ def build_primary(clock, epoch: int = 1) -> PrimaryNode:
     return PrimaryNode(db, epoch=epoch, clock=clock)
 
 
-def build_cluster(lease_ttl=4.0, **kwargs):
+def build_cluster():
     clock = FakeClock()
     primary = build_primary(clock)
     replicas = [ReplicaNode(name="fast"), ReplicaNode(name="slow")]
@@ -47,9 +48,8 @@ def build_cluster(lease_ttl=4.0, **kwargs):
         primary,
         replicas,
         heartbeat_interval=1.0,
-        lease_ttl=lease_ttl,
+        lease_ttl=4.0,
         clock=clock,
-        **kwargs,
     )
     return clock, primary, replicas, coordinator
 
@@ -69,32 +69,26 @@ class TestLease:
         assert primary.lease.expires_at == pytest.approx(6.0)
         assert primary.lease.expires_at > first.expires_at
 
-    def test_lease_ttl_none_is_legacy_mode(self):
-        clock, primary, _, coordinator = build_cluster(lease_ttl=None)
+    def test_standalone_primary_serves_ungated(self):
+        clock = FakeClock()
+        primary = build_primary(clock)  # no coordinator, so no lease
         assert primary.lease is None
-        primary.heartbeat(coordinator)
-        assert primary.lease is None  # nothing comes back, nothing adopted
+        clock.now = 100.0
         assert not primary.is_isolated()
         assert primary.mode == "ACTIVE"
+        primary.check_serving()  # no raise
 
 
 class TestSuspicionHysteresis:
-    def test_threshold_validated(self):
-        clock = FakeClock()
-        primary = build_primary(clock)
-        replica = ReplicaNode(name="r")
-        primary.attach_replica(replica)
-        with pytest.raises(ReplicationError):
-            FailoverCoordinator(
-                primary, [replica], suspicion_threshold=0, clock=clock
-            )
-
     def test_default_threshold_is_missed_heartbeats(self):
-        _, _, _, coordinator = build_cluster(missed_heartbeats=5)
-        assert coordinator.suspicion_threshold == 5
+        clock, _, _, coordinator = build_cluster()
+        clock.now = SUSPICION_THRESHOLD - 0.1
+        assert not coordinator.primary_suspected()
+        clock.now = float(SUSPICION_THRESHOLD)
+        assert coordinator.primary_suspected()
 
     def test_single_late_heartbeat_does_not_suspect(self):
-        clock, primary, _, coordinator = build_cluster(suspicion_threshold=3)
+        clock, primary, _, coordinator = build_cluster()
         clock.now = 2.5  # two whole intervals late
         primary.heartbeat(coordinator)
         clock.now = 3.0
@@ -102,11 +96,9 @@ class TestSuspicionHysteresis:
         assert coordinator.misses == 2
 
     def test_chronic_lateness_accumulates_debt(self):
-        clock, primary, _, coordinator = build_cluster(
-            suspicion_threshold=3, hysteresis=0
-        )
-        # Repeatedly 2 intervals late: each arrival banks 2 debt, pays
-        # back nothing (hysteresis=0) — the third gap crosses 3.
+        clock, primary, _, coordinator = build_cluster()
+        # Repeatedly 2 intervals late: the arrival banks 2 debt and pays
+        # 1 back, so the next 2-interval gap crosses the threshold of 3.
         clock.now = 2.0
         primary.heartbeat(coordinator)
         assert not coordinator.primary_suspected()
@@ -115,9 +107,7 @@ class TestSuspicionHysteresis:
         assert coordinator.suspicions == 1
 
     def test_hysteresis_pays_debt_back(self):
-        clock, primary, _, coordinator = build_cluster(
-            suspicion_threshold=3, hysteresis=1
-        )
+        clock, primary, _, coordinator = build_cluster()
         clock.now = 2.0
         primary.heartbeat(coordinator)  # banks 2, pays 1 -> debt 1
         for i in range(10):  # on-time heartbeats drain the debt
@@ -222,7 +212,7 @@ class TestIsolatedMode:
 
     def test_stats_surface_mode(self):
         clock, primary, _, coordinator = build_cluster()
-        assert primary.stats()["mode"] == "ACTIVE"
+        assert coordinator.stats()["primary_mode"] == "ACTIVE"
         clock.now = 4.5
         stats = coordinator.stats()
         assert stats["primary_mode"] == "ISOLATED"

@@ -99,7 +99,7 @@ class TestNemesis:
         assert len(calls) == 2
         nemesis.advance_to(99)
         assert calls[-1] == ("heal", "cp", "both")
-        assert nemesis.stats()["fired"] == 3
+        assert len(nemesis.fired) == 3
 
     def test_unregistered_link_is_noop(self):
         plan = PartitionPlan([PartitionEvent(0, "cut", "client-server")])

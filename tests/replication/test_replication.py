@@ -394,7 +394,7 @@ def build_cluster():
         primary,
         [fast, slow],
         heartbeat_interval=1.0,
-        missed_heartbeats=3,
+        lease_ttl=4.0,
         clock=clock,
     )
     return primary, fast, slow, fast_link, slow_link, clock, coordinator
@@ -404,7 +404,7 @@ class TestFailoverCoordinator:
     def test_needs_replicas(self):
         primary = build_primary()
         with pytest.raises(ReplicationError):
-            FailoverCoordinator(primary, [])
+            FailoverCoordinator(primary, [], lease_ttl=4.0)
 
     def test_heartbeats_keep_primary_alive(self):
         primary, *_, clock, coordinator = build_cluster()
@@ -469,7 +469,7 @@ class TestFailoverCoordinator:
         clock = FakeClock()
         gate = ServingGate(primary.manager, clock=clock)
         coordinator = FailoverCoordinator(
-            primary, [replica], gate=gate, clock=clock
+            primary, [replica], gate=gate, lease_ttl=4.0, clock=clock
         )
         clock.now = 10.0
         new_primary = coordinator.tick()
@@ -503,9 +503,7 @@ class TestLinkConstruction:
         link = primary.attach_replica(replica)
         primary.database.insert("t", (1, "a"))
         primary.ship()
-        stats = link.stats()
-        assert stats["delivered"] == 3
-        assert stats["acked_lsn"] == primary.database.wal.last_lsn
-        report = primary.stats()
-        assert report["acked_lsn"] == primary.database.wal.last_lsn
+        assert link.delivered == 3
+        assert link.acked_lsn == primary.database.wal.last_lsn
+        assert primary.acked_lsn == primary.database.wal.last_lsn
         assert primary.lag_report() == {"replica": 0}

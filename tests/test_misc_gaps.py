@@ -1,9 +1,11 @@
 """Coverage for small behaviours not exercised elsewhere."""
 
+import itertools
+
 import pytest
 
 from repro.bench.reporting import Series, format_table, scale_note
-from repro.core import Discretization, PartialMaterializedView
+from repro.core import Discretization, PartialMaterializedView, PMVExecutor
 from repro.engine import Column, Database, EqualityDisjunction, INTEGER
 from repro.engine.snapshot import restore_snapshot, take_snapshot
 from repro.errors import ConditionError
@@ -42,10 +44,9 @@ class TestViewIteration:
         view = PartialMaterializedView(eqt, Discretization(eqt), 2, 8)
         view.reference((1, 2))
         from repro.core.maintenance import template_result_schema
-        from repro.engine.row import Row
 
         schema = template_result_schema(eqt, eqt_db)
-        view.add_tuple((1, 2), Row(("a", "e", 1, 2), schema))
+        view.add_value_tuple((1, 2), ("a", "e", 1, 2), schema)
         for _, rows in view.entries():
             rows.clear()
         assert view.tuple_count((1, 2)) == 1
@@ -67,9 +68,12 @@ class TestSnapshotUnderPressure:
 
 
 class TestExecutorMetricsTiming:
-    def test_partial_latency_is_part_of_overhead(self, eqt_db, eqt, eqt_executor):
-        eqt_executor.execute(eqt_query(eqt, [1], [2]))
-        result = eqt_executor.execute(eqt_query(eqt, [1], [2]))
-        metrics = result.metrics
+    def test_partial_latency_is_part_of_overhead(self, eqt_db, eqt, eqt_pmv):
+        # One tick per reading: the ordering of the readings is what is
+        # asserted, not how long this machine took between them.
+        ticks = itertools.count()
+        executor = PMVExecutor(eqt_db, eqt_pmv, clock=lambda: float(next(ticks)))
+        executor.execute(eqt_query(eqt, [1], [2]))
+        metrics = executor.execute(eqt_query(eqt, [1], [2])).metrics
         assert 0 < metrics.partial_latency_seconds <= metrics.overhead_seconds
         assert metrics.execution_seconds > 0
