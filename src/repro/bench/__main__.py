@@ -21,56 +21,8 @@ import os
 import sys
 import time
 
-from dataclasses import asdict
-
 from repro.bench import figures
-from repro.bench.cdc import run_cdc
-from repro.bench.endurance import run_endurance
-from repro.bench.failover import sweep as run_failover_sweep
-from repro.bench.nemesis import run_sweep as run_nemesis_sweep
-from repro.bench.netload import run_netload
-from repro.bench.overload import run_overload
 from repro.bench.reporting import Series
-
-
-def _run_overload(verbose: bool = True):
-    return asdict(run_overload(verbose=verbose))
-
-
-def _run_failover(verbose: bool = True):
-    return asdict(run_failover_sweep([0, 1], verbose=verbose))
-
-
-def _run_netload(verbose: bool = True):
-    report = run_netload(verbose=verbose)
-    payload = asdict(report)
-    payload["ok"] = report.ok
-    return payload
-
-
-def _run_cdc(verbose: bool = True):
-    report = run_cdc(verbose=verbose)
-    payload = asdict(report)
-    payload["ok"] = report.ok
-    return payload
-
-
-def _run_nemesis(verbose: bool = True):
-    # The nemesis-smoke CI sweep; 9 and 10 are the regression seeds for
-    # the isolated front end that kept routing reads to standbys.
-    reports = run_nemesis_sweep(list(range(12)), verbose=verbose)
-    return {
-        "ok": all(report.ok for report in reports),
-        "seeds": [dict(asdict(report), ok=report.ok) for report in reports],
-    }
-
-
-def _run_endurance(verbose: bool = True):
-    report = run_endurance(verbose=verbose)
-    payload = asdict(report)
-    payload["ok"] = report.ok
-    return payload
-
 
 EXPERIMENTS = {
     "table1": figures.run_table1,
@@ -81,12 +33,6 @@ EXPERIMENTS = {
     "fig10": figures.run_fig10,
     "fig11": figures.run_fig11,
     "fig12": figures.run_fig12,
-    "overload": _run_overload,
-    "failover": _run_failover,
-    "cdc": _run_cdc,
-    "netload": _run_netload,
-    "nemesis": _run_nemesis,
-    "endurance": _run_endurance,
 }
 
 

@@ -1,6 +1,6 @@
 """CDC drill: async maintenance converges, and its staleness is honest.
 
-Three phases:
+The fault-free run (schedule ``none``) has two phases:
 
 - **convergence** — two identical worlds run the same deterministic
   Zipf-skewed, write-heavy DML stream against a warmed PMV: the *eager*
@@ -15,98 +15,57 @@ Three phases:
   window, then replays the log (:mod:`repro.check.oracle`): the truth
   at the answer's LSN must be contained in it, and every tuple served
   must have been true at some LSN within the stamped staleness window
-  (the stamp is a *true* upper bound, checked by replay, not trusted);
-- **crash sweep** — a bounded torture sweep over the ``outbox.*``
-  fault sites (crash before/after the feed append, error and crash
-  mid-drain) reusing the CDC torture harness.
+  (the stamp is a *true* upper bound, checked by replay, not trusted).
 
-Run it::
-
-    python -m repro.bench.cdc --report CDC_report.json
-    python -m repro.bench cdc
+Every other point is one crash of the ``torture-cdc`` workload at an
+``outbox.*`` fault site (crash before/after the feed append, error and
+crash mid-drain), :data:`SWEEP_POINTS` of them by even stride.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import replace
 
-from repro.bench.torture import sweep as torture_sweep
+from repro.bench.torture import enumerate_points, run_point
 from repro.check import (
     Answer,
+    Drill,
+    Outcome,
     Replay,
     attach_view,
     bind,
     build_rs,
     check_answers,
+    handle,
     multiset,
     rs_template,
+    sample,
 )
 from repro.engine import Database, WriteAheadLog
+from repro.faults import FaultSpec
 from repro.workload import ZipfianDistribution
 
-__all__ = ["CdcBenchConfig", "CdcReport", "run_cdc", "main"]
+__all__ = ["DRILL", "run"]
 
 N_F = 6
 N_G = 4
 N_C = 8
+ROWS_R = 320
+ROWS_S = 240
+"""High join fanout (``ROWS_S / N_C`` s-matches per r row) makes eager
+delta maintenance expensive; the async write path never touches it."""
+WRITES = 500
+"""Write ops per world in the convergence phase."""
+ALPHA = 1.07
+"""Zipf skew over the r.f key space (the paper's hot setting)."""
+REPLAY_OPS = 90
+"""Ops in the stamp-replay honesty phase."""
+SWEEP_POINTS = 24
 
 
-@dataclass(frozen=True)
-class CdcBenchConfig:
-    seed: int = 7
-    rows_r: int = 320
-    rows_s: int = 240
-    """High join fanout (``rows_s / N_C`` s-matches per r row) makes
-    eager delta maintenance expensive; the async write path never
-    touches it."""
-    writes: int = 500
-    """Write ops per world in the convergence phase."""
-    alpha: float = 1.07
-    """Zipf skew over the r.f key space (the paper's hot setting)."""
-    replay_ops: int = 90
-    """Ops in the stamp-replay honesty phase."""
-    sweep_ops: int = 60
-    sweep_max_points: int = 24
-
-
-@dataclass
-class CdcReport:
-    """Serialized by ``--report`` — the CI acceptance artifact."""
-
-    seed: int = 0
-    deltas_applied: int = 0
-    eager_skips: int = 0
-    converged_answers_equal: bool = False
-    stamps_verified: int = 0
-    stamp_failures: list[str] = field(default_factory=list)
-    max_staleness_seen: int = 0
-    bypassed_stale: int = 0
-    sweep_points: int = 0
-    sweep_ok: bool = False
-    sweep_divergences: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.converged_answers_equal
-            and not self.stamp_failures
-            and self.sweep_ok
-        )
-
-
-# ---------------------------------------------------------------------------
-# World construction
-# ---------------------------------------------------------------------------
-
-
-def _build_world(config: CdcBenchConfig, async_mode: bool, database=None):
-    db = build_rs(
-        database or Database(), config.rows_r, config.rows_s, domains=(N_C, N_F, N_G)
-    )
+def _build_world(async_mode: bool, database=None):
+    db = build_rs(database or Database(), ROWS_R, ROWS_S, domains=(N_C, N_F, N_G))
     template = rs_template("cq")
     manager = attach_view(
         db,
@@ -121,13 +80,11 @@ def _build_world(config: CdcBenchConfig, async_mode: bool, database=None):
     for f in range(N_F):
         for g in range(N_G):
             executor.execute(bind(template, f, g))
-    maintainer = None
-    if async_mode:
-        maintainer = manager.enable_async_maintenance()
+    maintainer = manager.enable_async_maintenance() if async_mode else None
     return db, manager, template, executor, maintainer
 
 
-def _make_ops(config: CdcBenchConfig, count: int, base_id: int):
+def _make_ops(seed: int, count: int, base_id: int):
     """A deterministic (kind, x, y) op list, Zipf-skewed over r.f.
 
     ``x`` picks the victim row by rank among live ids (delete/update)
@@ -135,9 +92,8 @@ def _make_ops(config: CdcBenchConfig, count: int, base_id: int):
     Both worlds replay the list through :func:`_apply_op`, which
     resolves victims by sorted id, so their heaps evolve identically.
     """
-    zipf = ZipfianDistribution(N_F, config.alpha, seed=config.seed)
-    fs = zipf.sample(count)
-    rng = random.Random(config.seed)
+    fs = ZipfianDistribution(N_F, ALPHA, seed=seed).sample(count)
+    rng = random.Random(seed)
     ops = []
     next_id = base_id
     for k in range(count):
@@ -171,61 +127,44 @@ def _answer(executor, template, f, g):
     return result, multiset(result.all_rows())
 
 
-# ---------------------------------------------------------------------------
-# Phase 1: convergence
-# ---------------------------------------------------------------------------
-
-
-def _check_convergence(config: CdcBenchConfig, report: CdcReport, verbose: bool):
-    ops = _make_ops(config, config.writes, base_id=1_000_000)
-    e_db, e_manager, e_template, e_executor, _ = _build_world(config, async_mode=False)
-    a_db, a_manager, a_template, a_executor, maintainer = _build_world(
-        config, async_mode=True
-    )
-    for op, x, y in ops:
+def _check_convergence(seed: int, outcome: Outcome) -> None:
+    e_db, e_manager, e_template, e_executor, _ = _build_world(async_mode=False)
+    a_db, a_manager, a_template, a_executor, maintainer = _build_world(async_mode=True)
+    for op, x, y in _make_ops(seed, WRITES, base_id=1_000_000):
         _apply_op(e_db, op, x, y)
         _apply_op(a_db, op, x, y)
     maintainer.drain_to_convergence()
     stats = maintainer.stats()
-    report.deltas_applied = stats["deltas_applied"]
-    report.eager_skips = stats["eager_skips"]
+    outcome.counts["deltas_applied"] = stats["deltas_applied"]
+    outcome.counts["eager_skips"] = stats["eager_skips"]
 
     # Post-drain the worlds must agree exactly, cell by cell.
-    equal = True
     for f in range(N_F):
         for g in range(N_G):
             a_result, a_counts = _answer(a_executor, a_template, f, g)
             _, e_counts = _answer(e_executor, e_template, f, g)
             if a_counts != e_counts or a_result.staleness != 0:
-                equal = False
-    report.converged_answers_equal = equal
+                outcome.violations.append(
+                    f"converged async answer at f={f} g={g} differs from the "
+                    f"eager twin (staleness {a_result.staleness})"
+                )
     a_manager.verify_consistency()
     e_manager.verify_consistency()
 
-    if verbose:
-        print(
-            f"  converged: {report.deltas_applied} deltas drained, "
-            f"answers equal: {report.converged_answers_equal}"
-        )
 
-
-# ---------------------------------------------------------------------------
-# Phase 2: stamp replay
-# ---------------------------------------------------------------------------
-
-
-def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
+def _stamp_replay(seed: int, outcome: Outcome) -> None:
     """Interleave writes, partial drains, and queries; verify every
     stamp by replaying the recorded history."""
     db, manager, template, executor, maintainer = _build_world(
-        config, async_mode=True, database=Database(wal=WriteAheadLog())
+        async_mode=True, database=Database(wal=WriteAheadLog())
     )
     executor.freshness_bound = 25
-    rng = random.Random(config.seed + 1)
-    zipf = ZipfianDistribution(N_F, config.alpha, seed=config.seed + 1)
+    rng = random.Random(seed + 1)
+    zipf = ZipfianDistribution(N_F, ALPHA, seed=seed + 1)
     answers: list[Answer] = []
+    counts = {"stamps_verified": 0, "max_staleness_seen": 0, "bypassed_stale": 0}
     next_id = 2_000_000
-    for _ in range(config.replay_ops):
+    for _ in range(REPLAY_OPS):
         roll = rng.random()
         if roll < 0.55:
             kind = rng.choice(("insert", "update", "delete"))
@@ -241,14 +180,13 @@ def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
             result, got = _answer(executor, template, f, g)
             now = db.current_lsn()
             stamp = result.staleness
-            if result.metrics.bypassed_stale:
-                report.bypassed_stale += 1
+            counts["bypassed_stale"] += bool(result.metrics.bypassed_stale)
             if stamp != now - result.applied_lsn:
-                report.stamp_failures.append(
+                outcome.violations.append(
                     f"stamp {stamp} != lsn delta {now - result.applied_lsn}"
                 )
                 continue
-            report.max_staleness_seen = max(report.max_staleness_seen, stamp)
+            counts["max_staleness_seen"] = max(counts["max_staleness_seen"], stamp)
             answers.append(
                 Answer(
                     f"f={f} g={g} (stamp {stamp})",
@@ -259,90 +197,28 @@ def _stamp_replay(config: CdcBenchConfig, report: CdcReport, verbose: bool):
                     low=result.applied_lsn,
                 )
             )
-    report.stamp_failures.extend(
-        str(violation)
-        for violation in check_answers(answers, Replay(db.wal.records()))
+    outcome.violations.extend(
+        map(str, check_answers(answers, Replay(db.wal.records())))
     )
-    report.stamps_verified = len(answers)
+    counts["stamps_verified"] = len(answers)
+    outcome.counts.update(counts)
     maintainer.drain_to_convergence()
     manager.verify_consistency()
-    if verbose:
-        print(
-            f"  stamps: {report.stamps_verified} verified by replay, "
-            f"{len(report.stamp_failures)} failures, "
-            f"max staleness {report.max_staleness_seen}, "
-            f"{report.bypassed_stale} bypassed"
-        )
 
 
-# ---------------------------------------------------------------------------
-# Phase 3: crash sweep
-# ---------------------------------------------------------------------------
+def run(seed: int, schedule: str) -> Outcome:
+    if schedule != "none":
+        crash = run_point(seed, FaultSpec.parse(schedule), cdc=True)
+        return replace(crash, handle=handle("cdc", seed, schedule))
+    outcome = Outcome(handle("cdc", seed, schedule), [])
+    _check_convergence(seed, outcome)
+    _stamp_replay(seed, outcome)
+    return outcome
 
 
-def _crash_sweep(config: CdcBenchConfig, report: CdcReport, verbose: bool):
-    sweep_report = torture_sweep(
-        [config.seed],
-        ops=config.sweep_ops,
-        max_points=config.sweep_max_points,
-        cdc=True,
-        sites=["outbox."],
-        verbose=False,
-    )
-    report.sweep_points = sweep_report.points_run
-    report.sweep_ok = sweep_report.ok
-    report.sweep_divergences = sweep_report.divergences
-    if verbose:
-        print(
-            f"  sweep:  {sweep_report.points_run} outbox.* crash points, "
-            f"{'ALL HELD' if sweep_report.ok else 'DIVERGENCE'}"
-        )
+def _points(seed: int) -> list[str]:
+    specs = [s for s in enumerate_points(seed, cdc=True) if s.site.startswith("outbox.")]
+    return ["none", *sample([spec.describe() for spec in specs], SWEEP_POINTS)]
 
 
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
-
-
-def run_cdc(
-    config: CdcBenchConfig | None = None, verbose: bool = True
-) -> CdcReport:
-    config = config or CdcBenchConfig()
-    report = CdcReport(seed=config.seed)
-    if verbose:
-        print(
-            f"[cdc] {config.writes} Zipf(α={config.alpha}) writes, "
-            f"{config.rows_r}x{config.rows_s} rows, seed {config.seed}"
-        )
-    _check_convergence(config, report, verbose)
-    _stamp_replay(config, report, verbose)
-    _crash_sweep(config, report, verbose)
-    if verbose:
-        print(f"[cdc] {'PASS' if report.ok else 'FAIL'}")
-    return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.cdc",
-        description="Async-maintenance convergence + staleness honesty drill.",
-    )
-    parser.add_argument("--seed", type=int, default=CdcBenchConfig.seed)
-    parser.add_argument("--writes", type=int, default=CdcBenchConfig.writes)
-    parser.add_argument(
-        "--report", metavar="PATH", default=None, help="write a JSON report here"
-    )
-    args = parser.parse_args(argv)
-    config = CdcBenchConfig(seed=args.seed, writes=args.writes)
-    report = run_cdc(config)
-    if args.report:
-        payload = asdict(report)
-        payload["ok"] = report.ok
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"report written to {args.report}")
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+DRILL = Drill("cdc", points=_points, run=run, seeds=(7,))

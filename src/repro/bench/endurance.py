@@ -35,31 +35,25 @@ And at the end, after draining to convergence and a final checkpoint:
   reclaimed segments back from the archive) reproduces exactly the
   acked state: the unique-id ledger shows zero lost and zero
   duplicated acked writes.
-
-Run the CI smoke::
-
-    python -m repro.bench.endurance --ops 600 --report ENDURANCE_report.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
 import shutil
-import sys
 import tempfile
-import time
-from dataclasses import asdict, dataclass, field
 
 from repro.check import (
     RELATIONS,
+    Drill,
+    Outcome,
     WriteLedger,
     attach_view,
     bind,
     build_rs,
     found_ids,
+    handle,
     multiset,
     random_binding,
     rs_template,
@@ -74,46 +68,15 @@ from repro.engine.snapshot import (
 from repro.errors import DiskFullError
 from repro.faults import FaultInjector, FaultMode, FaultPlan, FaultSpec, contents_of
 
-__all__ = ["EnduranceReport", "run_endurance", "main"]
+__all__ = ["DRILL", "run"]
 
-DEFAULT_OPS = 600
+OPS = 600
 SEGMENT_BYTES = 4096
 SPILL_THRESHOLD = 32
 DRAIN_BATCH = 8
 DRAIN_EVERY = 50
 CHECKPOINT_EVERY = 75
 WINDOW_LEN = 12
-
-
-@dataclass
-class EnduranceReport:
-    """Everything the CI artifact needs to explain a red run."""
-
-    ops: int = 0
-    seed: int = 0
-    acked_writes: int = 0
-    refusals: int = 0
-    refusal_sites: dict = field(default_factory=dict)
-    recoveries: int = 0
-    queries_served_during_refusal: int = 0
-    segments_rotated: int = 0
-    segments_reclaimed: int = 0
-    live_segments_final: int = 0
-    live_wal_bytes_final: int = 0
-    live_wal_bytes_peak: int = 0
-    archive_bytes_final: int = 0
-    archive_reads: int = 0
-    spilled_total: int = 0
-    peak_resident: int = 0
-    spill_enospc: int = 0
-    drain_batches: int = 0
-    checkpoints: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _enospc_windows() -> FaultPlan:
@@ -156,11 +119,18 @@ def _setup(workdir: str, injector: FaultInjector):
     return database, manager, template, maintainer, outbox, wal_dir
 
 
-def run_endurance(
-    ops: int = DEFAULT_OPS, seed: int = 0, verbose: bool = False
-) -> EnduranceReport:
-    started = time.monotonic()
-    report = EnduranceReport(ops=ops, seed=seed)
+def run(seed: int, schedule: str = "none") -> Outcome:
+    """The soak; the ENOSPC windows are fixed, so the schedule is ``none``."""
+    outcome = Outcome(handle("endurance", seed, schedule), [])
+    failures = outcome.violations
+    counts = outcome.counts = {
+        "ops": OPS,
+        "acked_writes": 0,
+        "refusals": 0,
+        "queries_served_during_refusal": 0,
+        "checkpoints": 0,
+        "live_bytes_peak": 0,
+    }
     workdir = tempfile.mkdtemp(prefix="pmv-endurance-")
     injector = FaultInjector(_enospc_windows())
     try:
@@ -172,24 +142,19 @@ def run_endurance(
         deleted_ids: set[int] = set()
         next_id = 1
         snapshots: list[str] = []
-        refusal_sites: dict[str, int] = {}
+        refusal_sites: set[str] = set()
 
-        def probe_query():
-            return random_binding(template, rng)
+        def checkpoint() -> None:
+            snapshots.append(snapshot_to_json(wal_checkpoint(database)))
+            counts["checkpoints"] += 1
+            live = database.wal.resource_stats()["live_bytes"]
+            counts["live_bytes_peak"] = max(counts["live_bytes_peak"], live)
 
-        def sample_wal() -> None:
-            stats = database.wal.resource_stats()
-            report.live_wal_bytes_peak = max(
-                report.live_wal_bytes_peak, stats["live_bytes"]
-            )
-
-        for op_no in range(ops):
+        for op_no in range(OPS):
             if op_no and op_no % DRAIN_EVERY == 0:
                 maintainer.drain(max_records=3 * DRAIN_BATCH)
             if op_no and op_no % CHECKPOINT_EVERY == 0:
-                snapshots.append(snapshot_to_json(wal_checkpoint(database)))
-                report.checkpoints += 1
-                sample_wal()
+                checkpoint()
             roll = rng.random()
             lsn_before = database.wal.last_lsn
             try:
@@ -206,94 +171,90 @@ def run_endurance(
                             "s",
                             (rng.randrange(6), rng.randrange(3), f"e{rng.randrange(99)}"),
                         )
-                    report.acked_writes += 1
+                    counts["acked_writes"] += 1
                 elif roll < 0.62:  # delete
                     rows = list(database.catalog.relation("r").scan())
                     if rows:
                         row_id, row = rows[rng.randrange(len(rows))]
                         database.delete("r", row_id)
                         deleted_ids.add(row["id"])
-                        report.acked_writes += 1
+                        counts["acked_writes"] += 1
                 elif roll < 0.72:  # update (never touches the id ledger column)
                     rows = list(database.catalog.relation("r").scan())
                     if rows:
                         row_id, _row = rows[rng.randrange(len(rows))]
                         database.update("r", row_id, a=f"renamed-{rng.randrange(999)}")
-                        report.acked_writes += 1
+                        counts["acked_writes"] += 1
                 else:  # query through the PMV
-                    manager.execute(probe_query())
+                    manager.execute(random_binding(template, rng))
             except DiskFullError as exc:
-                report.refusals += 1
-                refusal_sites[exc.site] = refusal_sites.get(exc.site, 0) + 1
+                counts["refusals"] += 1
+                refusal_sites.add(exc.site)
                 if database.wal.last_lsn != lsn_before:
-                    report.failures.append(
+                    failures.append(
                         f"op {op_no}: disk-full refusal advanced the WAL "
                         f"({lsn_before} -> {database.wal.last_lsn})"
                     )
                 if not database.disk_full:
-                    report.failures.append(
+                    failures.append(
                         f"op {op_no}: refusal did not mark the instance disk_full"
                     )
                 # Read-only degradation: the same instant the write was
                 # refused, a query must still serve.
                 try:
-                    manager.execute(probe_query())
-                    report.queries_served_during_refusal += 1
+                    manager.execute(random_binding(template, rng))
+                    counts["queries_served_during_refusal"] += 1
                 except Exception as exc2:  # noqa: BLE001 - recorded, not raised
-                    report.failures.append(
+                    failures.append(
                         f"op {op_no}: query failed during disk-full window: {exc2!r}"
                     )
             except Exception as exc:  # noqa: BLE001 - any other error is a failure
-                report.failures.append(f"op {op_no}: unexpected {exc!r}")
+                failures.append(f"op {op_no}: unexpected {exc!r}")
                 break
 
         # Steady state: drain everything, then one final checkpoint to
         # drive reclaim down to the minimum live log.
         maintainer.drain_to_convergence()
-        snapshots.append(snapshot_to_json(wal_checkpoint(database)))
-        report.checkpoints += 1
-        sample_wal()
-
-        report.refusal_sites = refusal_sites
-        report.recoveries = database.disk_full_recoveries
+        checkpoint()
         stats = database.wal.resource_stats()
-        report.segments_rotated = stats["segments_rotated"]
-        report.segments_reclaimed = stats["segments_reclaimed"]
-        report.live_segments_final = stats["live_segments"]
-        report.live_wal_bytes_final = stats["live_bytes"]
-        report.archive_bytes_final = stats["archived_bytes"]
         box = outbox.stats()
-        report.spilled_total = box["spilled_total"]
-        report.peak_resident = box["peak_resident"]
-        report.spill_enospc = box["spill_enospc"]
-        report.drain_batches = maintainer.drain_batches
+        counts.update(
+            recoveries=database.disk_full_recoveries,
+            rotated=stats["segments_rotated"],
+            reclaimed=stats["segments_reclaimed"],
+            live_segments=stats["live_segments"],
+            live_bytes=stats["live_bytes"],
+            archived_bytes=stats["archived_bytes"],
+            spilled=box["spilled_total"],
+            peak_resident=box["peak_resident"],
+            spill_enospc=box["spill_enospc"],
+            drain_batches=maintainer.drain_batches,
+        )
 
         # -- resource bounds ------------------------------------------------
-        if report.refusals == 0 or len(refusal_sites) < 2:
-            report.failures.append(
-                f"expected refusals from both ENOSPC sites, got {refusal_sites}"
+        if counts["refusals"] == 0 or len(refusal_sites) < 2:
+            failures.append(
+                f"expected refusals from both ENOSPC sites, got {sorted(refusal_sites)}"
             )
-        if report.recoveries < 2:
-            report.failures.append(
-                f"expected >= 2 disk-full auto-recoveries, got {report.recoveries}"
+        if counts["recoveries"] < 2:
+            failures.append(
+                f"expected >= 2 disk-full auto-recoveries, got {counts['recoveries']}"
             )
-        if report.segments_rotated == 0 or report.segments_reclaimed == 0:
-            report.failures.append(
+        if counts["rotated"] == 0 or counts["reclaimed"] == 0:
+            failures.append(
                 "WAL never rotated or never reclaimed "
-                f"(rotated={report.segments_rotated}, "
-                f"reclaimed={report.segments_reclaimed})"
+                f"(rotated={counts['rotated']}, reclaimed={counts['reclaimed']})"
             )
-        if report.live_segments_final > 3:
-            report.failures.append(
+        if counts["live_segments"] > 3:
+            failures.append(
                 "live WAL not bounded after final checkpoint: "
-                f"{report.live_segments_final} segments, "
-                f"{report.live_wal_bytes_final} bytes"
+                f"{counts['live_segments']} segments, {counts['live_bytes']} bytes"
             )
-        if report.spilled_total == 0:
-            report.failures.append("outbox never spilled — threshold never reached")
-        if report.peak_resident > SPILL_THRESHOLD + WINDOW_LEN + DRAIN_BATCH:
-            report.failures.append(
-                f"outbox resident window unbounded: peak {report.peak_resident}"
+        if counts["spilled"] == 0:
+            failures.append("outbox never spilled — threshold never reached")
+        if counts["peak_resident"] > SPILL_THRESHOLD + WINDOW_LEN + DRAIN_BATCH:
+            failures.append(
+                f"outbox resident window unbounded: peak {counts['peak_resident']}"
             )
 
         # -- convergence: PMV answers equal full execution ------------------
@@ -303,7 +264,7 @@ def run_endurance(
                 got = multiset(manager.execute(query).all_rows())
                 want = multiset(database.run(query))
                 if got != want:
-                    report.failures.append(
+                    failures.append(
                         f"post-convergence divergence at f={f_val} g={g_val}: "
                         f"{sum(got.values())} vs {sum(want.values())} tuples"
                     )
@@ -315,59 +276,28 @@ def run_endurance(
         database.wal.close()
         restart_from = snapshots[-2] if len(snapshots) > 1 else snapshots[-1]
         log = WriteAheadLog.load(wal_dir)
-        report.archive_reads = log.archive_reads
         recovered = recover_from_snapshot(snapshot_from_json(restart_from), log)
-        report.archive_reads = log.archive_reads
+        counts["archive_reads"] = log.archive_reads
         if contents_of(recovered, RELATIONS) != contents_of(database, RELATIONS):
-            report.failures.append(
+            failures.append(
                 "restart from snapshot + log suffix diverged from the "
                 "live pre-shutdown state"
             )
         found = found_ids(recovered)
         verdict = WriteLedger(inserted_ids, deleted_ids).check(found)
         if verdict["duplicate"]:
-            report.failures.append("ledger: duplicate acked writes after restart")
+            failures.append("ledger: duplicate acked writes after restart")
         lost = verdict["lost"][:5]
         phantom = sorted(set(found) - inserted_ids)[:5] + verdict["resurrected"][:5]
         if lost or phantom:
-            report.failures.append(
+            failures.append(
                 f"ledger: acked-write loss/phantom after restart "
                 f"(lost={lost}, phantom={phantom})"
             )
         outbox.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    report.elapsed_seconds = time.monotonic() - started
-    if verbose:
-        flag = "ok" if report.ok else "FAILED"
-        print(
-            f"endurance [{flag}] ops={report.ops} acked={report.acked_writes} "
-            f"refusals={report.refusals} recoveries={report.recoveries} "
-            f"rotated={report.segments_rotated} reclaimed={report.segments_reclaimed} "
-            f"live_bytes={report.live_wal_bytes_final} "
-            f"spilled={report.spilled_total} peak_resident={report.peak_resident} "
-            f"({report.elapsed_seconds:.1f}s)"
-        )
-        for failure in report.failures:
-            print(f"  FAIL: {failure}")
-    return report
+    return outcome
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ops", type=int, default=DEFAULT_OPS)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--report", type=str, default=None,
-                        help="write the JSON report here (CI artifact)")
-    args = parser.parse_args(argv)
-    report = run_endurance(ops=args.ops, seed=args.seed, verbose=True)
-    if args.report:
-        payload = asdict(report)
-        payload["ok"] = report.ok
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+DRILL = Drill("endurance", points=lambda seed: ["none"], run=run)

@@ -3,20 +3,21 @@
 The drill runs a seeded primary+2-replica topology (a third replica is
 bootstrapped mid-run from a checksummed checkpoint snapshot) through a
 mixed write/query workload with WAL shipping pumped every few ops, then
-crashes the primary at a scheduled fault point — reusing the torture
-harness's crash windows (``wal.append`` crash-before / torn /
-crash-after, ``maintenance.prepare``, ``maintenance.apply``) — and
-drives the :class:`~repro.replication.FailoverCoordinator` through
-detection, epoch fencing, promotion, and serving-gate rewiring.
+crashes the primary at a scheduled fault point — the torture drill's
+crash windows (``wal.append`` crash-before / torn / crash-after,
+``maintenance.prepare``, ``maintenance.apply``), each at the middle
+arrival of its site — and drives the
+:class:`~repro.replication.FailoverCoordinator` through detection, epoch
+fencing, promotion, and serving-gate rewiring.
 
-After every crash the drill asserts the PR's acceptance battery:
+After every crash the drill asserts:
 
 - **zero acked-write loss** — a write is acknowledged only once some
   replica applied it (semi-sync); replaying the driver's own copy of
   the acked op log into a fresh database must reproduce the promoted
   node's contents exactly (op-log replay agreement);
 - **warm PMVs survive** — the promoted node's PMV hit rate over a
-  probe window must be at least ``hit_factor`` × the pre-crash hit
+  probe window must be at least :data:`HIT_FACTOR` × the pre-crash hit
   rate on the primary (the standby cache was maintained, not cold);
 - **honest staleness** — every answer a lagging replica served during
   the run was flagged ``complete=False, degraded_reason="replica_lag"``
@@ -29,25 +30,16 @@ After every crash the drill asserts the PR's acceptance battery:
 - the new primary keeps serving: post-failover writes replicate to the
   surviving replicas and contents converge.
 
-Every point is replayable::
-
-    python -m repro.bench.failover --replay SEED/site:occurrence:mode
-
-Run the CI sweep::
-
-    python -m repro.bench.failover --seeds 2 --report FAILOVER_report.json
+The fault-free run (schedule ``none``) checks convergence and that the
+workload reaches every crash site; a seed whose workload does not
+sweeps only that run.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
-import sys
 import tempfile
-import time
-from dataclasses import asdict, dataclass, field
 
 from repro.check import (
     HEARTBEAT_INTERVAL,
@@ -55,11 +47,14 @@ from repro.check import (
     RELATIONS,
     Answer,
     Cluster,
+    Drill,
+    Outcome,
     Replay,
     attach_view,
     bind,
     build_rs,
     check_answers,
+    handle,
     multiset,
     rs_template,
     strategy_for_seed,
@@ -72,70 +67,26 @@ from repro.faults.inject import build_faulty_database
 from repro.faults.plan import FaultMode
 from repro.replication import ReplicaNode, ShippedRecord
 
-__all__ = [
-    "FailoverConfig",
-    "DrillResult",
-    "DrillReport",
-    "crash_sites_for",
-    "run_drill",
-    "sweep",
-    "main",
-]
+__all__ = ["DRILL", "crash_sites_for", "run_drill"]
 
-DEFAULT_OPS = 120
-DEFAULT_PAGE_SIZE = 256
-DEFAULT_POOL_PAGES = 8
+OPS = 120
+PAGE_SIZE = 256
+POOL_PAGES = 8
 PUMP_EVERY = 3
 """Ops between shipping pumps — the window in which replicas lag."""
+STALENESS_BOUND = 2 * PUMP_EVERY
 PROBE_WINDOW = 30
 """Queries in the pre-crash / post-promotion hit-rate probe windows."""
+HIT_FACTOR = 0.5
+"""Required post/pre PMV hit-rate ratio on the promoted node."""
 
-
-
-@dataclass(frozen=True)
-class FailoverConfig:
-    seed: int = 0
-    ops: int = DEFAULT_OPS
-    page_size: int = DEFAULT_PAGE_SIZE
-    buffer_pool_pages: int = DEFAULT_POOL_PAGES
-    staleness_bound: int = 2 * PUMP_EVERY
-    hit_factor: float = 0.5
-
-
-@dataclass
-class DrillResult:
-    """Outcome of one crash point (or the fault-free enumeration run)."""
-
-    seed: int
-    spec: str | None
-    ok: bool
-    status: str  # failed-over | completed | divergence
-    acked_records: int = 0
-    promoted: str | None = None
-    pre_hit_rate: float = 0.0
-    post_hit_rate: float = 0.0
-    replica_answers: int = 0
-    lagged_answers: int = 0
-    stale_epoch_rejects: int = 0
-    error: str | None = None
-
-    @property
-    def replay(self) -> str:
-        return f"{self.seed}/{self.spec or 'none'}"
-
-
-@dataclass
-class DrillReport:
-    points_run: int = 0
-    failed_over: int = 0
-    completed: int = 0
-    divergences: list[dict] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
+_CRASH_SITES = (
+    ("wal.append", FaultMode.CRASH_BEFORE),
+    ("wal.append", FaultMode.TORN),
+    ("wal.append", FaultMode.CRASH_AFTER),
+    ("maintenance.prepare", FaultMode.CRASH_BEFORE),
+    ("maintenance.apply", FaultMode.CRASH_BEFORE),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +97,19 @@ class DrillReport:
 class _Cluster(Cluster):
     """One drill's topology plus the driver-side ledgers."""
 
-    def __init__(self, config: FailoverConfig, injector: FaultInjector, wal_path: str):
-        self.config = config
+    def __init__(self, seed: int, injector: FaultInjector, wal_path: str):
         database = build_faulty_database(
             injector,
             wal_path,
-            buffer_pool_pages=config.buffer_pool_pages,
-            page_size=config.page_size,
+            buffer_pool_pages=POOL_PAGES,
+            page_size=PAGE_SIZE,
         )
         build_rs(database, 24, 12)
         self.template = rs_template("tq")
         manager = attach_view(
             database,
             self.template,
-            strategy_for_seed(config.seed),
+            strategy_for_seed(seed),
             upper_bound_bytes=4096,
         )
         super().__init__(database, manager)
@@ -191,7 +141,7 @@ class _Cluster(Cluster):
         replica.note_watermark(self.primary.database.wal.last_lsn)
         lag = replica.lag
         try:
-            result = replica.serve(query, staleness_bound=self.config.staleness_bound)
+            result = replica.serve(query, staleness_bound=STALENESS_BOUND)
         except ReplicaLagError:
             # Beyond the bound the read is refused, not served stale —
             # the router would retry on the primary.
@@ -218,8 +168,8 @@ class _Cluster(Cluster):
         """A fresh replay of the acked op log."""
         return Replay(
             self.op_log,
-            buffer_pool_pages=self.config.buffer_pool_pages,
-            page_size=self.config.page_size,
+            buffer_pool_pages=POOL_PAGES,
+            page_size=PAGE_SIZE,
         )
 
 
@@ -230,10 +180,9 @@ class _Cluster(Cluster):
 
 def _run_workload(cluster: _Cluster, rng: random.Random) -> None:
     """The seeded op mix; raises SimulatedCrash when the plan fires."""
-    config = cluster.config
     database = cluster.primary.database
     next_r_id = 1000
-    for op in range(config.ops):
+    for op in range(OPS):
         cluster.clock[0] += HEARTBEAT_INTERVAL * 0.2
         cluster.primary.heartbeat(cluster.coordinator)
         roll = rng.random()
@@ -272,12 +221,12 @@ def _run_workload(cluster: _Cluster, rng: random.Random) -> None:
         else:  # checkpoint; halfway through, bootstrap a standby from it
             database.wal.checkpoint()
             snapshot_text = snapshot_to_json(take_snapshot(database))
-            if op >= config.ops // 2 and len(cluster.replicas) < 3:
+            if op >= OPS // 2 and len(cluster.replicas) < 3:
                 late = ReplicaNode.from_snapshot(
                     snapshot_text,
                     name="replica-3",
-                    buffer_pool_pages=config.buffer_pool_pages,
-                    page_size=config.page_size,
+                    buffer_pool_pages=POOL_PAGES,
+                    page_size=PAGE_SIZE,
                 )
                 cluster.primary.attach_replica(late)
                 cluster.replicas.append(late)
@@ -293,37 +242,44 @@ def _hit_rate(hits: list[int]) -> float:
     return sum(window) / len(window) if window else 0.0
 
 
-def _verify_replica_answers(cluster: _Cluster) -> int:
+def _verify_replica_answers(cluster: _Cluster) -> dict[str, int]:
     """Re-check every ledgered standby answer against the acked op log
-    replayed to its watermark; returns how many were served lagging
-    (those were already required to carry ``complete=False``)."""
+    replayed to its watermark; the ones served lagging were already
+    required to carry ``complete=False``."""
     for violation in check_answers(cluster.replica_answers, cluster.replay()):
         raise InvariantViolation(f"standby {violation}")
-    return sum(not answer.complete for answer in cluster.replica_answers)
+    pre = cluster.pre_hits[-PROBE_WINDOW:]
+    return {
+        "acked_records": len(cluster.op_log),
+        "pre_hits": sum(pre),
+        "pre_queries": len(pre),
+        "replica_answers": len(cluster.replica_answers),
+        "lagged_answers": sum(not a.complete for a in cluster.replica_answers),
+    }
 
 
-def run_drill(
-    seed: int, spec: FaultSpec | None, config: FailoverConfig | None = None
-) -> DrillResult:
+def run_drill(seed: int, spec: FaultSpec | None) -> Outcome:
     """One topology, one scheduled primary crash, full verification."""
-    config = config or FailoverConfig(seed=seed)
-    spec_text = spec.describe() if spec is not None else None
+    schedule = spec.describe() if spec is not None else "none"
+    outcome = Outcome(handle("failover", seed, schedule), [])
     with tempfile.TemporaryDirectory(prefix="failover-") as workdir:
-        wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
         try:
-            cluster = _Cluster(config, injector, wal_path)
-            injector.plan = (
-                FaultPlan([spec]) if spec is not None else FaultPlan.none()
-            )
+            cluster = _Cluster(seed, injector, os.path.join(workdir, "wal"))
+            injector.plan = FaultPlan([spec]) if spec is not None else FaultPlan.none()
             injector.counts.clear()
             rng = random.Random(seed * 6271 + 11)
             try:
                 _run_workload(cluster, rng)
             except SimulatedCrash:
-                return _after_crash(cluster, rng, spec_text)
-            # The plan never fired (or no fault was scheduled): final
+                outcome.counts = _after_crash(cluster, rng)
+                return outcome
+            # The plan never fired (or no fault was scheduled): the
+            # workload must have reached every crash site, and final
             # convergence checks still must hold.
+            reached = {site for site, _ in _CRASH_SITES if injector.counts.get(site)}
+            if len(reached) < 3:
+                raise InvariantViolation(f"workload reached only {len(reached)} crash sites")
             cluster.pump()
             cluster.pump()
             primary_contents = contents_of(cluster.primary.database, RELATIONS)
@@ -332,289 +288,136 @@ def run_drill(
                     raise InvariantViolation(
                         f"{replica.name} did not converge to the primary"
                     )
-            lagged = _verify_replica_answers(cluster)
-            return DrillResult(
-                seed,
-                spec_text,
-                True,
-                "completed",
-                acked_records=len(cluster.op_log),
-                pre_hit_rate=_hit_rate(cluster.pre_hits),
-                replica_answers=len(cluster.replica_answers),
-                lagged_answers=lagged,
-            )
+            outcome.counts = {"completed": 1, **_verify_replica_answers(cluster)}
         except ReproError as exc:
-            return DrillResult(
-                seed, spec_text, False, "divergence",
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            outcome.violations.append(f"{type(exc).__name__}: {exc}")
         finally:
             injector.crashed = True  # silence hooks during teardown
+    return outcome
 
 
-def _after_crash(cluster: _Cluster, rng: random.Random, spec_text: str | None) -> DrillResult:
+def _after_crash(cluster: _Cluster, rng: random.Random) -> dict[str, int]:
     """Primary died: detect, fail over, and run the acceptance battery."""
-    config = cluster.config
-    seed = config.seed
     # Heartbeats stop; advance past the miss budget and the lease, and tick.
     cluster.clock[0] += LEASE_TTL + HEARTBEAT_INTERVAL
     if not cluster.coordinator.primary_suspected():
-        return DrillResult(
-            seed, spec_text, False, "divergence",
-            error="coordinator did not suspect a silent primary",
-        )
+        raise InvariantViolation("coordinator did not suspect a silent primary")
     old_primary = cluster.primary
     new_primary = cluster.coordinator.tick()
     if new_primary is None:
-        return DrillResult(
-            seed, spec_text, False, "divergence", error="tick() did not fail over"
+        raise InvariantViolation("tick() did not fail over")
+    # 1. Zero acked-write loss / op-log replay agreement: the acked
+    # ledger replayed into a fresh database IS the promoted state.
+    replayed = cluster.replay().advance()
+    if contents_of(replayed, RELATIONS) != contents_of(new_primary.database, RELATIONS):
+        raise InvariantViolation(
+            f"acked op-log replay ({len(cluster.op_log)} records) "
+            f"disagrees with the promoted node {new_primary.name} "
+            f"(applied LSN {new_primary.database.wal.last_lsn})"
         )
+    # 2. Fencing: the deposed primary must refuse writes, and its
+    # zombie ships must be rejected by the promoted epoch.
     try:
-        # 1. Zero acked-write loss / op-log replay agreement: the acked
-        # ledger replayed into a fresh database IS the promoted state.
-        replayed = cluster.replay().advance()
-        if contents_of(replayed, RELATIONS) != contents_of(
-            new_primary.database, RELATIONS
-        ):
-            raise InvariantViolation(
-                f"acked op-log replay ({len(cluster.op_log)} records) "
-                f"disagrees with the promoted node {new_primary.name} "
-                f"(applied LSN {new_primary.database.wal.last_lsn})"
-            )
-        # 2. Fencing: the deposed primary must refuse writes, and its
-        # zombie ships must be rejected by the promoted epoch.
-        try:
-            old_primary.database.insert("r", (999999, 0, 0, "zombie"))
-            raise InvariantViolation("deposed primary accepted a write")
-        except WALFencedError:
-            pass
-        stale_rejects = 0
-        zombie_record = None
-        for record in old_primary.database.wal.records(
-            after_lsn=old_primary.database.wal.last_lsn - 1
-        ):
-            zombie_record = record
-        if zombie_record is not None and old_primary.links:
-            link = old_primary.links[0]
-            before = link.stale_epoch_rejects
-            link.send(
-                ShippedRecord(
-                    epoch=old_primary.epoch,
-                    watermark=old_primary.database.wal.last_lsn,
-                    line=zombie_record.to_json(),
-                ).to_wire()
-            )
-            stale_rejects = link.stale_epoch_rejects - before
-            if stale_rejects <= 0:
-                raise InvariantViolation(
-                    "promoted epoch accepted a record shipped by the "
-                    "deposed primary"
-                )
-        # 3. Warm-standby PMVs: probe the rebound gate; the promoted
-        # fleet must hit at a rate >= hit_factor x the pre-crash rate —
-        # and serve correct answers while doing it.
-        if cluster.gate.manager is not new_primary.manager:
-            raise InvariantViolation("serving gate was not rewired to the survivor")
-        for managed in new_primary.manager.managed():
-            if (
-                managed.view.upper_bound_bytes
-                != managed.view.configured_upper_bound_bytes
-            ):
-                raise InvariantViolation(
-                    f"promoted view {managed.view.name} serves with a "
-                    f"non-configured UB {managed.view.upper_bound_bytes}"
-                )
-        post_hits = []
-        for _ in range(PROBE_WINDOW):
-            query = cluster.bind_query(rng)
-            result = cluster.gate.execute(query)
-            if multiset(result.all_rows()) != multiset(new_primary.database.run(query)):
-                raise InvariantViolation("promoted gate answer diverged from truth")
-            post_hits.append(1 if result.partial_rows else 0)
-        pre_rate = _hit_rate(cluster.pre_hits)
-        post_rate = _hit_rate(post_hits)
-        if post_rate < config.hit_factor * pre_rate:
-            raise InvariantViolation(
-                f"promoted PMV went cold: hit rate {post_rate:.2f} < "
-                f"{config.hit_factor} x pre-crash {pre_rate:.2f}"
-            )
-        # 4. Every standby answer served during lag was honest.
-        lagged = _verify_replica_answers(cluster)
-        # 5. The new era serves writes and replicates them.
-        for i in range(6):
-            new_primary.database.insert(
-                "r", (5000 + i, i % 6, i % 4, f"era2-{i}")
-            )
-        new_primary.ship()
-        new_primary.ship()
-        promoted_contents = contents_of(new_primary.database, RELATIONS)
-        for link in new_primary.links:
-            if contents_of(link.replica.database, RELATIONS) != promoted_contents:
-                raise InvariantViolation(
-                    f"{link.replica.name} did not converge to the new primary"
-                )
-        return DrillResult(
-            seed,
-            spec_text,
-            True,
-            "failed-over",
-            acked_records=len(cluster.op_log),
-            promoted=new_primary.name,
-            pre_hit_rate=pre_rate,
-            post_hit_rate=post_rate,
-            replica_answers=len(cluster.replica_answers),
-            lagged_answers=lagged,
-            stale_epoch_rejects=stale_rejects,
+        old_primary.database.insert("r", (999999, 0, 0, "zombie"))
+        raise InvariantViolation("deposed primary accepted a write")
+    except WALFencedError:
+        pass
+    stale_rejects = 0
+    zombie_record = None
+    for record in old_primary.database.wal.records(
+        after_lsn=old_primary.database.wal.last_lsn - 1
+    ):
+        zombie_record = record
+    if zombie_record is not None and old_primary.links:
+        link = old_primary.links[0]
+        before = link.stale_epoch_rejects
+        link.send(
+            ShippedRecord(
+                epoch=old_primary.epoch,
+                watermark=old_primary.database.wal.last_lsn,
+                line=zombie_record.to_json(),
+            ).to_wire()
         )
-    except ReproError as exc:
-        return DrillResult(
-            seed, spec_text, False, "divergence",
-            error=f"{type(exc).__name__}: {exc}",
+        stale_rejects = link.stale_epoch_rejects - before
+        if stale_rejects <= 0:
+            raise InvariantViolation(
+                "promoted epoch accepted a record shipped by the deposed primary"
+            )
+    # 3. Warm-standby PMVs: probe the rebound gate; the promoted
+    # fleet must hit at a rate >= HIT_FACTOR x the pre-crash rate —
+    # and serve correct answers while doing it.
+    if cluster.gate.manager is not new_primary.manager:
+        raise InvariantViolation("serving gate was not rewired to the survivor")
+    for managed in new_primary.manager.managed():
+        if managed.view.upper_bound_bytes != managed.view.configured_upper_bound_bytes:
+            raise InvariantViolation(
+                f"promoted view {managed.view.name} serves with a "
+                f"non-configured UB {managed.view.upper_bound_bytes}"
+            )
+    post_hits = []
+    for _ in range(PROBE_WINDOW):
+        query = cluster.bind_query(rng)
+        result = cluster.gate.execute(query)
+        if multiset(result.all_rows()) != multiset(new_primary.database.run(query)):
+            raise InvariantViolation("promoted gate answer diverged from truth")
+        post_hits.append(1 if result.partial_rows else 0)
+    pre_rate = _hit_rate(cluster.pre_hits)
+    post_rate = _hit_rate(post_hits)
+    if post_rate < HIT_FACTOR * pre_rate:
+        raise InvariantViolation(
+            f"promoted PMV went cold: hit rate {post_rate:.2f} < "
+            f"{HIT_FACTOR} x pre-crash {pre_rate:.2f}"
         )
+    # 4. Every standby answer served during lag was honest.
+    counts = _verify_replica_answers(cluster)
+    # 5. The new era serves writes and replicates them.
+    for i in range(6):
+        new_primary.database.insert("r", (5000 + i, i % 6, i % 4, f"era2-{i}"))
+    new_primary.ship()
+    new_primary.ship()
+    promoted_contents = contents_of(new_primary.database, RELATIONS)
+    for link in new_primary.links:
+        if contents_of(link.replica.database, RELATIONS) != promoted_contents:
+            raise InvariantViolation(
+                f"{link.replica.name} did not converge to the new primary"
+            )
+    return {
+        "failed_over": 1,
+        **counts,
+        "post_hits": sum(post_hits),
+        "stale_epoch_rejects": stale_rejects,
+    }
 
 
-# ---------------------------------------------------------------------------
-# Crash-site selection and the sweep
-# ---------------------------------------------------------------------------
-
-_CRASH_SITES = (
-    ("wal.append", FaultMode.CRASH_BEFORE),
-    ("wal.append", FaultMode.TORN),
-    ("wal.append", FaultMode.CRASH_AFTER),
-    ("maintenance.prepare", FaultMode.CRASH_BEFORE),
-    ("maintenance.apply", FaultMode.CRASH_BEFORE),
-)
-
-
-def crash_sites_for(seed: int, config: FailoverConfig | None = None) -> list[FaultSpec]:
-    """Pick crash specs for ``seed``: enumerate the workload's fault-site
-    arrivals fault-free, then schedule a mid-workload crash at every
-    distinct site the run reaches (>= 3 in practice)."""
-    config = config or FailoverConfig(seed=seed)
+def crash_sites_for(seed: int) -> list[FaultSpec]:
+    """Crash specs for ``seed``: enumerate the workload's fault-site
+    arrivals fault-free, then schedule a crash at the middle arrival of
+    every crash site the run reaches — deep enough that PMVs are warm
+    and replicas have applied history, early enough that ops remain."""
     with tempfile.TemporaryDirectory(prefix="failover-enum-") as workdir:
-        wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
-        cluster = _Cluster(config, injector, wal_path)
+        cluster = _Cluster(seed, injector, os.path.join(workdir, "wal"))
         injector.counts.clear()
         _run_workload(cluster, random.Random(seed * 6271 + 11))
-    specs = []
-    for site, mode in _CRASH_SITES:
-        arrivals = injector.counts.get(site, 0)
-        if arrivals == 0:
-            continue
-        # Mid-range occurrence: deep enough that PMVs are warm and
-        # replicas have applied history, early enough that ops remain.
-        specs.append(FaultSpec(site, max(1, arrivals // 2), mode))
-    return specs
+    return [
+        FaultSpec(site, max(1, injector.counts[site] // 2), mode)
+        for site, mode in _CRASH_SITES
+        if injector.counts.get(site, 0)
+    ]
 
 
-def sweep(
-    seeds: list[int],
-    config_base: FailoverConfig | None = None,
-    verbose: bool = False,
-) -> DrillReport:
-    report = DrillReport(seeds=list(seeds))
-    started = time.perf_counter()
-    for seed in seeds:
-        config = FailoverConfig(
-            seed=seed,
-            **{
-                k: v
-                for k, v in (asdict(config_base) if config_base else {}).items()
-                if k != "seed"
-            },
-        )
-        specs = crash_sites_for(seed, config)
-        if len({s.site for s in specs}) < 3:
-            report.divergences.append(
-                {
-                    "seed": seed,
-                    "spec": None,
-                    "error": f"workload reached only {len(specs)} crash sites",
-                }
-            )
-            continue
-        for spec in specs:
-            result = run_drill(seed, spec, config)
-            report.points_run += 1
-            report.failed_over += result.status == "failed-over"
-            report.completed += result.status == "completed"
-            if not result.ok:
-                report.divergences.append(asdict(result))
-                print(f"DIVERGENCE at {result.replay}: {result.error}", file=sys.stderr)
-            elif verbose:
-                print(
-                    f"ok {result.replay} [{result.status}] "
-                    f"hit {result.pre_hit_rate:.2f}->{result.post_hit_rate:.2f} "
-                    f"acked={result.acked_records} lagged={result.lagged_answers}"
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+def _points(seed: int) -> list[str]:
+    specs = crash_sites_for(seed)
+    if len({spec.site for spec in specs}) < 3:
+        return ["none"]  # the fault-free run names the unreached site
+    return [spec.describe() for spec in specs]
 
 
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.failover",
-        description="Kill-the-primary failover drill over scheduled crash sites.",
-    )
-    parser.add_argument("--seeds", type=int, default=2, help="number of workload seeds")
-    parser.add_argument("--seed-base", type=int, default=0, help="first seed value")
-    parser.add_argument("--ops", type=int, default=DEFAULT_OPS, help="ops per workload")
-    parser.add_argument(
-        "--hit-factor",
-        type=float,
-        default=0.5,
-        help="required post/pre PMV hit-rate ratio on the promoted node",
-    )
-    parser.add_argument(
-        "--report", metavar="PATH", default=None, help="write a JSON report here"
-    )
-    parser.add_argument(
-        "--replay",
-        metavar="SEED/SITE:OCC:MODE",
-        default=None,
-        help="re-run one printed divergence point and exit",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.replay is not None:
-        seed_text, _, spec_text = args.replay.partition("/")
-        spec = None if spec_text in ("", "none") else FaultSpec.parse(spec_text)
-        config = FailoverConfig(
-            seed=int(seed_text), ops=args.ops, hit_factor=args.hit_factor
-        )
-        result = run_drill(int(seed_text), spec, config)
-        print(json.dumps(asdict(result), indent=2))
-        return 0 if result.ok else 1
-
-    seeds = [args.seed_base + i for i in range(args.seeds)]
-    base = FailoverConfig(ops=args.ops, hit_factor=args.hit_factor)
-    report = sweep(seeds, config_base=base, verbose=args.verbose)
-    summary = asdict(report)
-    summary["ok"] = report.ok
-    print(
-        f"failover: {report.points_run} crash points over seeds {report.seeds} "
-        f"({report.failed_over} failed over, {report.completed} completed) "
-        f"in {report.elapsed_seconds:.1f}s — "
-        + ("ALL DRILLS PASSED" if report.ok else f"{len(report.divergences)} DIVERGENCES")
-    )
-    for divergence in report.divergences:
-        print(
-            f"  replay: python -m repro.bench.failover --replay "
-            f"{divergence['seed']}/{divergence['spec']}"
-        )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-        print(f"report written to {args.report}")
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+DRILL = Drill(
+    "failover",
+    points=_points,
+    run=lambda seed, schedule: run_drill(
+        seed, None if schedule == "none" else FaultSpec.parse(schedule)
+    ),
+    seeds=(0, 1),
+)

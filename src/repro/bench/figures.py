@@ -382,19 +382,24 @@ def run_fig8(
     scale_factor: float = 1.0,
     verbose: bool = True,
 ) -> list[Series]:
-    """Figure 8: PMV overhead vs. F (h=4, s=1), templates T1 and T2."""
+    """Figure 8: PMV overhead vs. F (h=4, s=1), templates T1 and T2,
+    with the partial tuples O2 delivers per query — the count that
+    drives the overhead's rise with F."""
     env = build_experiment_database(scale_factor=scale_factor)
     series = [
         Series("T1 overhead (s)"),
         Series("T2 overhead (s)"),
         Series("T1 per-tuple (s)"),
         Series("T2 per-tuple (s)"),
+        Series("T1 partial tuples"),
+        Series("T2 partial tuples"),
     ]
     for f in f_values:
         for offset, name in ((0, "T1"), (1, "T2")):
             m = measure_overhead(env, name, h=h, tuples_per_entry=f)
             series[offset].add(f, m.mean_overhead_seconds)
             series[offset + 2].add(f, m.overhead_per_tuple_seconds)
+            series[offset + 4].add(f, m.mean_partial_tuples)
     if verbose:
         print(scale_note(_engine_scale_text(env)))
         print(format_series("F", series))

@@ -1,14 +1,14 @@
 """The partition nemesis drill: seeded chaos + client-history checking.
 
-The torture harness's discipline applied to network partitions: a
-seeded :class:`~repro.faults.partition.PartitionPlan` cuts and heals
-the cluster's three link pairs (coordinator↔primary heartbeats,
-primary↔replica WAL shipping, client↔server TCP) while a
-single-threaded driver pushes real :class:`~repro.net.client.PMVClient`
-traffic over real sockets against a lease-gated cluster on a fake
-shared clock.  Because the driver is single-threaded, every
-post-response truth probe (the serving node's WAL position, its
-ISOLATED state) is exact — there is no racing writer.
+The torture drill's discipline applied to network partitions: a seeded
+:class:`~repro.faults.partition.PartitionPlan` (the schedule,
+``PartitionPlan.describe()``) cuts and heals the cluster's three link
+pairs (coordinator↔primary heartbeats, primary↔replica WAL shipping,
+client↔server TCP) while a single-threaded driver pushes real
+:class:`~repro.net.client.PMVClient` traffic over real sockets against a
+lease-gated cluster on a fake shared clock.  Because that traffic runs
+on one thread, every post-response truth probe (the serving node's WAL
+position, its ISOLATED state) is exact — there is no racing writer.
 
 Per seed, the **history checker** verifies from the client-observed
 ledger:
@@ -29,28 +29,22 @@ ledger:
   WAL replayed by :mod:`repro.check.oracle`): equal to the true answer
   when the read claims ``complete``, a multiset subset of it otherwise;
 - **monotonic sessions** — within one epoch, a session's stamped
-  ``applied_lsn`` never goes backwards (the v2 ``min_lsn`` token at
-  work).
+  ``applied_lsn`` never goes backwards (the ``min_lsn`` token at work).
 
-Failures print replay handles — ``SEED=<n> SCHEDULE=<events>`` — and
-``--schedule`` replays a schedule verbatim.
-
-Run as a module::
-
-    python -m repro.bench.nemesis --seeds 0 1 2 3 --report NEMESIS_report.json
+Seeds 9 and 10 are the regression seeds for the isolated front end that
+kept routing reads to standbys.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from repro.check import (
     Answer,
     Cluster,
+    Drill,
+    Outcome,
     Replay,
     WriteLedger,
     attach_view,
@@ -58,6 +52,7 @@ from repro.check import (
     build_rs,
     check_answers,
     found_ids,
+    handle,
     multiset,
     random_binding,
     rs_template,
@@ -75,57 +70,20 @@ from repro.net.client import RetryPolicy
 from repro.qos.gate import ServingGate
 from repro.replication import ControlLink, PrimaryNode
 
-__all__ = ["NemesisConfig", "NemesisReport", "run_nemesis", "run_sweep", "main"]
+__all__ = ["DRILL", "run"]
 
+STEPS = 80
+CLIENTS = 3
+QUIESCE = 12
+"""Fully healed steps closing every generated schedule, and the drain
+steps the workload takes after the last one."""
+STEP_SECONDS = 0.5
+STALENESS_BOUND = 256
+RETRY = RetryPolicy(attempts=3, base_delay=0.002)
 # Client-owned rows live far above the seeded id range so the checker
-# can own them exclusively (same convention as repro.bench.netload).
+# can own them exclusively (same convention as the netload drill).
 CLIENT_ID_BASE = 100_000
 CLIENT_ID_STRIDE = 10_000
-
-
-@dataclass(frozen=True)
-class NemesisConfig:
-    seed: int = 0
-    steps: int = 80
-    clients: int = 3
-    step_seconds: float = 0.5
-    staleness_bound: int = 256
-    retry_attempts: int = 3
-    retry_base_delay: float = 0.002
-    quiesce: int = 12
-    schedule: str | None = None
-    """A SCHEDULE replay handle; overrides seeded generation."""
-
-
-@dataclass
-class NemesisReport:
-    seed: int = 0
-    schedule: str = ""
-    steps: int = 0
-    ops: int = 0
-    reads: int = 0
-    replica_served: int = 0
-    writes_acked: int = 0
-    duplicates_acked: int = 0
-    unavailable: int = 0
-    sheds: int = 0
-    client_retries: int = 0
-    failovers: int = 0
-    epochs: list = field(default_factory=list)
-    promotions_refused_lease: int = 0
-    promotions_refused_watermark: int = 0
-    fences_skipped: int = 0
-    isolated_refusals: int = 0
-    zombie_probe_refusals: int = 0
-    zombie_probe_serves: int = 0
-    monotonic_fallbacks: int = 0
-    connections_refused: int = 0
-    violations: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.writes_acked > 0 and self.reads > 0
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +95,7 @@ class _Cluster(Cluster):
     """A lease-gated semi-sync cluster on a fake shared clock, with
     every partition seam exposed for the nemesis."""
 
-    def __init__(self, config: NemesisConfig):
-        self.config = config
+    def __init__(self):
         database = build_rs(Database(wal=WriteAheadLog()), 48, 24)
         self.template = rs_template("tq")
         manager = attach_view(database, self.template)
@@ -150,7 +107,7 @@ class _Cluster(Cluster):
         self.front_end = ClusterFrontEnd(
             self.gate,
             coordinator=self.coordinator,
-            staleness_bound=config.staleness_bound,
+            staleness_bound=STALENESS_BOUND,
         )
         # The stale router: a second gate bound to the *original*
         # primary that never learns about failovers — the zombie-read
@@ -239,19 +196,19 @@ def _drive(
     cluster: _Cluster,
     nemesis: Nemesis,
     clients: list[PMVClient],
-    config: NemesisConfig,
+    seed: int,
     ledger: _Ledger,
-    report: NemesisReport,
+    outcome: Outcome,
 ) -> None:
-    rng = random.Random(f"nemesis:{config.seed}")
-    inserted: dict[int, list[int]] = {c: [] for c in range(config.clients)}
+    rng = random.Random(f"nemesis:{seed}")
+    inserted: dict[int, list[int]] = {c: [] for c in range(CLIENTS)}
     next_id = [
-        CLIENT_ID_BASE + index * CLIENT_ID_STRIDE for index in range(config.clients)
+        CLIENT_ID_BASE + index * CLIENT_ID_STRIDE for index in range(CLIENTS)
     ]
-    for step in range(config.steps):
+    for step in range(STEPS):
         nemesis.advance_to(step)
         cluster._sync_ship_links()
-        cluster.clock[0] += config.step_seconds
+        cluster.clock[0] += STEP_SECONDS
         cluster.control.pump()
         cluster.coordinator.tick()
         try:
@@ -262,7 +219,7 @@ def _drive(
             roll = rng.random()
             try:
                 if roll < 0.45:
-                    _one_read(cluster, client, index, rng, config, ledger, report)
+                    _one_read(cluster, client, index, rng, ledger, outcome)
                 elif roll < 0.85 or not inserted[index]:
                     row_id = next_id[index]
                     next_id[index] += 1
@@ -275,9 +232,9 @@ def _drive(
                     )
                     inserted[index].append(row_id)
                     ledger.write_acks.append((ack.epoch, ack.served_by, ack.lsn))
-                    report.writes_acked += 1
+                    outcome.counts["writes_acked"] += 1
                     if ack.duplicate:
-                        report.duplicates_acked += 1
+                        outcome.counts["duplicates_acked"] += 1
                 else:
                     row_id = inserted[index].pop(rng.randrange(len(inserted[index])))
                     ledger.indoubt_deletes.add(row_id)
@@ -285,24 +242,24 @@ def _drive(
                     ledger.indoubt_deletes.discard(row_id)
                     ledger.acked_deletes.add(row_id)
                     ledger.write_acks.append((ack.epoch, ack.served_by, ack.lsn))
-                    report.writes_acked += 1
+                    outcome.counts["writes_acked"] += 1
                     if ack.duplicate:
-                        report.duplicates_acked += 1
+                        outcome.counts["duplicates_acked"] += 1
             except OverloadError:
-                report.sheds += 1
+                outcome.counts["sheds"] += 1
             except (RetryExhaustedError, NetError, OSError):
                 # Unavailability under partition is the *correct*
                 # behaviour — the checker only polices what was acked.
-                report.unavailable += 1
-            report.ops += 1
-        _probe_zombie(cluster, report)
+                outcome.counts["unavailable"] += 1
+            outcome.counts["ops"] += 1
+        _probe_zombie(cluster, outcome)
     # Quiesce: the generated schedule's tail is already fully healed;
     # force-heal (covers replayed custom schedules too) and drain.
     nemesis.heal_all()
     cluster.heal_ship()
     cluster.heal_clients()
-    for _ in range(config.quiesce):
-        cluster.clock[0] += config.step_seconds
+    for _ in range(QUIESCE):
+        cluster.clock[0] += STEP_SECONDS
         cluster.control.pump()
         cluster.coordinator.tick()
         try:
@@ -316,20 +273,19 @@ def _one_read(
     client: PMVClient,
     index: int,
     rng: random.Random,
-    config: NemesisConfig,
     ledger: _Ledger,
-    report: NemesisReport,
+    outcome: Outcome,
 ) -> None:
     query = random_binding(cluster.template, rng)
     answer = client.query(
         query,
         budget=2.0,
-        staleness_bound=config.staleness_bound,
+        staleness_bound=STALENESS_BOUND,
         prefer_replica=rng.random() < 0.5,
     )
-    report.reads += 1
+    outcome.counts["reads"] += 1
     if answer.replica_lag is not None:
-        report.replica_served += 1
+        outcome.counts["replica_served"] += 1
     era_node = cluster.eras.get(answer.epoch) if answer.epoch is not None else None
     truth_last = (
         era_node.database.wal.last_lsn if era_node is not None else 0
@@ -361,7 +317,7 @@ def _one_read(
     if answer.epoch is not None and answer.applied_lsn is not None:
         high = ledger.session_high.get(index)
         if high is not None and high[0] == answer.epoch and answer.applied_lsn < high[1]:
-            report.violations.append(
+            outcome.violations.append(
                 f"monotonic-read: client {index} saw LSN {answer.applied_lsn} "
                 f"after {high[1]} in epoch {answer.epoch}"
             )
@@ -369,7 +325,7 @@ def _one_read(
             ledger.session_high[index] = (answer.epoch, answer.applied_lsn)
 
 
-def _probe_zombie(cluster: _Cluster, report: NemesisReport) -> None:
+def _probe_zombie(cluster: _Cluster, outcome: Outcome) -> None:
     """Read through the stale router still bound to the original
     primary.  Once deposed, the original must refuse; a serve after
     deposition is the zombie-read window."""
@@ -379,10 +335,10 @@ def _probe_zombie(cluster: _Cluster, report: NemesisReport) -> None:
     try:
         cluster.stale_gate.execute(bind(cluster.template, 0, 0))
     except ReproError:
-        report.zombie_probe_refusals += 1
+        outcome.counts["zombie_probe_refusals"] += 1
         return
-    report.zombie_probe_serves += 1
-    report.violations.append(
+    outcome.counts["zombie_probe_serves"] += 1
+    outcome.violations.append(
         f"zombie-read: deposed {original.name} (epoch {original.epoch}, mode "
         f"{original.mode}) served a read while epoch "
         f"{cluster.coordinator.primary.epoch} is live"
@@ -394,24 +350,22 @@ def _probe_zombie(cluster: _Cluster, report: NemesisReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_history(
-    cluster: _Cluster, ledger: _Ledger, report: NemesisReport
-) -> None:
+def _check_history(cluster: _Cluster, ledger: _Ledger, outcome: Outcome) -> None:
     # -- acked durability and at-most-once against the survivor ------------
     found = found_ids(cluster.coordinator.primary.database, CLIENT_ID_BASE)
     verdict = WriteLedger(
         ledger.acked_inserts, ledger.acked_deletes, ledger.indoubt_deletes
     ).check(found)
     for row_id in verdict["duplicate"]:
-        report.violations.append(
+        outcome.violations.append(
             f"duplicate-application: row {row_id} present {found[row_id]} times"
         )
     for row_id in verdict["resurrected"]:
-        report.violations.append(
+        outcome.violations.append(
             f"resurrected-delete: row {row_id} acked deleted but present"
         )
     for row_id in verdict["lost"]:
-        report.violations.append(
+        outcome.violations.append(
             f"acked-write-loss: row {row_id} acked but missing from "
             f"the surviving timeline"
         )
@@ -422,20 +376,20 @@ def _check_history(
             writers.setdefault(epoch, set()).add(served_by)
     for epoch, nodes in sorted(writers.items()):
         if len(nodes) > 1:
-            report.violations.append(
+            outcome.violations.append(
                 f"split-brain: epoch {epoch} has writes acked by {sorted(nodes)}"
             )
     # -- per-read checks: isolation, lag honesty, truth subset -------------
     for record in ledger.reads:
         if record.isolated is not None:
-            report.violations.append(
+            outcome.violations.append(
                 f"isolated-serve: read for client {record.client} served in epoch "
                 f"{record.epoch} while its primary {record.isolated} was ISOLATED"
             )
         if record.replica_lag is not None and record.applied_lsn is not None:
             true_lag = max(0, record.truth_last - record.applied_lsn)
             if record.replica_lag < true_lag:
-                report.violations.append(
+                outcome.violations.append(
                     f"lag-understated: stamp {record.replica_lag} < true lag "
                     f"{true_lag} (client {record.client}, LSN {record.applied_lsn})"
                 )
@@ -447,156 +401,68 @@ def _check_history(
     for epoch, answers in sorted(by_epoch.items()):
         node = cluster.eras.get(epoch)
         if node is None:
-            report.violations.append(f"unknown-era: reads stamped epoch {epoch}")
+            outcome.violations.append(f"unknown-era: reads stamped epoch {epoch}")
             continue
         for violation in check_answers(answers, Replay(node.database.wal.records())):
-            report.violations.append(f"untrue-read: {violation}")
+            outcome.violations.append(f"untrue-read: {violation}")
 
 
 # ---------------------------------------------------------------------------
-# One seed, and the sweep
+# One seed under one schedule
 # ---------------------------------------------------------------------------
 
+_COUNTS = (
+    "ops", "reads", "replica_served", "writes_acked", "duplicates_acked",
+    "unavailable", "sheds", "zombie_probe_refusals", "zombie_probe_serves",
+)
 
-def run_nemesis(config: NemesisConfig | None = None, verbose: bool = False) -> NemesisReport:
-    config = config or NemesisConfig()
-    started = time.perf_counter()
-    if config.schedule is not None:
-        plan = PartitionPlan.parse(config.schedule)
-    else:
-        plan = PartitionPlan.generate(
-            config.seed, config.steps, quiesce=config.quiesce
-        )
-    report = NemesisReport(
-        seed=config.seed, schedule=plan.describe(), steps=config.steps
-    )
-    cluster = _Cluster(config)
-    nemesis = Nemesis(plan)
+
+def run(seed: int, schedule: str) -> Outcome:
+    """Drive ``seed``'s workload under the partition plan ``schedule``
+    and check the observed history."""
+    outcome = Outcome(handle("nemesis", seed, schedule), [], dict.fromkeys(_COUNTS, 0))
+    cluster = _Cluster()
+    nemesis = Nemesis(PartitionPlan.parse(schedule))
     nemesis.register("coord-primary", cluster.control.cut, cluster.control.heal)
     nemesis.register("primary-replica", cluster.cut_ship, cluster.heal_ship)
     nemesis.register("client-server", cluster.cut_clients, cluster.heal_clients)
 
-    server = NetServer(
-        cluster.front_end, refuse_connections=lambda: cluster.client_cut
-    )
+    server = NetServer(cluster.front_end, refuse_connections=lambda: cluster.client_cut)
     cluster.server = server
     host, port = server.start()
-    if verbose:
-        print(f"[nemesis] SEED={config.seed} SCHEDULE={plan.describe()}")
-        print(f"[nemesis] serving at {host}:{port}")
-
     clients = [
-        PMVClient(
-            host,
-            port,
-            f"nz{config.seed}-{index}",
-            retry=RetryPolicy(
-                attempts=config.retry_attempts,
-                base_delay=config.retry_base_delay,
-            ),
-        )
-        for index in range(config.clients)
+        PMVClient(host, port, f"nz{seed}-{index}", retry=RETRY) for index in range(CLIENTS)
     ]
     ledger = _Ledger()
     try:
-        _drive(cluster, nemesis, clients, config, ledger, report)
+        _drive(cluster, nemesis, clients, seed, ledger, outcome)
     finally:
+        outcome.counts["client_retries"] = sum(client.retries for client in clients)
         for client in clients:
-            report.client_retries += client.retries
             client.close()
         server.stop()
 
-    _check_history(cluster, ledger, report)
+    _check_history(cluster, ledger, outcome)
+    if not outcome.counts["writes_acked"] or not outcome.counts["reads"]:
+        outcome.violations.append("vacuous: no acknowledged write or no read")
     coord = cluster.coordinator
-    report.failovers = coord.failovers
-    report.epochs = list(coord.epoch_history)
-    report.promotions_refused_lease = coord.promotions_refused_lease
-    report.promotions_refused_watermark = coord.promotions_refused_watermark
-    report.fences_skipped = coord.fences_skipped
-    report.isolated_refusals = sum(
-        node.isolated_refusals for node in cluster.eras.values()
+    metrics = cluster.front_end.metrics.snapshot()
+    outcome.counts.update(
+        failovers=coord.failovers,
+        epochs=len(coord.epoch_history),
+        promotions_refused_lease=coord.promotions_refused_lease,
+        promotions_refused_watermark=coord.promotions_refused_watermark,
+        fences_skipped=coord.fences_skipped,
+        isolated_refusals=sum(node.isolated_refusals for node in cluster.eras.values()),
+        monotonic_fallbacks=metrics["net_monotonic_fallbacks"],
+        connections_refused=metrics["net_connections_refused"],
     )
-    snapshot = cluster.front_end.metrics.snapshot()
-    report.monotonic_fallbacks = snapshot["net_monotonic_fallbacks"]
-    report.connections_refused = snapshot["net_connections_refused"]
-    report.elapsed_seconds = time.perf_counter() - started
-    if verbose:
-        verdict = "ALL INVARIANTS HELD" if report.ok else "INVARIANT VIOLATIONS"
-        print(
-            f"[nemesis] seed {config.seed}: {report.ops} ops "
-            f"({report.reads} reads, {report.writes_acked} acked writes, "
-            f"{report.unavailable} unavailable), epochs {report.epochs}, "
-            f"{report.promotions_refused_lease} lease-refused promotions, "
-            f"{report.isolated_refusals} isolated refusals, "
-            f"{report.zombie_probe_refusals} zombie probes refused"
-        )
-        print(f"[nemesis] {verdict} in {report.elapsed_seconds:.1f}s")
-        for violation in report.violations[:10]:
-            print(f"[nemesis]   VIOLATION: {violation}")
-        if not report.ok:
-            print(
-                f"[nemesis] replay: python -m repro.bench.nemesis "
-                f"--seeds {config.seed} --steps {config.steps}"
-            )
-    return report
+    return outcome
 
 
-def run_sweep(
-    seeds: list[int],
-    steps: int = 80,
-    verbose: bool = False,
-) -> list[NemesisReport]:
-    return [
-        run_nemesis(NemesisConfig(seed=seed, steps=steps), verbose=verbose)
-        for seed in seeds
-    ]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.nemesis",
-        description="Seeded partition nemesis with client-history checking.",
-    )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
-    parser.add_argument("--steps", type=int, default=80)
-    parser.add_argument(
-        "--schedule", default=None,
-        help="replay a SCHEDULE handle verbatim (single seed only)",
-    )
-    parser.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the JSON report here (e.g. NEMESIS_report.json)",
-    )
-    args = parser.parse_args(argv)
-    if args.schedule is not None:
-        reports = [
-            run_nemesis(
-                NemesisConfig(
-                    seed=args.seeds[0], steps=args.steps, schedule=args.schedule
-                ),
-                verbose=True,
-            )
-        ]
-    else:
-        reports = run_sweep(args.seeds, steps=args.steps, verbose=True)
-    ok = all(report.ok for report in reports)
-    ran = [report.seed for report in reports]
-    print(
-        f"[nemesis] sweep over seeds {ran}: "
-        f"{'ALL GREEN' if ok else 'FAILURES'}"
-    )
-    if args.report is not None:
-        payload = {
-            "ok": ok,
-            "seeds": [
-                dict(asdict(report), ok=report.ok) for report in reports
-            ],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"[nemesis] report written to {args.report}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+DRILL = Drill(
+    "nemesis",
+    points=lambda seed: [PartitionPlan.generate(seed, STEPS, quiesce=QUIESCE).describe()],
+    run=run,
+    seeds=tuple(range(12)),
+)

@@ -1,9 +1,11 @@
-"""Crash-recovery torture harness.
+"""Crash-recovery torture drill.
 
 Drives the fault-injection subsystem (:mod:`repro.faults`) through a
 seeded mixed insert/delete/update/query/checkpoint workload, crashing
-the simulated process at *every* fault point the workload reaches, and
-after each crash checks the full recovery invariant set:
+the simulated process at *every* fault point the workload reaches (one
+point per run: the schedule is ``FaultSpec.describe()``, e.g.
+``wal.append:17:torn``), and after each crash checks the full recovery
+invariant set:
 
 - the on-disk WAL parses (a torn tail is tolerated, reported, and
   repaired away);
@@ -21,33 +23,28 @@ running and assert the engine aborted the statement cleanly — e.g. a
 failure inside PMV maintenance must leave the view with zero stale
 entries (the fail-safe clear).
 
-Every point is replayable: a divergence prints ``seed`` and
-``site:occurrence:mode``; rerun it with::
-
-    python -m repro.bench.torture --replay SEED/site:occurrence:mode
-
-Run a bounded sweep (the CI ``torture`` job)::
-
-    python -m repro.bench.torture --seeds 2 --max-points 200 \\
-        --report TORTURE_report.json
+Two drills: ``torture`` (eager maintenance) and ``torture-cdc`` (the PMV
+under CDC-driven async maintenance: DML feeds the transactional outbox
+with its two crash windows armed, a heavy-light splitter keeps part of
+the key space eager, background drains interleave — including crashes
+mid-drain — answers are checked under bounded-stale semantics and the
+run must end convergent, DESIGN.md §13).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
-import sys
 import tempfile
 import threading
-import time
-from dataclasses import asdict, dataclass, field
 
 from repro.check import (
     RELATIONS,
+    Drill,
+    Outcome,
     attach_view,
     build_rs,
+    handle,
     multiset,
     random_binding,
     rs_template,
@@ -74,79 +71,20 @@ from repro.faults import (
 )
 from repro.faults.check import InvariantViolation
 
-__all__ = [
-    "TortureConfig",
-    "PointResult",
-    "SweepReport",
-    "enumerate_points",
-    "run_point",
-    "sweep",
-    "main",
-]
+__all__ = ["CDC_DRILL", "DRILL", "enumerate_points", "run_point"]
 
 #: Small pages + a tiny buffer pool so heap data spans several pages
 #: and evictions happen mid-workload — otherwise the disk fault sites
 #: would only fire during checkpoints.
-DEFAULT_PAGE_SIZE = 256
-DEFAULT_POOL_PAGES = 6
-DEFAULT_OPS = 60
+PAGE_SIZE = 256
+POOL_PAGES = 6
+OPS = 60
 
-#: The sweep's WAL segment budget: about five records, so every seeded
-#: workload rotates several times, the append crash windows (TORN /
-#: CRASH_AFTER) also land on the first record of a fresh segment, and
-#: every recovery reads back across segment boundaries.
+#: The WAL segment budget: about five records, so every seeded workload
+#: rotates several times, the append crash windows (TORN / CRASH_AFTER)
+#: also land on the first record of a fresh segment, and every recovery
+#: reads back across segment boundaries.
 WAL_SEGMENT_BYTES = 512
-
-
-@dataclass(frozen=True)
-class TortureConfig:
-    """One seeded torture run's shape."""
-
-    seed: int = 0
-    ops: int = DEFAULT_OPS
-    page_size: int = DEFAULT_PAGE_SIZE
-    buffer_pool_pages: int = DEFAULT_POOL_PAGES
-    cdc: bool = False
-    """Run the PMV under CDC-driven async maintenance: DML feeds the
-    transactional outbox (with its two crash windows armed), a
-    heavy-light splitter keeps part of the key space eager, and the
-    workload interleaves background drains — including crashes mid-
-    drain.  Query answers are checked under bounded-stale semantics
-    and the run must end convergent (DESIGN.md §13)."""
-
-
-@dataclass
-class PointResult:
-    """Outcome of one fault point (or of a fault-free run)."""
-
-    seed: int
-    spec: str | None  # "site:occurrence:mode", None = fault-free
-    ok: bool
-    status: str  # completed | crashed | condemned | divergence
-    stage: str  # where the run ended / where checking failed
-    ops_acked: int
-    error: str | None = None
-
-    @property
-    def replay(self) -> str:
-        return f"{self.seed}/{self.spec or 'none'}"
-
-
-@dataclass
-class SweepReport:
-    """Aggregated sweep outcome (serialized as the CI artifact)."""
-
-    points_run: int = 0
-    crashes: int = 0
-    condemned: int = 0
-    completed: int = 0
-    divergences: list[dict] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +92,7 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def _setup(config: TortureConfig, injector: FaultInjector, wal_path: str):
+def _setup(seed: int, cdc: bool, injector: FaultInjector, wal_path: str):
     """Build the database, schema, seed data, and PMV.
 
     Setup runs fault-free (the injector is armed by the caller
@@ -165,17 +103,17 @@ def _setup(config: TortureConfig, injector: FaultInjector, wal_path: str):
     database = build_faulty_database(
         injector,
         wal_path,
-        buffer_pool_pages=config.buffer_pool_pages,
-        page_size=config.page_size,
+        buffer_pool_pages=POOL_PAGES,
+        page_size=PAGE_SIZE,
         segment_bytes=WAL_SEGMENT_BYTES,
     )
     build_rs(database, 24, 12)
     template = rs_template("tq")
     manager = attach_view(
-        database, template, strategy_for_seed(config.seed), upper_bound_bytes=4096
+        database, template, strategy_for_seed(seed), upper_bound_bytes=4096
     )
     maintainer = None
-    if config.cdc:
+    if cdc:
         from repro.cdc import ChangeOutbox, HeavyLightSplitter
 
         # The feed starts empty here — seed inserts above predate it,
@@ -314,14 +252,14 @@ class _Crash(Exception):
         self.expected_plus = expected_plus
 
 
-def _run_workload(config, database, manager, template, shadow, snapshots,
+def _run_workload(seed, database, manager, template, shadow, snapshots,
                   maintainer=None):
     """Execute the seeded op mix; raise :class:`_Crash` on simulated
     death, return the acked-op count on completion."""
-    rng = random.Random(config.seed * 7919 + 17)
+    rng = random.Random(seed * 7919 + 17)
     next_r_id = 1000
     acked = 0
-    for op_no in range(config.ops):
+    for op_no in range(OPS):
         roll = rng.random()
         effect: list = []
         lsn_before = database.wal.last_lsn
@@ -451,13 +389,11 @@ def _run_workload(config, database, manager, template, shadow, snapshots,
 # ---------------------------------------------------------------------------
 
 
-def _recovered_factory(config: TortureConfig):
-    return lambda: Database(
-        buffer_pool_pages=config.buffer_pool_pages, page_size=config.page_size
-    )
+def _recovered_factory():
+    return Database(buffer_pool_pages=POOL_PAGES, page_size=PAGE_SIZE)
 
 
-def _check_recovery(config, wal_path, expected, expected_plus, snapshots) -> None:
+def _check_recovery(seed, cdc, wal_path, expected, expected_plus, snapshots) -> None:
     """The post-crash invariant battery."""
     log = WriteAheadLog.load(wal_path)
     if log.has_torn_tail:
@@ -467,14 +403,14 @@ def _check_recovery(config, wal_path, expected, expected_plus, snapshots) -> Non
         reread = WriteAheadLog.load(wal_path)
         if reread.has_torn_tail or len(reread) != len(log):
             raise InvariantViolation("repaired WAL still torn or lost records")
-    recovered = recover(log, database_factory=_recovered_factory(config))
+    recovered = recover(log, database_factory=_recovered_factory)
     verify_crash_recovery(recovered, expected, expected_plus)
     if snapshots:
         from_snapshot = recover_from_snapshot(
             snapshot_from_json(snapshots[-1]),
             log,
-            buffer_pool_pages=config.buffer_pool_pages,
-            page_size=config.page_size,
+            buffer_pool_pages=POOL_PAGES,
+            page_size=PAGE_SIZE,
         )
         if contents_of(from_snapshot, RELATIONS) != contents_of(
             recovered, RELATIONS
@@ -482,10 +418,10 @@ def _check_recovery(config, wal_path, expected, expected_plus, snapshots) -> Non
             raise InvariantViolation(
                 "snapshot-based recovery disagrees with full-log recovery"
             )
-    _check_pmv_restart(config, recovered)
+    _check_pmv_restart(seed, cdc, recovered)
 
 
-def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
+def _check_pmv_restart(seed: int, cdc: bool, recovered: Database) -> None:
     """A PMV restarted empty on the recovered database must warm up
     and serve exactly what full execution serves.
 
@@ -498,11 +434,11 @@ def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
     template = rs_template("tq")
     manager = attach_view(recovered, template)
     maintainer = None
-    if config.cdc:
+    if cdc:
         from repro.cdc import ChangeOutbox
 
         maintainer = manager.enable_async_maintenance(outbox=ChangeOutbox())
-    rng = random.Random(config.seed + 1)
+    rng = random.Random(seed + 1)
     for _ in range(3):
         query = random_binding(template, rng)
         result = manager.execute(query)
@@ -528,8 +464,7 @@ def _check_pmv_restart(config: TortureConfig, recovered: Database) -> None:
     manager.verify_consistency()
 
 
-def _check_completed(config, database, manager, wal_path, shadow,
-                     maintainer=None) -> None:
+def _check_completed(database, manager, wal_path, shadow, maintainer=None) -> None:
     """Invariants after a run that finished (fault-free, or with only
     recoverable injected errors along the way)."""
     if maintainer is not None:
@@ -555,7 +490,7 @@ def _check_completed(config, database, manager, wal_path, shadow,
     log = WriteAheadLog.load(wal_path)
     if log.has_torn_tail:
         raise InvariantViolation("WAL has a torn tail without any crash")
-    recovered = recover(log, database_factory=_recovered_factory(config))
+    recovered = recover(log, database_factory=_recovered_factory)
     verify_database(recovered)
     if contents_of(recovered, RELATIONS) != live:
         raise InvariantViolation(
@@ -564,233 +499,89 @@ def _check_completed(config, database, manager, wal_path, shadow,
 
 
 # ---------------------------------------------------------------------------
-# Points: enumerate, run one, sweep
+# One point, the enumeration, and the two drills
 # ---------------------------------------------------------------------------
 
+NAME = {False: "torture", True: "torture-cdc"}
 
-def _run(config: TortureConfig, plan: FaultPlan | None) -> PointResult:
-    spec_text = plan.describe() if plan and len(plan) else None
+
+def _shadow_of(database: Database) -> dict[str, dict[tuple, int]]:
+    shadow: dict[str, dict[tuple, int]] = {name: {} for name in RELATIONS}
+    for name in RELATIONS:
+        for row in database.catalog.relation(name).scan_rows():
+            values = tuple(row.values)
+            shadow[name][values] = shadow[name].get(values, 0) + 1
+    return shadow
+
+
+def run_point(seed: int, spec: FaultSpec | None, cdc: bool = False) -> Outcome:
+    """Run one seeded workload with (at most) one scheduled fault."""
+    point = handle(NAME[cdc], seed, spec.describe() if spec is not None else "none")
     with tempfile.TemporaryDirectory(prefix="torture-") as workdir:
         wal_path = os.path.join(workdir, "wal")
         injector = FaultInjector(FaultPlan.none())
-        database, manager, template, maintainer = _setup(config, injector, wal_path)
+        database, manager, template, maintainer = _setup(seed, cdc, injector, wal_path)
         # Arm the plan only now: occurrences count workload arrivals.
-        injector.plan = plan if plan is not None else FaultPlan.none()
+        injector.plan = FaultPlan([spec]) if spec is not None else FaultPlan.none()
         injector.counts.clear()
-        shadow: dict[str, dict[tuple, int]] = {name: {} for name in RELATIONS}
-        for name in RELATIONS:
-            for row in database.catalog.relation(name).scan_rows():
-                values = tuple(row.values)
-                shadow[name][values] = shadow[name].get(values, 0) + 1
+        shadow = _shadow_of(database)
         snapshots: list[str] = []
         stage = "workload"
         try:
-            acked = _run_workload(
-                config, database, manager, template, shadow, snapshots,
-                maintainer=maintainer,
-            )
-            stage = "final-checks"
-            _check_completed(config, database, manager, wal_path, shadow,
-                             maintainer=maintainer)
-            return PointResult(
-                config.seed, spec_text, True, "completed", "done", acked,
-            )
-        except _Crash as crash:
-            database.wal.close()
-            stage = "recovery-checks"
-            status = "condemned" if crash.spec_text.endswith(":error") else "crashed"
             try:
+                acked = _run_workload(
+                    seed, database, manager, template, shadow, snapshots,
+                    maintainer=maintainer,
+                )
+            except _Crash as crash:
+                database.wal.close()
+                stage = "recovery-checks"
                 _check_recovery(
-                    config, wal_path, crash.expected, crash.expected_plus, snapshots
+                    seed, cdc, wal_path, crash.expected, crash.expected_plus, snapshots
                 )
-            except ReproError as exc:
-                return PointResult(
-                    config.seed, spec_text, False, "divergence", stage,
-                    -1, f"{type(exc).__name__}: {exc}",
-                )
-            return PointResult(config.seed, spec_text, True, status, "done", -1)
+                condemned = crash.spec_text.endswith(":error")
+                return Outcome(point, [], {"condemned" if condemned else "crashed": 1})
+            stage = "final-checks"
+            _check_completed(database, manager, wal_path, shadow, maintainer=maintainer)
+            return Outcome(point, [], {"completed": 1, "ops_acked": acked})
         except ReproError as exc:
-            return PointResult(
-                config.seed, spec_text, False, "divergence", stage,
-                -1, f"{type(exc).__name__}: {exc}",
-            )
+            return Outcome(point, [f"{stage}: {type(exc).__name__}: {exc}"])
         finally:
             injector.crashed = True  # silence any hooks during teardown
             database.wal.close()
 
 
-def run_point(
-    seed: int,
-    spec: FaultSpec | None,
-    ops: int = DEFAULT_OPS,
-    cdc: bool = False,
-) -> PointResult:
-    """Run one seeded workload with (at most) one scheduled fault."""
-    config = TortureConfig(seed=seed, ops=ops, cdc=cdc)
-    plan = FaultPlan([spec]) if spec is not None else FaultPlan.none()
-    return _run(config, plan)
-
-
-def enumerate_points(
-    seed: int, ops: int = DEFAULT_OPS, cdc: bool = False
-) -> list[FaultSpec]:
+def enumerate_points(seed: int, cdc: bool = False) -> list[FaultSpec]:
     """All fault points one seeded workload reaches: run it fault-free,
     count arrivals per site, expand (site, occurrence) by the modes
     meaningful at each site."""
-    config = TortureConfig(seed=seed, ops=ops, cdc=cdc)
     injector = FaultInjector(FaultPlan.none())
     with tempfile.TemporaryDirectory(prefix="torture-enum-") as workdir:
         wal_path = os.path.join(workdir, "wal")
-        database, manager, template, maintainer = _setup(config, injector, wal_path)
+        database, manager, template, maintainer = _setup(seed, cdc, injector, wal_path)
         injector.counts.clear()
-        shadow = {name: {} for name in RELATIONS}
-        for name in RELATIONS:
-            for row in database.catalog.relation(name).scan_rows():
-                values = tuple(row.values)
-                shadow[name][values] = shadow[name].get(values, 0) + 1
-        _run_workload(config, database, manager, template, shadow, [],
+        _run_workload(seed, database, manager, template, _shadow_of(database), [],
                       maintainer=maintainer)
         database.wal.close()
-    points = []
-    for site in sorted(injector.counts):
-        for occurrence in range(1, injector.counts[site] + 1):
-            for mode in modes_for_site(site):
-                points.append(FaultSpec(site, occurrence, mode))
-    return points
+    return [
+        FaultSpec(site, occurrence, mode)
+        for site in sorted(injector.counts)
+        for occurrence in range(1, injector.counts[site] + 1)
+        for mode in modes_for_site(site)
+    ]
 
 
-def sweep(
-    seeds: list[int],
-    ops: int = DEFAULT_OPS,
-    max_points: int | None = None,
-    stop_on_first: bool = False,
-    verbose: bool = False,
-    cdc: bool = False,
-    sites: list[str] | None = None,
-) -> SweepReport:
-    """Crash at every enumerated fault point of every seed.
-
-    ``sites`` optionally restricts the sweep to fault sites matching
-    any of the given prefixes (e.g. ``["outbox."]`` for the bench's
-    bounded CDC sweep).
-    """
-    report = SweepReport(seeds=list(seeds))
-    started = time.perf_counter()
-    for seed in seeds:
-        points = enumerate_points(seed, ops=ops, cdc=cdc)
-        if sites:
-            points = [
-                p for p in points
-                if any(p.site.startswith(prefix) for prefix in sites)
-            ]
-        budget = max_points - report.points_run if max_points else None
-        if budget is not None and budget <= 0:
-            break
-        if budget is not None and len(points) > budget:
-            # Even stride so the sample still spans every site/phase.
-            stride = len(points) / budget
-            points = [points[int(i * stride)] for i in range(budget)]
-        for spec in points:
-            result = run_point(seed, spec, ops=ops, cdc=cdc)
-            report.points_run += 1
-            report.crashes += result.status == "crashed"
-            report.condemned += result.status == "condemned"
-            report.completed += result.status == "completed"
-            if not result.ok:
-                report.divergences.append(asdict(result))
-                print(
-                    f"DIVERGENCE at {result.replay}: {result.error}",
-                    file=sys.stderr,
-                )
-                if stop_on_first:
-                    report.elapsed_seconds = time.perf_counter() - started
-                    return report
-            elif verbose:
-                print(f"ok {result.replay} [{result.status}]")
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.torture",
-        description="Crash-at-every-fault-point recovery torture sweep.",
+def _drill(cdc: bool, seeds: tuple[int, ...], max_points: int) -> Drill:
+    return Drill(
+        NAME[cdc],
+        points=lambda seed: [spec.describe() for spec in enumerate_points(seed, cdc)],
+        run=lambda seed, schedule: run_point(
+            seed, None if schedule == "none" else FaultSpec.parse(schedule), cdc
+        ),
+        seeds=seeds,
+        max_points=max_points,
     )
-    parser.add_argument("--seeds", type=int, default=2, help="number of workload seeds")
-    parser.add_argument("--seed-base", type=int, default=0, help="first seed value")
-    parser.add_argument("--ops", type=int, default=DEFAULT_OPS, help="ops per workload")
-    parser.add_argument(
-        "--max-points", type=int, default=None, help="bound the total points run"
-    )
-    parser.add_argument(
-        "--report", metavar="PATH", default=None, help="write a JSON report here"
-    )
-    parser.add_argument(
-        "--replay",
-        metavar="SEED/SITE:OCC:MODE",
-        default=None,
-        help="re-run one printed divergence point and exit",
-    )
-    parser.add_argument(
-        "--cdc",
-        action="store_true",
-        help="run the PMV under CDC-driven async maintenance (adds the "
-        "outbox.append/outbox.drain fault sites and bounded-stale "
-        "query checking)",
-    )
-    parser.add_argument(
-        "--sites",
-        metavar="PREFIX[,PREFIX...]",
-        default=None,
-        help="restrict the sweep to fault sites with these prefixes",
-    )
-    parser.add_argument("--stop-on-first", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.replay is not None:
-        seed_text, _, spec_text = args.replay.partition("/")
-        spec = None if spec_text in ("", "none") else FaultSpec.parse(spec_text)
-        result = run_point(int(seed_text), spec, ops=args.ops, cdc=args.cdc)
-        print(json.dumps(asdict(result), indent=2))
-        return 0 if result.ok else 1
-
-    seeds = [args.seed_base + i for i in range(args.seeds)]
-    report = sweep(
-        seeds,
-        ops=args.ops,
-        max_points=args.max_points,
-        stop_on_first=args.stop_on_first,
-        verbose=args.verbose,
-        cdc=args.cdc,
-        sites=args.sites.split(",") if args.sites else None,
-    )
-    summary = asdict(report)
-    summary["ok"] = report.ok
-    print(
-        f"torture: {report.points_run} fault points over seeds {report.seeds} "
-        f"({report.crashes} crashes, {report.condemned} condemned, "
-        f"{report.completed} completed) in {report.elapsed_seconds:.1f}s — "
-        + ("ALL INVARIANTS HELD" if report.ok else
-           f"{len(report.divergences)} DIVERGENCES")
-    )
-    for divergence in report.divergences:
-        print(
-            f"  replay: python -m repro.bench.torture "
-            + ("--cdc " if args.cdc else "")
-            + f"--replay {divergence['seed']}/{divergence['spec']}"
-        )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-        print(f"report written to {args.report}")
-    return 0 if report.ok else 1
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+DRILL = _drill(cdc=False, seeds=(0, 1), max_points=200)
+CDC_DRILL = _drill(cdc=True, seeds=(0,), max_points=120)

@@ -23,11 +23,13 @@ from repro.engine import (
     SelectionSlot,
     SlotForm,
     TEXT,
+    WriteAheadLog,
 )
 from repro.qos.gate import ServingGate
 from repro.replication import FailoverCoordinator, PrimaryNode, ReplicaNode
 
 __all__ = [
+    "GEOMETRY",
     "HEARTBEAT_INTERVAL",
     "LEASE_TTL",
     "RELATIONS",
@@ -35,6 +37,7 @@ __all__ = [
     "attach_view",
     "bind",
     "build_rs",
+    "build_world",
     "random_binding",
     "rs_template",
     "strategy_for_seed",
@@ -136,6 +139,21 @@ def attach_view(
         upper_bound_bytes=upper_bound_bytes,
     )
     return manager
+
+
+GEOMETRY = {"buffer_pool_pages": 64, "page_size": 1024}
+"""Page geometry of :func:`build_world` (a replay must use the same)."""
+
+
+def build_world(seed: int) -> tuple[Database, PMVManager, QueryTemplate]:
+    """The concurrent drills' world: an in-memory WAL, ``r.note``, and a
+    view maintained by :func:`strategy_for_seed`."""
+    database = build_rs(Database(wal=WriteAheadLog(), **GEOMETRY), 60, 24, note=True)
+    template = rs_template("sq")
+    manager = attach_view(
+        database, template, strategy_for_seed(seed), upper_bound_bytes=4096
+    )
+    return database, manager, template
 
 
 def bind(template: QueryTemplate, f: int, g: int):

@@ -2,21 +2,25 @@
 tampering with it that ``check_answers`` / ``WriteLedger`` must name.
 
 The drills trust :mod:`repro.check.oracle` to fail them; this file is
-where that trust is earned.  The last class runs each converted drill
-with one recorded answer tampered just before the check and asserts
-the drill itself reports failure.
+where that trust is earned.  The last two classes run the drills with
+one recorded answer tampered just before the check, assert the drill
+itself reports failure, and that the handle it prints replays the same
+violations.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro import check
-from repro.check import Answer, Replay, WriteLedger, check_answers, multiset
+from repro.check import Answer, Replay, WriteLedger, check_answers, multiset, runner
 from repro.engine import Database, WriteAheadLog
+from repro.faults import verify_crash_recovery
 from repro.qos import Deadline
 
 
@@ -221,41 +225,90 @@ class TestDrillsFailWhenAnAnswerIsTampered:
         from repro.bench import stress
 
         tampered = _tampering(monkeypatch, stress)
-        result = stress.run_stress(
-            stress.StressConfig(
-                seed=3, clients=2, writers=1, queries_per_client=3, ops_per_writer=3
-            )
-        )
-        assert tampered and not result.ok
-        assert [m["query"] for m in result.mismatches] == tampered
+        outcome = stress.run(3, "free")
+        assert tampered and not outcome.ok
+        assert [v.split()[:3] for v in outcome.violations] == [
+            ["missing:", "answer", label] for label in tampered
+        ]
 
     def test_overload(self, monkeypatch):
         from repro.bench import overload
 
         tampered = _tampering(monkeypatch, overload)
-        result = overload.run_overload(
-            overload.OverloadConfig(
-                clients=3, queries_per_client=4, ops_per_writer=3, cooldown_queries=8
-            ),
-            verbose=False,
-        )
-        assert tampered and not result.ok
-        assert result.silently_incomplete == 1 and result.subset_violations == 0
+        outcome = overload.run(0)
+        assert tampered and not outcome.ok
+        assert outcome.counts["silently_incomplete"] == 1
+        assert outcome.counts["subset_violations"] == 0
 
     def test_failover(self, monkeypatch):
         from repro.bench import failover
 
         tampered = _tampering(monkeypatch, failover)
-        result = failover.run_drill(3, None, failover.FailoverConfig(seed=3, ops=80))
-        assert tampered and not result.ok
-        assert "missing" in result.error and tampered[0] in result.error
+        outcome = failover.run_drill(3, None)
+        assert tampered and not outcome.ok
+        (violation,) = outcome.violations
+        assert "missing" in violation and tampered[0] in violation
 
     def test_nemesis(self, monkeypatch):
         from repro.bench import nemesis
 
         tampered = _tampering(monkeypatch, nemesis)
-        report = nemesis.run_nemesis(
-            nemesis.NemesisConfig(seed=5, steps=30, clients=1)
-        )
-        assert tampered and not report.ok
-        assert any("untrue-read: missing" in v for v in report.violations)
+        outcome = nemesis.run(5, nemesis.DRILL.points(5)[0])
+        assert tampered and not outcome.ok
+        assert any("untrue-read: missing" in v for v in outcome.violations)
+
+
+def _tampering_recovery(monkeypatch, module):
+    """Make ``module``'s crash-recovery check expect one ``r`` row more
+    than was acknowledged (the torture drill has no answer to tamper)."""
+    tampered = []
+
+    def check_with_a_ghost_row(recovered, acked, acked_plus_inflight=None):
+        for expected in filter(None, (acked, acked_plus_inflight)):
+            expected["r"] = sorted(expected["r"] + [(-1, 0, 0, "ghost")], key=repr)
+        tampered.append(True)
+        return verify_crash_recovery(recovered, acked, acked_plus_inflight)
+
+    monkeypatch.setattr(module, "verify_crash_recovery", check_with_a_ghost_row)
+    return tampered
+
+
+class TestPrintedHandlesReplay:
+    """A tampered deterministic drill exits 1 and prints a handle; the
+    replay of that handle finds the identical violations."""
+
+    @pytest.mark.parametrize(
+        "drill, args, tamper",
+        [
+            ("torture", ["--seeds", "0", "--max-points", "2"], _tampering_recovery),
+            ("failover", ["--seeds", "1", "--max-points", "1"], _tampering),
+            ("nemesis", ["--seeds", "5"], _tampering),
+            ("stress", ["--seeds", "1"], _tampering),
+        ],
+    )
+    def test_replay_reproduces_the_violations(
+        self, drill, args, tamper, monkeypatch, tmp_path, capsys
+    ):
+        module = importlib.import_module(f"repro.bench.{drill}")
+        tampered = tamper(monkeypatch, module)
+        swept, replayed = tmp_path / "sweep.json", tmp_path / "replay.json"
+        assert runner.main([drill, *args, "--report", str(swept)]) == 1
+        assert tampered
+        handles = [
+            line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("replay: python -m repro.check --replay ")
+        ]
+        assert handles and all(h.startswith(f"{drill}/") for h in handles)
+        assert runner.main(["--replay", handles[0], "--report", str(replayed)]) == 1
+
+        def violations(path):
+            return {
+                outcome["handle"]: outcome["violations"]
+                for entry in json.loads(path.read_text())["drills"]
+                for outcome in entry["outcomes"]
+            }
+
+        replay = violations(replayed)
+        assert list(replay) == [handles[0]] and replay[handles[0]]
+        assert replay[handles[0]] == violations(swept)[handles[0]]

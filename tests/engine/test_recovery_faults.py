@@ -5,7 +5,7 @@ harness) plus targeted crash-window tests: a statement interrupted
 before/during its log append never happened; one interrupted after the
 append is replayed.  The sweep tests drive the real torture harness
 (:mod:`repro.bench.torture`) across every WAL append and checkpoint
-boundary a small workload reaches.
+boundary its workload reaches.
 """
 
 import os
@@ -181,23 +181,19 @@ class TestAppendCrashWindows:
         assert contents_of(recovered, ["t"]) == {"t": []}
 
 
-# Drive the real torture harness across every append/checkpoint
-# boundary a short workload reaches.  ``run_point`` performs the full
-# invariant battery (recovered == acked (+ in-flight), heap/index
-# agreement, snapshot recovery agreement, PMV restart correctness).
-
-_OPS = 24
+# Drive the real torture drill across every append/checkpoint boundary
+# its workload reaches.  ``run_point`` performs the full invariant
+# battery (recovered == acked (+ in-flight), heap/index agreement,
+# snapshot recovery agreement, PMV restart correctness).
 
 
 def _points(site):
-    return [
-        spec for spec in enumerate_points(seed=0, ops=_OPS) if spec.site == site
-    ]
+    return [spec for spec in enumerate_points(seed=0) if spec.site == site]
 
 
 class TestHarnessSweeps:
     def test_workload_reaches_every_wal_boundary(self):
-        sites = {spec.site for spec in enumerate_points(seed=0, ops=_OPS)}
+        sites = {spec.site for spec in enumerate_points(seed=0)}
         assert "wal.append" in sites and "wal.checkpoint" in sites
 
     @pytest.mark.parametrize(
@@ -207,8 +203,8 @@ class TestHarnessSweeps:
         specs = [s for s in _points("wal.append") if s.mode is mode][:6]
         assert specs, f"no append points in mode {mode}"
         for spec in specs:
-            result = run_point(0, spec, ops=_OPS)
-            assert result.ok, f"replay {result.replay}: {result.error}"
+            result = run_point(0, spec)
+            assert result.ok, (result.handle, result.violations)
 
     def test_append_has_no_error_mode(self):
         # The log is force-at-append: a failed append IS a crash.
@@ -217,16 +213,16 @@ class TestHarnessSweeps:
 
     def test_checkpoint_boundary_sweep(self):
         for spec in _points("wal.checkpoint")[:8]:
-            result = run_point(0, spec, ops=_OPS)
-            assert result.ok, f"replay {result.replay}: {result.error}"
+            result = run_point(0, spec)
+            assert result.ok, (result.handle, result.violations)
 
     def test_commit_crash_sweep(self):
         for spec in _points("txn.commit")[:4]:
-            result = run_point(0, spec, ops=_OPS)
-            assert result.ok, f"replay {result.replay}: {result.error}"
+            result = run_point(0, spec)
+            assert result.ok, (result.handle, result.violations)
 
     def test_torn_page_write_sweep(self):
         specs = [s for s in _points("disk.write_page") if s.mode is FaultMode.TORN]
         for spec in specs[:4]:
-            result = run_point(0, spec, ops=_OPS)
-            assert result.ok, f"replay {result.replay}: {result.error}"
+            result = run_point(0, spec)
+            assert result.ok, (result.handle, result.violations)

@@ -1,5 +1,7 @@
 """Smoke/shape tests for the benchmark drivers (tiny scales)."""
 
+import json
+
 import pytest
 
 from repro.bench.figures import (
@@ -12,6 +14,7 @@ from repro.bench.figures import (
     run_table1,
 )
 from repro.bench.reporting import Series, format_series, format_table
+from repro.check import runner
 
 
 class TestReporting:
@@ -86,59 +89,40 @@ class TestEngineMeasurement:
 
 
 class TestOverloadDriver:
-    """The QoS overload driver, at a bounded smoke scale."""
+    """The QoS overload drill."""
 
     @pytest.fixture(scope="class")
     def outcome(self):
-        from repro.bench.overload import OverloadConfig, run_overload
+        from repro.bench import overload
 
-        config = OverloadConfig(
-            clients=6,
-            queries_per_client=8,
-            ops_per_writer=5,
-            max_concurrency=2,
-            max_queue_depth=3,
-            cooldown_queries=40,
-        )
-        return run_overload(config, verbose=False)
+        return overload.run(0)
 
     def test_run_passes_slo_story(self, outcome):
-        assert outcome.ok, (outcome.failures, outcome.thread_errors)
+        assert outcome.ok, outcome.violations
 
     def test_no_silently_incomplete_answers(self, outcome):
-        assert outcome.silently_incomplete == 0
-        assert outcome.subset_violations == 0
-        assert outcome.queries_checked > 0
+        assert outcome.counts["silently_incomplete"] == 0
+        assert outcome.counts["subset_violations"] == 0
+        assert outcome.counts["queries_checked"] > 0
 
     def test_partial_answers_are_explicit(self, outcome):
         # The deterministic zero-budget probes guarantee at least these.
-        assert outcome.partial_answers >= 3
+        assert outcome.counts["partial_answers"] >= 3
 
     def test_recovers_to_normal(self, outcome):
-        assert outcome.final_state == "NORMAL"
+        assert not [v for v in outcome.violations if "NORMAL" in v]
 
     def test_cli_report(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.overload import main
-
         path = tmp_path / "overload.json"
-        code = main(
-            [
-                "--clients", "5",
-                "--queries", "6",
-                "--max-concurrency", "2",
-                "--report", str(path),
-            ]
-        )
+        code = runner.main(["overload", "--report", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "[overload] OK" in out
+        assert "ok   overload/0/none" in out
         data = json.loads(path.read_text())
         assert data["ok"] is True
-        assert data["silently_incomplete"] == 0
-        assert data["final_state"] == "NORMAL"
-        assert data["partial_answers"] >= 3
+        ((outcome,),) = [entry["outcomes"] for entry in data["drills"]]
+        assert outcome["counts"]["silently_incomplete"] == 0
+        assert outcome["counts"]["partial_answers"] >= 3
 
 
 class TestAnalyticalFigures:
@@ -157,17 +141,14 @@ class TestAnalyticalFigures:
 
 
 class TestFailoverDriver:
-    """The replication failover drill, at a bounded smoke scale."""
+    """The replication failover drill."""
 
     @pytest.fixture(scope="class")
     def outcome(self):
-        from repro.bench.failover import FailoverConfig, crash_sites_for, run_drill
+        from repro.bench.failover import crash_sites_for, run_drill
 
-        seed = 0
-        config = FailoverConfig(seed=seed, ops=80)
-        specs = crash_sites_for(seed, config)
-        results = [run_drill(seed, spec, config) for spec in specs]
-        return specs, results
+        specs = crash_sites_for(0)
+        return specs, [run_drill(0, spec) for spec in specs]
 
     def test_reaches_at_least_three_distinct_crash_sites(self, outcome):
         specs, _ = outcome
@@ -177,54 +158,53 @@ class TestFailoverDriver:
         _, results = outcome
         assert results
         for result in results:
-            assert result.ok, (result.replay, result.error)
-            assert result.status == "failed-over"
-            assert result.promoted is not None
+            assert result.ok, (result.handle, result.violations)
+            assert result.counts["failed_over"] == 1
 
     def test_zero_acked_write_loss_is_checked_on_real_traffic(self, outcome):
         _, results = outcome
         # Every drill had acknowledged writes to verify against.
-        assert all(result.acked_records > 0 for result in results)
+        assert all(result.counts["acked_records"] > 0 for result in results)
 
     def test_warm_standby_hit_rate_survives_promotion(self, outcome):
+        from repro.bench.failover import HIT_FACTOR, PROBE_WINDOW
+
         _, results = outcome
         for result in results:
-            assert result.post_hit_rate >= 0.5 * result.pre_hit_rate
+            counts = result.counts
+            pre_rate = counts["pre_hits"] / counts["pre_queries"]
+            assert counts["post_hits"] / PROBE_WINDOW >= HIT_FACTOR * pre_rate
 
     def test_lagged_replica_answers_were_served_and_verified(self, outcome):
         _, results = outcome
-        assert sum(result.replica_answers for result in results) > 0
-        assert sum(result.lagged_answers for result in results) > 0
+        assert sum(result.counts["replica_answers"] for result in results) > 0
+        assert sum(result.counts["lagged_answers"] for result in results) > 0
 
     def test_fault_free_run_completes_and_converges(self):
-        from repro.bench.failover import FailoverConfig, run_drill
+        from repro.bench.failover import run_drill
 
-        result = run_drill(3, None, FailoverConfig(seed=3, ops=80))
-        assert result.ok, result.error
-        assert result.status == "completed"
+        result = run_drill(3, None)
+        assert result.ok, result.violations
+        assert result.counts["completed"] == 1
 
     def test_cli_report(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.failover import main
-
         path = tmp_path / "failover.json"
-        code = main(["--seeds", "1", "--ops", "60", "--report", str(path)])
+        code = runner.main(["failover", "--seeds", "0", "--report", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "ALL DRILLS PASSED" in out
+        assert "== failover: 5 points over seeds [0]" in out
         data = json.loads(path.read_text())
         assert data["ok"] is True
-        assert data["points_run"] >= 3
-        assert data["divergences"] == []
+        (entry,) = data["drills"]
+        assert entry["points"] >= 3
+        assert all(not outcome["violations"] for outcome in entry["outcomes"])
 
-    def test_cli_replay_one_point(self, capsys):
-        import json
-
-        from repro.bench.failover import main
-
-        code = main(["--replay", "0/wal.append:30:torn", "--ops", "60"])
-        out = capsys.readouterr().out
+    def test_cli_replay_one_point(self, tmp_path):
+        path = tmp_path / "replay.json"
+        code = runner.main(
+            ["--replay", "failover/0/wal.append:30:torn", "--report", str(path)]
+        )
         assert code == 0
-        data = json.loads(out)
-        assert data["ok"] is True
+        ((outcome,),) = [entry["outcomes"] for entry in json.loads(path.read_text())["drills"]]
+        assert outcome["ok"] is True
+        assert outcome["counts"]["failed_over"] == 1

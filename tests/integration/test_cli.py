@@ -42,7 +42,6 @@ class TestCLI:
     def test_all_covers_every_experiment(self):
         assert set(EXPERIMENTS) == {
             "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-            "overload", "failover", "cdc", "netload", "nemesis", "endurance",
         }
 
 

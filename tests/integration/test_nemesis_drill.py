@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import nemesis
-from repro.bench.nemesis import NemesisConfig, run_nemesis
+from repro.check import parse_handle
 from repro.faults.partition import PartitionPlan
 
 # Cut only the primary->coordinator direction: the coordinator suspects
@@ -27,21 +27,9 @@ from repro.faults.partition import PartitionPlan
 ZOMBIE_SCHEDULE = "4:cut:coord-primary:up,26:heal:coord-primary:both"
 
 
-def _config(**overrides) -> NemesisConfig:
-    defaults = dict(
-        seed=0,
-        steps=36,
-        clients=2,
-        schedule=ZOMBIE_SCHEDULE,
-        quiesce=6,
-    )
-    defaults.update(overrides)
-    return NemesisConfig(**defaults)
-
-
 @pytest.fixture(scope="module")
 def lease_run():
-    return run_nemesis(_config())
+    return nemesis.run(0, ZOMBIE_SCHEDULE)
 
 
 class _ZombieCluster(nemesis._Cluster):
@@ -49,8 +37,8 @@ class _ZombieCluster(nemesis._Cluster):
     never bound to the original primary's lease: once deposed, that
     primary is a zombie that still answers."""
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self):
+        super().__init__()
         self.stale_gate.serving_check = None
 
 
@@ -58,7 +46,7 @@ class _ZombieCluster(nemesis._Cluster):
 def legacy_run():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nemesis, "_Cluster", _ZombieCluster)
-        return run_nemesis(_config())
+        return nemesis.run(0, ZOMBIE_SCHEDULE)
 
 
 class TestLeaseGatedRun:
@@ -67,30 +55,29 @@ class TestLeaseGatedRun:
         assert lease_run.ok
 
     def test_failover_happened_after_lease_refusals(self, lease_run):
-        assert lease_run.failovers >= 1
+        assert lease_run.counts["failovers"] >= 1
         # Suspicion fires before the lease expires: the coordinator
         # provably waited the old primary out instead of racing it.
-        assert lease_run.promotions_refused_lease >= 1
+        assert lease_run.counts["promotions_refused_lease"] >= 1
 
     def test_zombie_probes_refused(self, lease_run):
-        assert lease_run.zombie_probe_refusals >= 1
-        assert lease_run.zombie_probe_serves == 0
+        assert lease_run.counts["zombie_probe_refusals"] >= 1
+        assert lease_run.counts["zombie_probe_serves"] == 0
 
     def test_isolated_node_refused_real_traffic(self, lease_run):
-        assert lease_run.isolated_refusals >= 1
+        assert lease_run.counts["isolated_refusals"] >= 1
 
     def test_replay_handle_reproduces_schedule(self, lease_run):
-        assert lease_run.schedule == PartitionPlan.parse(
-            ZOMBIE_SCHEDULE
-        ).describe()
+        schedule = parse_handle(lease_run.handle)[2]
+        assert schedule == PartitionPlan.parse(ZOMBIE_SCHEDULE).describe()
 
 
 class TestLegacyZombieRegression:
     def test_checker_catches_the_zombie_window(self, legacy_run):
         """With no lease check on its gate the deposed-but-reachable
         primary keeps serving — and the history checker must say so."""
-        assert legacy_run.failovers >= 1
-        assert legacy_run.zombie_probe_serves >= 1
+        assert legacy_run.counts["failovers"] >= 1
+        assert legacy_run.counts["zombie_probe_serves"] >= 1
         assert any("zombie-read" in v for v in legacy_run.violations)
         assert not legacy_run.ok
 
@@ -105,7 +92,8 @@ class TestLegacyZombieRegression:
 
 class TestSeededSweepDeterminism:
     def test_generated_schedule_is_stable(self):
-        first = run_nemesis(NemesisConfig(seed=5, steps=30, clients=1))
-        second = run_nemesis(NemesisConfig(seed=5, steps=30, clients=1))
-        assert first.schedule == second.schedule
-        assert first.epochs == second.epochs
+        (schedule,) = nemesis.DRILL.points(5)
+        assert nemesis.DRILL.points(5) == [schedule]
+        first, second = nemesis.run(5, schedule), nemesis.run(5, schedule)
+        assert first.handle == second.handle == f"nemesis/5/{schedule}"
+        assert first.counts["epochs"] == second.counts["epochs"]

@@ -1,17 +1,17 @@
 """The deterministic interleaving scheduler and the stress driver.
 
-Covers the PR 3 serving-layer claims end to end at tiny scales:
+Covers the serving-layer claims end to end:
 
 - :class:`repro.faults.InterleavingScheduler` replays the same seed as
   the same decision trace and orders managed threads cooperatively;
-- :mod:`repro.bench.stress` proves a concurrent run row-for-row
-  equivalent to its single-threaded op-log replay, in both free-running
-  and scheduled mode.
+- the stress drill (:mod:`repro.bench.stress`) proves a concurrent run
+  row-for-row equivalent to its single-threaded op-log replay, in both
+  free-running and scheduled mode.
 """
 
 import threading
 
-from repro.bench.stress import StressConfig, run_stress, sweep_interleavings
+from repro.bench import stress
 from repro.faults import InterleavingScheduler
 
 
@@ -67,38 +67,29 @@ class TestInterleavingScheduler:
 
 class TestStressDriver:
     def test_free_running_smoke(self):
-        config = StressConfig(
-            seed=3, clients=3, writers=1, queries_per_client=4, ops_per_writer=4
-        )
-        result = run_stress(config)
-        assert result.ok, (result.mismatches, result.thread_errors)
-        assert result.queries_checked == 12
-        assert result.thread_errors == []
-        assert result.handle == "free/3"
+        result = stress.run(3, "free")
+        assert result.ok, result.violations
+        assert result.counts["queries_checked"] == 8 * 25
+        assert result.handle == "stress/3/free"
         # Nothing may stay locked once every worker has finished.
-        assert result.lock_stats["active_objects"] == 0
-        assert result.lock_stats["queued"] == 0
+        assert result.counts["locks_held_at_end"] == 0
+        assert result.counts["lock_waiters_at_end"] == 0
 
     def test_aborted_statements_leave_no_trace(self):
         """The aborting writer: a statement that fails after its prepare
         phase releases its X lock, keeps the old row and its index
         entries, logs nothing — so the WAL still replays to the live
         layout and no answer ever sees the aborted values."""
-        config = StressConfig(
-            seed=0, clients=2, writers=1, queries_per_client=4, ops_per_writer=6,
-            deterministic=True,
-        )
-        result = run_stress(config)
-        assert result.aborted_statements == 2 * config.ops_per_writer
-        assert result.ok, (result.mismatches, result.thread_errors)
-        assert result.lock_stats["active_objects"] == 0
+        result = stress.run(0, "sched")
+        _clients, _writers, _queries, ops = stress.SIZES["sched"]
+        assert result.counts["aborted_statements"] == 2 * ops
+        assert result.ok, result.violations
+        assert result.counts["locks_held_at_end"] == 0
 
     def test_scheduled_run_is_deterministic(self):
-        outcomes = sweep_interleavings(
-            [1], clients=2, writers=1, queries_per_client=3, ops_per_writer=3
-        )
-        (outcome,) = outcomes
-        assert outcome["ok"], outcome
-        assert outcome["deterministic_replay"]
-        assert outcome["handle"] == "sched/1"
-        assert outcome["decisions"] > 0
+        """A ``sched`` run reruns itself: both must pass and take the
+        identical decision trace."""
+        result = stress.run(1, "sched")
+        assert result.ok, result.violations
+        assert result.handle == "stress/1/sched"
+        assert result.counts["decisions"] > 0

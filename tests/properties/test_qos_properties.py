@@ -23,10 +23,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.stress import GEOMETRY, build_world
 from repro.check import (
+    GEOMETRY,
     Answer,
     Replay,
+    build_world,
     check_answers,
     multiset,
     random_binding,

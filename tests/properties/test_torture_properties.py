@@ -5,7 +5,7 @@ Hypothesis draws a workload seed and a single :class:`FaultSpec`
 simulated crash, recovery, invariant battery.  Any failure shrinks
 toward the minimal failing schedule (smallest seed, earliest
 occurrence, first site/mode in sort order), and the assertion message
-carries the exact ``--replay`` handle.
+carries the exact ``python -m repro.check --replay`` handle.
 
 Also pins down the harness's own contracts: spec/plan serialization
 round-trips, invalid schedules are rejected, and a point replays
@@ -17,8 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.torture import run_point
 from repro.faults import FaultMode, FaultPlan, FaultSpec, SITES, modes_for_site
-
-_OPS = 24
 
 _SITES = sorted(SITES)
 
@@ -38,11 +36,10 @@ def test_any_single_fault_point_recovers(seed, spec):
     state the invariant checker accepts.  An occurrence beyond what the
     workload reaches degenerates to a fault-free run, whose final-state
     checks must hold too."""
-    result = run_point(seed, spec, ops=_OPS)
+    result = run_point(seed, spec)
     assert result.ok, (
-        f"divergence — replay with: "
-        f"python -m repro.bench.torture --ops {_OPS} --replay {result.replay} "
-        f"({result.error})"
+        f"divergence — replay with: python -m repro.check --replay {result.handle} "
+        f"({result.violations})"
     )
 
 
@@ -51,11 +48,7 @@ def test_any_single_fault_point_recovers(seed, spec):
 def test_points_replay_deterministically(seed, spec):
     """Same seed + same spec -> bit-identical outcome.  Without this,
     the printed replay handle would be worthless."""
-    first = run_point(seed, spec, ops=_OPS)
-    second = run_point(seed, spec, ops=_OPS)
-    assert (first.ok, first.status, first.stage, first.ops_acked, first.error) == (
-        second.ok, second.status, second.stage, second.ops_acked, second.error
-    )
+    assert run_point(seed, spec) == run_point(seed, spec)
 
 
 @given(spec=fault_specs())

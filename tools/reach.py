@@ -1,7 +1,7 @@
 """Which functions under ``src/repro/`` does no entry point call?
 
-Runs every command a CI job runs (perf smoke, drills, figure benchmarks,
-examples) with a ``sys.setprofile`` hook installed through a
+Runs every command a CI job runs (perf smoke, the drill runner, figure
+benchmarks, examples) with a ``sys.setprofile`` hook installed through a
 ``sitecustomize`` directory on ``PYTHONPATH`` -- so the harness's server
 child is covered -- and prints each function none of them entered as
 ``file:line qualname lines``.  Exits 1 when one matches no line of
@@ -40,23 +40,13 @@ threading.setprofile(_hook)
 sys.setprofile(_hook)
 """
 
-DRILLS = [
-    "stress --clients 8 --writers 2 --queries 25 --ops 20 --seed 0",
-    "stress --sched-seeds 4",
-    "overload --clients 8 --queries 12 --max-concurrency 2",
-    "failover --seeds 2",
-    "torture --seeds 2 --max-points 200",
-    "torture --cdc --seeds 1 --max-points 120",
-    "cdc",
-    "netload --clients 8 --ops 40",
-    "nemesis --seeds 0 1 2 3 4 5 6 7 8 9 10 11",
-    "endurance --ops 600",
-]
+# The drills job's command: the runner's registry decides what a drill run is.
+DRILLS = ["-m", "repro.check", "all", "--report", os.devnull]
 # --benchmark-disable, not CI's --benchmark-only: pytest-benchmark pauses
 # sys.setprofile around every timed call, which hides the benchmarks' bodies.
 COMMANDS = (
     [["-m", "bench.perf", "--smoke"]]
-    + [["-m", f"repro.bench.{name}", *args] for name, *args in map(str.split, DRILLS)]
+    + [DRILLS]
     + [["-m", "pytest", "benchmarks", "-q", "--benchmark-disable", "-p", "no:cacheprovider"]]
     + [["-m", "repro.bench", "all"]]
     + [[str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
