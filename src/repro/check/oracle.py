@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.engine import Database
+from repro.engine.row import project_values
 from repro.engine.wal import replay_record
 
 __all__ = [
@@ -122,9 +123,7 @@ class Replay:
     def truth(self, query, width: int | None = None) -> Counter:
         """The true answer now, over the first ``width`` columns of ``Ls'``."""
         names = query.template.expanded_select_list()[:width]
-        return Counter(
-            tuple(row.project(names).values) for row in self.database.run(query)
-        )
+        return Counter(project_values(self.database.run(query), names))
 
 
 def check_answers(answers: Iterable[Answer], replay: Replay) -> list[Violation]:

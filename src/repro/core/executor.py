@@ -38,7 +38,7 @@ from repro.core.duplicates import DuplicateSuppressor
 from repro.core.metrics import QueryMetrics
 from repro.core.view import PartialMaterializedView
 from repro.engine.database import Database
-from repro.engine.row import Row
+from repro.engine.row import Row, project_rows, project_values
 from repro.engine.template import Query
 from repro.engine.transactions import Transaction
 from repro.errors import LockError, PMVError
@@ -58,8 +58,8 @@ class PMVQueryResult:
     ``partial_rows`` were delivered immediately from the PMV (O2);
     ``remaining_rows`` came from full execution (O3).  Together they
     are exactly the query's full answer, each tuple delivered once.
-    Rows carry the expanded select list ``Ls'``; :meth:`user_rows`
-    projects down to the user-visible ``Ls``.
+    Rows carry the expanded select list ``Ls'``; :meth:`user_values`
+    and :meth:`user_rows` project down to the user-visible ``Ls``.
     """
 
     query: Query
@@ -95,10 +95,17 @@ class PMVQueryResult:
         """Every result tuple, partial results first."""
         return self.partial_rows + self.remaining_rows
 
+    def user_values(self) -> list[tuple]:
+        """The full answer's value tuples over the original select list
+        Ls, partial results first: what the wire envelope carries.
+        Column positions are resolved once per row schema, not per row."""
+        return project_values(self.all_rows(), self.query.template.select_list)
+
     def user_rows(self) -> list[Row]:
-        """The full answer projected to the original select list Ls."""
-        names = self.query.template.select_list
-        return [row.project(names) for row in self.all_rows()]
+        """The full answer projected to the original select list Ls:
+        the delivered rows themselves where ``Ls' == Ls``, otherwise
+        the :meth:`user_values` tuples under one schema per answer."""
+        return project_rows(self.all_rows(), self.query.template.select_list)
 
     def ordered_rows(
         self,
@@ -561,11 +568,8 @@ class PMVExecutor:
         view's lifetime averages are the only estimator that needs no
         extra bookkeeping.  ``None`` before any history exists.
         """
-        snap = self.view.metrics.snapshot()
-        if not snap["queries"]:
-            return None
-        expected = (snap["partial_tuples"] + snap["remaining_tuples"]) / snap["queries"]
-        if expected <= 0:
+        expected = self.view.metrics.tuples_per_query()
+        if not expected:
             return None
         delivered = len(result.partial_rows) + len(result.remaining_rows)
         return min(1.0, delivered / expected)

@@ -167,6 +167,15 @@ class PMVMetrics:
                 "swallowed_errors": self.swallowed_errors,
             }
 
+    def tuples_per_query(self) -> float | None:
+        """Mean tuples delivered per query (partial + remaining), read
+        under the record mutex like :meth:`snapshot` but touching only
+        the three counters it needs; ``None`` before any query."""
+        with self._record_mutex:
+            if not self.queries:
+                return None
+            return (self.partial_tuples + self.remaining_tuples) / self.queries
+
     @property
     def hit_probability(self) -> float:
         """Fraction of queries that received some partial results."""

@@ -51,6 +51,10 @@ class _BaseIndex:
             return row[self.key_columns[0]]
         return tuple(row[c] for c in self.key_columns)
 
+    def _not_indexed(self, key: Any, row_id: RowId) -> IndexError_:
+        """The error a delete of a posting the index does not hold raises."""
+        return IndexError_(f"{self.name}: ({key!r}, {row_id}) not indexed")
+
     @property
     def entry_count(self) -> int:
         return self._entry_count
@@ -76,9 +80,15 @@ class HashIndex(_BaseIndex):
     def delete(self, row: Row, row_id: RowId) -> None:
         key = self.key_of(row)
         bucket = self._buckets.get(key)
-        if not bucket or row_id not in bucket:
-            raise IndexError_(f"{self.name}: ({key!r}, {row_id}) not indexed")
-        bucket.remove(row_id)
+        if bucket is None:
+            raise self._not_indexed(key, row_id)
+        # remove() alone is one scan of the posting list, each step a
+        # Python-level RowId comparison; a membership test first would
+        # make it two.  Long postings make this the write path's cost.
+        try:
+            bucket.remove(row_id)
+        except ValueError:
+            raise self._not_indexed(key, row_id) from None
         if not bucket:
             del self._buckets[key]
         self._entry_count -= 1
@@ -125,9 +135,12 @@ class OrderedIndex(_BaseIndex):
     def delete(self, row: Row, row_id: RowId) -> None:
         key = self.key_of(row)
         pos = self._locate(key)
-        if pos < 0 or row_id not in self._postings[pos]:
-            raise IndexError_(f"{self.name}: ({key!r}, {row_id}) not indexed")
-        self._postings[pos].remove(row_id)
+        if pos < 0:
+            raise self._not_indexed(key, row_id)
+        try:
+            self._postings[pos].remove(row_id)
+        except ValueError:
+            raise self._not_indexed(key, row_id) from None
         if not self._postings[pos]:
             del self._keys[pos]
             del self._postings[pos]

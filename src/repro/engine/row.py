@@ -10,11 +10,12 @@ Operation O3, even though the two paths build it independently.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from operator import is_, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.schema import Schema
 
-__all__ = ["Row", "RowId"]
+__all__ = ["Row", "RowId", "project_rows", "project_values"]
 
 
 class RowId:
@@ -72,7 +73,12 @@ class Row:
         return default
 
     def project(self, names: Sequence[str], schema: Schema | None = None) -> "Row":
-        """A new row containing only ``names``, in order."""
+        """A new row containing only ``names``, in order.
+
+        Builds a fresh projected schema unless one is passed; to project
+        many rows, use :func:`project_values`, which resolves positions
+        once per schema.
+        """
         target = schema if schema is not None else self.schema.project(names)
         return Row([self[name] for name in names], target)
 
@@ -121,3 +127,52 @@ class Row:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{n}={v!r}" for n, v in self.as_dict().items())
         return f"Row({pairs})"
+
+
+def _projector(schema: Schema, names: Sequence[str]) -> Callable[[tuple], tuple] | None:
+    """Resolve ``names`` against ``schema`` once: a function taking a
+    value tuple over ``schema`` to its projection over ``names``, or
+    ``None`` when that projection is the identity (``names`` picks every
+    column, in order) and the tuple already is the projection.
+
+    One name still projects to a 1-tuple: ``itemgetter`` with a single
+    position would return the bare value.
+    """
+    positions = tuple(schema.position(name) for name in names)
+    if positions == tuple(range(len(schema))):
+        return None
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
+
+
+def project_values(rows: Iterable[Row], names: Sequence[str]) -> list[tuple]:
+    """Each row's value tuple projected to ``names``, in order.
+
+    Positions are resolved once per run of rows sharing a schema, as the
+    ``Project`` operator resolves them once per plan.  Under an identity
+    projection each row's own tuple is handed back: nothing is built
+    per row.
+    """
+    out: list[tuple] = []
+    append = out.append
+    schema = project = None
+    for row in rows:
+        if row.schema is not schema:
+            schema = row.schema
+            project = _projector(schema, names)
+        append(row.values if project is None else project(row.values))
+    return out
+
+
+def project_rows(rows: list[Row], names: Sequence[str]) -> list[Row]:
+    """``rows`` projected to ``names``: ``rows`` itself when every
+    projection is the identity, otherwise the :func:`project_values`
+    tuples under one projected schema built for the call."""
+    values = project_values(rows, names)
+    # An identity projection hands back each row's own tuple.
+    if all(map(is_, values, (row.values for row in rows))):
+        return rows
+    schema = rows[0].schema.project(names)
+    return [Row(v, schema) for v in values]

@@ -219,14 +219,16 @@ def encode_result(
     applied_lsn: int | None = None,
 ) -> dict[str, Any]:
     """A :class:`~repro.core.executor.PMVQueryResult` as a response
-    envelope: user-visible rows as value tuples plus the full honesty
-    surface (complete / degraded_reason / staleness / applied_lsn), the
-    serving node's identity for routed reads, and (v2) the serving
-    epoch that scopes the client's monotonic-read token."""
+    envelope: the user-visible value tuples in delivery order (JSON
+    writes each as an array; no Row is built for the wire) plus the
+    full honesty surface (complete / degraded_reason / staleness /
+    applied_lsn), the serving node's identity for routed reads, and
+    (v2) the serving epoch that scopes the client's monotonic-read
+    token."""
     envelope: dict[str, Any] = {
         "ok": True,
         "columns": list(result.query.template.select_list),
-        "rows": [list(row.values) for row in result.user_rows()],
+        "rows": result.user_values(),
         "complete": result.complete,
         "degraded_reason": result.degraded_reason,
         "completeness_estimate": result.completeness_estimate,

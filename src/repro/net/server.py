@@ -43,6 +43,23 @@ from repro.qos.deadline import Deadline
 __all__ = ["NetServer"]
 
 
+def _sever(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.  close() alone does not wake a
+    thread blocked in accept() or recv() on it (Linux keeps the socket
+    open until that call returns), so a stopped listener would keep its
+    port and an idle session thread would stay parked until its peer
+    sent or hung up.  shutdown() does: accept() fails with OSError and
+    recv() sees end of stream."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed, or the peer is gone
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _Session:
     """Per-connection state: identity for idempotency keys."""
 
@@ -105,25 +122,8 @@ class NetServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._sock is not None:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux — the join below would sit out its timeout and
-            # the port would stay bound.  shutdown() does: the pending
-            # accept() fails with OSError and the loop returns.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already closed, or a platform where close() suffices
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        with self._conns_mutex:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _sever(self._sock)
+        self.drop_connections()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
@@ -136,10 +136,7 @@ class NetServer:
         with self._conns_mutex:
             conns = list(self._conns)
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _sever(conn)
         return len(conns)
 
     def _accept_loop(self) -> None:

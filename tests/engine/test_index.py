@@ -57,6 +57,23 @@ class TestHashIndex:
         with pytest.raises(IndexError_):
             index.delete(ghost, RowId(0, 0))
 
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_delete_of_row_id_not_under_key_raises(self, heap, ordered):
+        """A known key with a row id it does not hold, or an unknown key:
+        typed error, nothing removed (both index kinds)."""
+        from repro.engine.row import Row, RowId
+
+        ids = populate(heap)
+        index = build_index("t_k", heap, ["k"], ordered=ordered)
+        with pytest.raises(IndexError_):
+            index.delete(heap.fetch(ids[2][0]), ids[3][0])
+        with pytest.raises(IndexError_):
+            index.delete(heap.fetch(ids[2][0]), RowId(999, 0))
+        with pytest.raises(IndexError_):
+            index.delete(Row((77, "x"), heap.schema), ids[2][0])
+        assert index.entry_count == 20
+        assert sorted(index.probe(2)) == sorted(ids[2])
+
     def test_entry_count(self, heap):
         populate(heap, n=20)
         index = build_index("t_k", heap, ["k"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.datatypes import INTEGER, TEXT
-from repro.engine.row import Row, RowId
+from repro.engine.row import Row, RowId, project_rows, project_values
 from repro.engine.schema import Column, Schema
 
 
@@ -53,12 +53,16 @@ class TestEquality:
 class TestTransforms:
     def test_project(self, schema):
         row = Row((7, "x"), schema)
-        projected = row.project(["name"])
-        assert projected.values == ("x",)
+        assert project_values([row], ["name"]) == [("x",)]
 
     def test_project_qualified(self, schema):
         row = Row((7, "x"), schema)
-        assert row.project(["r.name", "r.id"]).values == ("x", 7)
+        assert project_values([row], ["r.name", "r.id"]) == [("x", 7)]
+
+    def test_identity_projection_hands_back_the_row_tuple(self, schema):
+        row = Row((7, "x"), schema)
+        assert project_values([row], ["r.id", "name"])[0] is row.values
+        assert project_rows([row], ["r.id", "name"])[0] is row
 
     def test_replace(self, schema):
         row = Row((7, "x"), schema)

@@ -1,4 +1,5 @@
-"""Wire-protocol unit tests: framing, versioning, query round-trips."""
+"""Wire-protocol unit tests: framing, versioning, query and result
+round-trips."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from repro.engine import (
 )
 from repro.errors import NetProtocolError
 from repro.net import protocol
+from repro.qos.deadline import Deadline
 
 from tests.net.conftest import make_database, make_template
 
@@ -174,3 +176,47 @@ class TestQuerySerialization:
                     "conditions": [{"column": "r.f", "values": [1]}],  # slot count
                 },
             )
+
+
+class TestResultEncoding:
+    @pytest.mark.parametrize("case", ["complete", "deadline-skip", "empty", "replica"])
+    def test_result_rows_roundtrip_as_user_rows(self, pair, cluster_world, case):
+        """The envelope's value tuples cross a real frame as arrays equal
+        to user_rows(), in delivery order (partial results first)."""
+        left, right = pair
+        world = cluster_world
+        fs, gs = ([99], [99]) if case == "empty" else ([1], [2])
+        query = world.template.bind(
+            [EqualityDisjunction("r.f", fs), EqualityDisjunction("s.g", gs)]
+        )
+        world.front_end.execute_query(query)  # warm the view
+        options = {
+            "complete": {},
+            "empty": {},
+            "deadline-skip": {"deadline": Deadline.after(0.0)},
+            "replica": {"prefer_replica": True, "staleness_bound": 4},
+        }[case]
+        routed = world.front_end.execute_query(query, **options)
+        result = routed["result"]
+        protocol.send_frame(
+            left,
+            protocol.encode_result(
+                result,
+                served_by=routed["served_by"],
+                replica_lag=routed["replica_lag"],
+                epoch=routed.get("epoch"),
+                applied_lsn=routed.get("applied_lsn"),
+            ),
+        )
+        response = protocol.recv_frame(right)
+        assert response["rows"] == [list(row.values) for row in result.user_rows()]
+        assert response["complete"] is result.complete
+        if case == "empty":
+            assert response["rows"] == []
+        else:
+            assert response["rows"]
+        if case == "deadline-skip":
+            assert response["degraded_reason"] == "deadline-skip"
+            assert result.partial_rows
+        if case == "replica":
+            assert response["served_by"].startswith("replica")

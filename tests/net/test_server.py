@@ -5,13 +5,18 @@ the retry-after-dropped-response window."""
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.engine import EqualityDisjunction
-from repro.errors import NetError, RetryExhaustedError
+from repro.errors import NetError, NetProtocolError, RetryExhaustedError
 from repro.net.client import RetryPolicy
+
+
+def session_threads():
+    return [t for t in threading.enumerate() if t.name == "pmv-net-conn"]
 
 
 def bind(template, fs, gs):
@@ -45,6 +50,39 @@ class TestLifecycle:
             listener.listen(1)
         finally:
             listener.close()
+
+    def test_stop_wakes_idle_session_threads(self, single_node):
+        """An idle pooled connection parks its session thread in recv();
+        stop() must wake it rather than leave it for the peer to close."""
+        before = set(session_threads())
+        client = single_node.client("idle")
+        try:
+            client.ping()
+            sessions = set(session_threads()) - before
+            assert sessions
+            single_node.server.stop()
+            for thread in sessions:
+                thread.join(timeout=1.0)
+            assert not [thread for thread in sessions if thread.is_alive()]
+        finally:
+            client.close()
+
+    def test_dropped_connection_applies_nothing(self, single_node):
+        """drop_connections() severs the conversation: an insert sent on
+        the old pooled connection reaches no session."""
+        client = single_node.client("severed")
+        try:
+            client.ping()  # hello + ping: the connection is now pooled
+            (conn,) = client._pool
+            assert single_node.server.drop_connections() == 1
+            with pytest.raises((OSError, NetProtocolError)):
+                conn.request(
+                    {"op": "insert", "relation": "r", "values": [9006, 1, 1, "x"], "seq": 1}
+                )
+            rows = single_node.db.catalog.relation("r").scan_rows()
+            assert not [row for row in rows if row["id"] == 9006]
+        finally:
+            client.close()
 
 
 class TestQueriesOverTheWire:

@@ -74,7 +74,7 @@ class TestVersionAcceptance:
                     select_list = ("a",)
 
             @staticmethod
-            def user_rows():
+            def user_values():
                 return []
 
         envelope = protocol.encode_result(FakeResult, epoch=2, applied_lsn=17)
