@@ -33,6 +33,12 @@ Two schedules:
   thread switches at lock-acquire and O2/O3 seams.  Each seed runs
   twice and must produce the identical decision trace — that identity
   is what makes ``stress/<seed>/sched`` replay the interleaving exactly.
+  Its clients query only the four bcps with ``s.g = 0``, while a
+  thinning writer deletes the ``s`` rows with ``g = 0`` one by one: each
+  delete takes a tuple out of full entries, and the next readers of a
+  thinned bcp refill it while another reader of it may sit between its
+  O2 and O3 — the interleaving in which an answer must settle against
+  the entry snapshot it delivered, not the entry as refilled.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from repro.check import (
     Replay,
     WriteLedger,
     Workers,
+    bind,
     build_world,
     check_answers,
     found_ids,
@@ -73,17 +80,21 @@ class _Shared(Workers):
 
 
 def _client_body(shared: _Shared, manager, template, seed: int, index: int,
-                 queries: int) -> None:
-    """One client: a seeded stream of PMV-mediated queries.
+                 queries: int, thinned: bool) -> None:
+    """One client: a seeded stream of PMV-mediated queries, over the
+    bcps the thinning writer thins when ``thinned``.
 
     No exception is acceptable here — in particular no LockError: the
     executor must degrade to a bypass, never fail the query.
     """
     rng = random.Random(seed * 10_007 + 101 * index)
     for k in range(queries):
+        if thinned:
+            query = bind(template, rng.randrange(4), 0)
+        else:
+            query = random_binding(template, rng)
         _result, answer = record_answer(
-            f"c{index}.{k}", random_binding(template, rng), manager.database,
-            manager.execute,
+            f"c{index}.{k}", query, manager.database, manager.execute
         )
         answer.complete = True  # no deadline here: nothing may be missing
         shared.answers.append(answer)
@@ -119,6 +130,19 @@ def _aborting_writer_body(shared: _Shared, database, seed: int, ops: int) -> Non
                 raise AssertionError("a row larger than a page was accepted")
 
 
+def _thinning_writer_body(shared: _Shared, database, ops: int) -> None:
+    """The writer that thins entries: deletes the seed rows ``e0``,
+    ``e3``, ``e6``, ... of ``s`` — those with ``g = 0`` — one per
+    statement.  A full entry holds one ``r`` row's first F matches, one
+    per ``s`` row, so each delete takes a tuple out of every full entry
+    the deleted ``s`` row joins into.  No other writer touches ``s``."""
+    for j in range(0, 3 * ops, 3):
+        try:
+            database.delete_where("s", lambda row, e=f"e{j}": row["e"] == e)
+        except LockError:
+            shared.lock_aborts.append("t0")
+
+
 def _run_once(seed: int, schedule: str) -> tuple[Outcome, list[str]]:
     """One concurrent run, judged; returns it with its decision trace."""
     clients, writers, queries, ops = SIZES[schedule]
@@ -126,12 +150,14 @@ def _run_once(seed: int, schedule: str) -> tuple[Outcome, list[str]]:
     view = manager.view(template.name)
     shared = _Shared()
     sched = InterleavingScheduler(seed) if schedule == "sched" else None
+    thinned = sched is not None
     database.install_scheduler(sched)
     hung = shared.run(
-        [(f"c{i}", _client_body, (shared, manager, template, seed, i, queries))
+        [(f"c{i}", _client_body, (shared, manager, template, seed, i, queries, thinned))
          for i in range(clients)]
         + [(f"w{i}", shared.writer, (database, seed, i, ops)) for i in range(writers)]
-        + [("a0", _aborting_writer_body, (shared, database, seed, ops))],
+        + [("a0", _aborting_writer_body, (shared, database, seed, ops))]
+        + ([("t0", _thinning_writer_body, (shared, database, ops))] if thinned else []),
         scheduler=sched,
     )
     database.install_scheduler(None)

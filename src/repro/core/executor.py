@@ -9,8 +9,8 @@ Given a bound query, :class:`PMVExecutor`:
   delivered (the paper's duplicate suppressor ``DS``);
 - **O3** runs the full (blocking) plan, suppresses the tuples the user
   already received, returns the remainder, and opportunistically fills
-  or refreshes the PMV "for free" — at most ``F`` tuples per bcp,
-  guarded by the per-bcp counters ``cj``.
+  or refreshes the PMV "for free" — at most ``F`` tuples per bcp, each
+  stored once however many readers offer it (DESIGN.md §6).
 
 The executor separately measures the *overhead* of the PMV code paths
 (O1 + O2 + O3's checking) and the full execution time, which is what
@@ -77,7 +77,7 @@ class PMVQueryResult:
     batch checkpoint).  ``None`` for complete answers."""
     completeness_estimate: float | None = None
     """Rough fraction of the full answer delivered, derived from the
-    view's historical tuples-per-query — a quality signal for the
+    view's lifetime tuples-per-query — a quality signal for the
     client, not a guarantee.  ``None`` when no basis exists yet."""
     staleness: int | None = None
     """Freshness stamp for async-maintained views: an upper bound on
@@ -161,7 +161,7 @@ class PMVExecutor:
     """Executes queries of one template through its PMV.
 
     There is one pipeline.  The clocked path moves plain value tuples:
-    O2 delivers resident entries as chunks of their value lists, O3
+    O2 delivers snapshots of resident entries as value chunks, O3
     consumes the plan's :class:`ColumnBatch` stream and settles the
     delivered-vs-derived ledger with set algebra, and :class:`Row`
     objects are built once, at the :class:`PMVQueryResult` client
@@ -203,7 +203,7 @@ class PMVExecutor:
         # keyed by the (hashable, frozen) parts tuple; bounded so a
         # pathological workload cannot grow it without limit.
         self._part_matchers: dict[tuple, Callable[[tuple], bool]] = {}
-        # Memoized bcp-key extractor for the O3 refresh: every plan of
+        # Memoized bcp-key extractor for the O3 refill: every plan of
         # one template shares a root schema, so the extractor compiles
         # once, not once per query.
         self._values_key_of: Callable[[tuple], tuple] | None = None
@@ -401,14 +401,12 @@ class PMVExecutor:
     def _probe(self, groups, metrics: QueryMetrics, distinct: bool = False):
         """Operation O2's probe: the cached tuples that satisfy the query.
 
-        Returns ``(chunks, delivered, counters)``.  ``chunks`` is what
-        the user receives, in delivery order: ``(bcp key, live entry
-        value list)`` when the whole entry matched — the key lets the
-        client boundary reuse the entry's cached Row list — or
-        ``(None, fresh list)`` for filtered deliveries.  Live chunks
-        are strictly read-only and are only *read* before any O3
-        refresh can grow them.  ``counters`` holds the per-bcp ``cj``
-        base values O3's refresh budget starts from.
+        Returns ``(chunks, delivered)``: what the user receives, in
+        delivery order, and its tuple count.  A chunk is ``(snapshot,
+        snapshot.values)`` when the whole entry matched, so delivery and
+        the O3 ledger reuse the snapshot's caches, or ``(None, list)``
+        for a filtered delivery.  Another reader's refill before this
+        query's O3 installs a new entry and leaves the snapshot as is.
 
         Several parts may share one containing bcp (a query interval
         split inside a single basic interval); the bcp appears in this
@@ -417,70 +415,53 @@ class PMVExecutor:
         reappearance in a *different* query.
         """
         view = self.view
-        counters: dict[tuple, int] = {}
-        chunks: list[tuple[tuple | None, list]] = []
+        chunks: list[tuple] = []
         delivered = 0
         delivered_distinct: set[tuple] = set()
-        cached_values = view.cached_values
-        tuple_count = view.tuple_count
+        snapshot = view.snapshot
         chunk_append = chunks.append
         for group in groups:
             key = group.key
-            reference = view.reference(key)
-            if reference.resident_before:
-                metrics.bcp_hits += 1
-                values = cached_values(key)
-                if values is None:
-                    counters[key] = 0
-                    continue
-                counters[key] = n = len(values)
-                if not n:
-                    continue
-                # A cached tuple belongs to bcp_j; it satisfies the
-                # query's Cselect iff it also lies in one of the
-                # (non-overlapping) parts bcp_j contains.
-                if group.has_basic:
-                    # A basic part coincides with bcp_j, so every cached
-                    # tuple matches: deliver the entry's backing list by
-                    # reference, no per-tuple predicate work.
-                    matching = values
-                    live_key = key
-                else:
-                    matcher = self._part_matcher(group.parts)
-                    matching = [t for t in values if matcher(t)]
-                    live_key = None
-                if distinct:
-                    matching = _unseen(matching, delivered_distinct)
-                    live_key = None
-                if matching:
-                    chunk_append((live_key, matching))
-                    delivered += len(matching)
+            if not view.reference(key).resident_before:
+                continue
+            metrics.bcp_hits += 1
+            entry = snapshot(key)
+            if entry is None or not entry.values:
+                continue
+            # A cached tuple belongs to bcp_j; it satisfies the query's
+            # Cselect iff it also lies in one of the (non-overlapping)
+            # parts bcp_j contains.
+            if group.has_basic:
+                # A basic part coincides with bcp_j, so every cached
+                # tuple matches: deliver the snapshot whole, no
+                # per-tuple predicate work.
+                matching = entry.values
             else:
-                counters[key] = tuple_count(key)
-        return chunks, delivered, counters
+                matcher = self._part_matcher(group.parts)
+                matching = [t for t in entry.values if matcher(t)]
+                entry = None
+            if distinct:
+                matching = _unseen(matching, delivered_distinct)
+                entry = None
+            if matching:
+                chunk_append((entry, matching))
+                delivered += len(matching)
+        return chunks, delivered
 
     def _deliver_partial(self, chunks: list, result: PMVQueryResult) -> None:
         """Client boundary: materialize the probed chunks as Rows.
 
         Delivery, not checking — outside the overhead window but inside
-        the partial latency the user observes.  A live chunk reuses the
-        entry's lazily-built Row cache (after an entry's first hit this
-        is one list extend); filtered chunks build fresh Rows.
+        the partial latency the user observes.  A whole-entry chunk
+        reuses its snapshot's Rows; filtered chunks build fresh ones.
         """
-        if not chunks:
-            return
-        view = self.view
-        row_schema = view.row_schema
+        row_schema = self.view.row_schema
         partial_extend = result.partial_rows.extend
-        for live_key, chunk in chunks:
-            rows = view.cached_rows(live_key) if live_key is not None else None
-            if rows is not None and len(rows) == len(chunk):
-                partial_extend(rows)
+        for entry, chunk in chunks:
+            if entry is not None:
+                partial_extend(entry.rows(row_schema))
             else:
-                # The entry was evicted by a later group's reference
-                # (or never had a Row cache): the delivered chunk
-                # still holds the tuples as they were probed.
-                partial_extend(Row(t, row_schema) for t in chunk)
+                partial_extend([Row(t, row_schema) for t in chunk])
 
     def _preview_locked(self, query: Query, txn: Transaction) -> PMVQueryResult:
         clock = self._clock
@@ -493,7 +474,7 @@ class PMVExecutor:
         # and a preview by definition must not fall back to blocking
         # execution: degrade to an empty preview.
         if self._lock_view_or_bypass(txn, metrics):
-            chunks, metrics.partial_tuples, _counters = self._probe(groups, metrics)
+            chunks, metrics.partial_tuples = self._probe(groups, metrics)
             self._deliver_partial(chunks, result)
         elapsed = clock() - start
         metrics.partial_latency_seconds = elapsed
@@ -562,7 +543,7 @@ class PMVExecutor:
         return result
 
     def _estimate_completeness(self, result: PMVQueryResult) -> float | None:
-        """Delivered tuples over the view's historical tuples/query.
+        """Delivered tuples over the view's lifetime tuples/query.
 
         A coarse quality signal for clients of degraded answers; the
         view's lifetime averages are the only estimator that needs no
@@ -609,9 +590,9 @@ class PMVExecutor:
         # complete and correct, it just arrives all at once.
         metrics.bypassed_stale = self._beyond_freshness_bound()
         if metrics.bypassed_stale or not self._lock_view_or_bypass(txn, metrics):
-            partial_chunks, counters = [], None
+            partial_chunks = []
         else:
-            partial_chunks, metrics.partial_tuples, counters = self._probe(
+            partial_chunks, metrics.partial_tuples = self._probe(
                 groups, metrics, distinct
             )
         metrics.overhead_seconds = clock() - overhead_start
@@ -643,9 +624,7 @@ class PMVExecutor:
         execution_start = clock()
         plan = self.database.plan(query, blocking=True)
         with self.database.statement_latch:
-            completed = self._run_o3(
-                result, plan, partial_chunks, counters, distinct, deadline
-            )
+            completed = self._run_o3(result, plan, partial_chunks, distinct, deadline)
             metrics.execution_seconds = clock() - execution_start
             if not completed:
                 # Abandoned at a batch checkpoint: seal the degraded
@@ -664,7 +643,6 @@ class PMVExecutor:
         result: PMVQueryResult,
         plan,
         partial_chunks: list,
-        counters: dict | None,
         distinct: bool,
         deadline,
     ) -> bool:
@@ -682,12 +660,12 @@ class PMVExecutor:
         - otherwise an exact multiset fallback replays the chunks
           through a :class:`DuplicateSuppressor` in value-tuple form.
 
-        The PMV refresh runs *after* the ledger is read, so growing a
-        live entry list can never corrupt a delivered chunk; it is
-        skipped (``counters`` is None) when the view was bypassed.
-        Returns False when a deadline abandoned the stream at a batch
-        checkpoint; the chunks collected before expiry are still
-        consumed and refreshed — they were delivered work.
+        ``partial`` is the snapshots O2 delivered, never the entries as
+        they are now.  Each bcp's fresh tuples then go to one
+        :meth:`PartialMaterializedView.refill` (not when the view was
+        bypassed).  Returns False when a deadline abandoned the stream
+        at a batch checkpoint; the chunks collected before expiry are
+        still consumed and refilled — they were delivered work.
         """
         clock = self._clock
         view = self.view
@@ -709,35 +687,21 @@ class PMVExecutor:
             for chunk in o3_chunks:
                 fresh.extend(chunk)
         else:
-            # Delivered side: prefer the entries' version-tagged cached
-            # frozensets — set-to-set merges reuse stored hashes, so a
-            # hot entry's tuples are hashed once per residency, not
-            # once per query.  A live chunk whose entry was evicted (or
-            # that holds duplicate tuples, which a frozenset would
-            # collapse) falls back to hashing the chunk itself.
+            # Delivered side: a whole-entry chunk contributes its
+            # snapshot's cached frozenset — set-to-set merges reuse
+            # stored hashes, so a hot entry's tuples are hashed once per
+            # snapshot, not once per query.  Duplicates a frozenset
+            # collapses leave the set shorter than partial_count, which
+            # sends the ledger to the multiset replay below.
             partial_set: "set | frozenset"
             if len(partial_chunks) == 1:
-                live_key, chunk = partial_chunks[0]
-                fs = (
-                    view.cached_value_set(live_key)
-                    if live_key is not None
-                    else None
-                )
-                partial_set = (
-                    fs if fs is not None and len(fs) == len(chunk) else set(chunk)
-                )
+                entry, chunk = partial_chunks[0]
+                partial_set = entry.value_set() if entry is not None else set(chunk)
             else:
                 partial_set = set()
                 partial_update = partial_set.update
-                for live_key, chunk in partial_chunks:
-                    fs = (
-                        view.cached_value_set(live_key)
-                        if live_key is not None
-                        else None
-                    )
-                    partial_update(
-                        fs if fs is not None and len(fs) == len(chunk) else chunk
-                    )
+                for entry, chunk in partial_chunks:
+                    partial_update(entry.value_set() if entry is not None else chunk)
             o3_set: set = set()
             for chunk in o3_chunks:
                 o3_set.update(chunk)
@@ -776,7 +740,7 @@ class PMVExecutor:
                 # Duplicates present somewhere: exact multiset replay.
                 ds = DuplicateSuppressor()
                 add_batch = ds.add_batch
-                for _live_key, chunk in partial_chunks:
+                for _entry, chunk in partial_chunks:
                     add_batch(chunk)
                 consume_batch = ds.consume_batch
                 for chunk in o3_chunks:
@@ -787,27 +751,19 @@ class PMVExecutor:
                     else:
                         ds.assert_empty()
 
-        # ---- Refresh the PMV "for free" (after the ledger is read) -------
-        if fresh and counters is not None:
+        # ---- Refill the PMV "for free": one call per bcp ----------------
+        if fresh and not (metrics.bypassed_lock or metrics.bypassed_stale):
             schema = plan.root.schema
             key_of = self._values_key_of
             if key_of is None or self._values_key_schema is not schema:
                 key_of = view.values_key_extractor(schema)
                 self._values_key_of = key_of
                 self._values_key_schema = schema
-            f_limit = view.tuples_per_entry
-            counters_get = counters.get
-            tuple_count = view.tuple_count
-            add_value_tuple = view.add_value_tuple
+            by_key: dict[tuple, list[tuple]] = {}
             for t in fresh:
-                key = key_of(t)
-                cj = counters_get(key)
-                if cj is None:
-                    cj = tuple_count(key)
-                if cj < f_limit and add_value_tuple(key, t, schema):
-                    counters[key] = cj + 1
-                else:
-                    counters[key] = cj
+                by_key.setdefault(key_of(t), []).append(t)
+            for key, tuples in by_key.items():
+                view.refill(key, tuples, schema)
         metrics.overhead_seconds += checking + (clock() - check_start)
 
         # ---- Client boundary: materialize the remaining Rows -------------

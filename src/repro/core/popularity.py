@@ -7,7 +7,8 @@ ones that keep being delivered.  :class:`PopularityTracker` counts
 deliveries per result tuple (bounded to the most popular ``capacity``
 tuples with a space-saving style eviction) and
 :class:`RankedPMVExecutor` uses it to return each query's answer with
-the historically most-requested tuples first, partial results leading.
+the most-requested tuples of the tracker's lifetime first, partial
+results leading.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class PopularityTracker:
 
 @dataclass
 class RankedResult:
-    """A query answer ordered by historical popularity."""
+    """A query answer ordered by lifetime popularity."""
 
     underlying: PMVQueryResult
     ranked_rows: list[Row] = field(default_factory=list)

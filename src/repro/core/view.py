@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.condition import BcpKey
@@ -42,33 +43,38 @@ NOMINAL_TUPLE_BYTES = 50
 
 
 class _Entry:
-    """One resident bcp's cached result tuples, stored compactly.
+    """One resident bcp's cached result tuples: an immutable snapshot.
 
-    The source of truth is ``values`` — a list of plain value tuples
-    (the columnar pipeline's native currency, one object per tuple
-    instead of a :class:`Row` with schema and hash slots) — plus
-    ``bytes``, the entry's incrementally-maintained storage footprint,
-    so eviction subtracts one number instead of re-sizing every tuple.
-    ``_rows`` is a lazily-built, index-synchronized :class:`Row` cache
-    for the row-level APIs (``lookup``/``cached_rows``/maintenance);
-    the row path materializes an entry's Rows once and reuses them on
-    every later query, preserving its zero-alloc hit behaviour.
-
-    ``version`` counts mutations; ``_value_set`` caches a version-
-    tagged frozenset of the values for the columnar executor's
-    delivered-vs-derived ledger.  CPython set-to-set operations reuse
-    the hashes stored in the table, so a hot entry's tuples are hashed
-    once when first cached instead of once per query.
+    ``values`` is a tuple of plain value tuples and ``bytes`` their
+    storage footprint, so eviction subtracts one number.  A refill, a
+    maintenance removal and an admission each install a new entry, so
+    a reader settles O3 against exactly the snapshot O2 delivered
+    (DESIGN.md §6).  The lazy caches belong to the snapshot: its Rows,
+    reused on every later hit, and its frozenset, whose stored hashes
+    the ledger's set merges reuse.
     """
 
-    __slots__ = ("values", "bytes", "version", "_rows", "_value_set")
+    __slots__ = ("values", "bytes", "_rows", "_value_set")
 
-    def __init__(self) -> None:
-        self.values: list[tuple] = []
-        self.bytes = 0
-        self.version = 0
-        self._rows: list[Row] | None = None
-        self._value_set: tuple[int, frozenset] | None = None
+    def __init__(self, values: tuple = (), size: int = 0) -> None:
+        self.values: tuple[tuple, ...] = values
+        self.bytes = size
+        self._rows: tuple[Row, ...] | None = None
+        self._value_set: frozenset | None = None
+
+    def rows(self, schema) -> tuple[Row, ...]:
+        """The snapshot's tuples as :class:`Row` objects over ``schema``."""
+        rows = self._rows
+        if rows is None:
+            self._rows = rows = tuple([Row(values, schema) for values in self.values])
+        return rows
+
+    def value_set(self) -> frozenset:
+        """The snapshot's tuples as a frozenset (duplicates collapse)."""
+        value_set = self._value_set
+        if value_set is None:
+            self._value_set = value_set = frozenset(self.values)
+        return value_set
 
 
 def entries_for_budget(
@@ -177,7 +183,7 @@ class PartialMaterializedView:
         # Structural latch: replacement-policy state and the entry dict
         # are not thread-safe on their own, and O2 probes run outside
         # the database's statement latch.  Re-entrant because clear()
-        # nests discard_entry() and add_value_tuple() nests _enforce_budget().
+        # nests discard_entry() and refill() nests _enforce_budget().
         # Lock-ordering rule: nothing is awaited while holding it.
         self.latch = threading.RLock()
         self._entries: dict[BcpKey, _Entry] = {}
@@ -279,88 +285,60 @@ class PartialMaterializedView:
         This is the probe of the paper's index ``I`` in Operation O2.
         Returns a copy so callers cannot mutate the entry.
         """
-        with self.latch:
-            entry = self._entries.get(key)
-            return list(self._rows_of(entry)) if entry is not None else None
-
-    def cached_rows(self, key: BcpKey) -> list[Row] | None:
-        """Like :meth:`lookup` but returns the live entry Row cache.
-
-        The executor's O2 hot path probes resident entries once per
-        query; copying the entry there is pure overhead.  Callers MUST
-        treat the result as read-only — it is the entry's own cache.
-        """
         entry = self._entries.get(key)
-        return self._rows_of(entry) if entry is not None else None
+        return list(entry.rows(self._row_schema)) if entry is not None else None
 
-    def cached_values(self, key: BcpKey) -> list[tuple] | None:
-        """A resident bcp's live value-tuple list (columnar O2 probe).
-
-        No ``Row`` objects are touched.  Callers MUST treat the result
-        as read-only — it is the entry's backing store.
-        """
-        entry = self._entries.get(key)
-        return entry.values if entry is not None else None
-
-    def cached_value_set(self, key: BcpKey) -> frozenset | None:
-        """A resident bcp's values as a cached frozenset, or ``None``.
-
-        The columnar ledger builds its delivered-tuple set from these:
-        the frozenset is rebuilt only when the entry mutates (version-
-        tagged), and CPython's set-to-set merge reuses the stored
-        hashes, so a hot entry's tuples are hashed once in its
-        lifetime, not once per query.  Note a frozenset collapses
-        duplicate tuples — callers must compare its length against the
-        entry's tuple count before treating it as the exact multiset.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        cached = entry._value_set
-        if cached is None or cached[0] != entry.version:
-            fs = frozenset(entry.values)
-            entry._value_set = cached = (entry.version, fs)
-        return cached[1]
-
-    def tuple_count(self, key: BcpKey) -> int:
-        """The counter ``cj`` base value: tuples stored for this bcp."""
-        entry = self._entries.get(key)
-        return len(entry.values) if entry is not None else 0
+    def snapshot(self, key: BcpKey) -> _Entry | None:
+        """A resident bcp's entry as it is now, or ``None`` (O2's probe).
+        No entry changes in place, so it keeps what was probed."""
+        return self._entries.get(key)
 
     # -- tuple storage -----------------------------------------------------------------
 
-    def add_value_tuple(self, key: BcpKey, values: tuple, schema) -> bool:
-        """Store one result *value tuple* under a *resident* bcp
-        (Operation O3), no ``Row`` object involved.
-
-        ``schema`` describes the tuple's columns (captured once for Row
-        materialization and byte sizing).  Returns False (and stores
-        nothing) when the bcp is not resident or already holds ``F``
-        tuples.
+    def refill(self, key: BcpKey, tuples: Sequence[tuple], schema) -> int:
+        """Operation O3's free refill of one resident bcp: store, in
+        order and until the entry holds ``F``, the value tuples the
+        entry does not already hold, counted as a multiset.  The entry
+        ends as the union of itself and ``tuples``, so two readers
+        that offer the same tuples store each once.  ``schema``
+        describes the tuples' columns.  Returns how many were stored.
         """
         with self.latch:
             entry = self._entries.get(key)
             if entry is None:
-                return False
-            values_list = entry.values
-            if len(values_list) >= self.tuples_per_entry:
-                self.metrics.tuples_rejected_full += 1
-                return False
+                return 0
+            held = entry.values
+            room = self.tuples_per_entry - len(held)
+            if room <= 0:
+                self.metrics.tuples_rejected_full += len(tuples)
+                return 0
+            if held:
+                unmatched = Counter(held)
+                new = []
+                for values in tuples:
+                    if unmatched[values]:
+                        unmatched[values] -= 1
+                    else:
+                        new.append(values)
+            else:
+                new = list(tuples)
+            if len(new) > room:
+                self.metrics.tuples_rejected_full += len(new) - room
+                del new[room:]
+            if not new:
+                return 0
             if self._row_schema is None:
                 self._capture_schema(schema)
-            values_list.append(values)
-            entry.version += 1
-            rows = entry._rows
-            if rows is not None:
-                rows.append(Row(values, self._row_schema))
-            size = self._values_size(values)
-            entry.bytes += size
+            size = 0
+            for values in new:
+                size += self._values_size(values)
+                self._aux_add(key, values)
+            self._entries[key] = _Entry(held + tuple(new), entry.bytes + size)
             self.current_bytes += size
-            self._stored_tuples += 1
-            self.metrics.tuples_cached += 1
-            self._aux_add(key, values)
+            self._stored_tuples += len(new)
+            self.metrics.tuples_cached += len(new)
             self._enforce_budget()
-            return True
+            return len(new)
 
     def remove_tuple(self, row: Row) -> bool:
         """Remove one occurrence of ``row`` (maintenance path).
@@ -371,23 +349,19 @@ class PartialMaterializedView:
         key = self.key_of_row(row)
         with self.latch:
             entry = self._entries.get(key)
-            if entry is None or not entry.values:
+            if entry is None:
                 return False
+            held = entry.values
             try:
-                i = entry.values.index(row.values)
+                i = held.index(row.values)
             except ValueError:
                 return False
-            values = entry.values.pop(i)
-            entry.version += 1
-            rows = entry._rows
-            if rows is not None:
-                del rows[i]
             size = row.byte_size()
-            entry.bytes -= size
+            self._entries[key] = _Entry(held[:i] + held[i + 1 :], entry.bytes - size)
             self.current_bytes -= size
             self._stored_tuples -= 1
             self.metrics.maintenance_tuples_removed += 1
-            self._aux_remove(key, values)
+            self._aux_remove(key, held[i])
             return True
 
     def discard_entry(self, key: BcpKey) -> bool:
@@ -463,7 +437,7 @@ class PartialMaterializedView:
             entry = self._entries.get(key)
             if entry is None:
                 continue
-            for row in self._rows_of(entry):
+            for row in entry.rows(self._row_schema):
                 if row[column] == value:
                     out.append(row)
         return out
@@ -505,15 +479,6 @@ class PartialMaterializedView:
             total += sizer(value)
         return total
 
-    def _rows_of(self, entry: _Entry) -> list[Row]:
-        """The entry's Row-materialized form, built lazily and kept in
-        step with its value list."""
-        rows = entry._rows
-        if rows is None or len(rows) != len(entry.values):
-            schema = self._row_schema
-            entry._rows = rows = [Row(values, schema) for values in entry.values]
-        return rows
-
     def _drop_entry(self, key: BcpKey) -> bool:
         entry = self._entries.pop(key, None)
         if entry is None:
@@ -550,7 +515,7 @@ class PartialMaterializedView:
 
     def entries(self) -> Iterator[tuple[BcpKey, list[Row]]]:
         for key, entry in self._entries.items():
-            yield key, list(self._rows_of(entry))
+            yield key, list(entry.rows(self._row_schema))
 
     def check_invariants(self) -> None:
         """Internal consistency checks (used by tests).
@@ -578,7 +543,7 @@ class PartialMaterializedView:
                 raise ViewDefinitionError(
                     f"entry {key!r} holds tuples but no schema was captured"
                 )
-            for row in self._rows_of(entry):
+            for row in entry.rows(self._row_schema):
                 if self.key_of_row(row) != key:
                     raise ViewDefinitionError(
                         f"tuple {row!r} stored under wrong bcp {key!r}"

@@ -94,6 +94,11 @@ def eqt_executor(eqt_db: Database, eqt_pmv: PartialMaterializedView) -> PMVExecu
     return PMVExecutor(eqt_db, eqt_pmv)
 
 
+def cached_count(view: PartialMaterializedView, key) -> int:
+    """How many tuples ``view`` holds for bcp ``key`` (0 when not resident)."""
+    return len(view.lookup(key) or ())
+
+
 def eqt_query(template: QueryTemplate, fs, gs):
     """Bind an Eqt query selecting the given f and g values."""
     return template.bind(

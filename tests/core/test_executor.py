@@ -1,5 +1,7 @@
 """Unit/integration tests for the O1/O2/O3 PMV executor."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -10,7 +12,7 @@ from repro.core import (
 )
 from repro.engine import Database
 from repro.errors import LockError, PMVError
-from tests.conftest import brute_force_eqt, eqt_query
+from tests.conftest import brute_force_eqt, cached_count, eqt_query
 
 
 def run(executor, eqt, fs, gs, **kwargs):
@@ -84,7 +86,7 @@ class TestPMVFilling:
     def test_f_tuples_cached_per_bcp(self, eqt_db, eqt, eqt_pmv, eqt_executor):
         run(eqt_executor, eqt, [1], [2])
         # (1, 2) has many matches but only F=2 may be cached.
-        assert eqt_pmv.tuple_count((1, 2)) == 2
+        assert cached_count(eqt_pmv, (1, 2)) == 2
         eqt_pmv.check_invariants()
 
     def test_partial_results_come_from_cache(self, eqt_db, eqt, eqt_pmv, eqt_executor):
@@ -95,7 +97,7 @@ class TestPMVFilling:
 
     def test_only_query_bcps_receive_tuples(self, eqt_db, eqt, eqt_pmv, eqt_executor):
         run(eqt_executor, eqt, [1], [2])
-        assert eqt_pmv.tuple_count((3, 2)) == 0
+        assert cached_count(eqt_pmv, (3, 2)) == 0
 
     def test_metrics_recorded(self, eqt_db, eqt, eqt_pmv, eqt_executor):
         run(eqt_executor, eqt, [1, 3], [2, 4])
@@ -321,3 +323,55 @@ class TestSharedContainingBcp:
         assert view.policy.staged((1, 0))
         second = executor.execute(query)
         assert view.policy.contains((1, 0))
+
+
+class TestConcurrentRefill:
+    """Another reader's O3 refill may land between this query's O2 and
+    O3 (the S lock keeps out maintenance, not readers): the answer must
+    settle against what O2 delivered, and the entry must hold each
+    refilled tuple once."""
+
+    @pytest.fixture
+    def wide(self, eqt_db, eqt):
+        view = PartialMaterializedView(
+            eqt, Discretization(eqt), tuples_per_entry=30, max_entries=16
+        )
+        return view, PMVExecutor(eqt_db, view)
+
+    @staticmethod
+    def nested(executor, query):
+        """Run ``query`` with a second run of it inside O2→O3; returns
+        the outer and the inner answer."""
+        inner = []
+        outer = executor.execute(
+            query, on_partial=lambda _rows: inner.append(executor.execute(query))
+        )
+        return outer, inner[0]
+
+    def test_refill_between_o2_and_o3_keeps_answer_complete(
+        self, eqt_db, eqt, wide
+    ):
+        view, executor = wide
+        query = eqt_query(eqt, [1], [2])
+        executor.execute(query)  # the entry now holds the whole answer
+        assert cached_count(view, (1, 2)) == len(brute_force_eqt(eqt_db, {1}, {2}))
+        eqt_db.insert("r", (200, 7, 1, "aNEW"))
+        outer, inner = self.nested(executor, query)
+        truth = brute_force_eqt(eqt_db, {1}, {2})
+        assert any(t[0] == "aNEW" for t in truth)
+        for answer in (inner, outer):
+            assert answer.complete
+            assert sorted(tuple(r.values) for r in answer.all_rows()) == truth
+
+    def test_two_readers_refill_a_thinned_entry_once(self, eqt_db, eqt, wide):
+        view, executor = wide
+        query = eqt_query(eqt, [1], [2])
+        executor.execute(query)
+        assert view.remove_tuple(view.lookup((1, 2))[0])  # thin the entry
+        outer, inner = self.nested(executor, query)
+        truth = brute_force_eqt(eqt_db, {1}, {2})
+        for answer in (inner, outer):
+            assert sorted(tuple(r.values) for r in answer.all_rows()) == truth
+        held = Counter(tuple(r.values) for r in view.lookup((1, 2)))
+        assert held == Counter(truth)  # every tuple back, none twice
+        view.check_invariants()

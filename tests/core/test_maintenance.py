@@ -12,14 +12,14 @@ from repro.core import (
 )
 from repro.core.maintenance import compute_delta_join, template_result_schema
 from repro.errors import MaintenanceError
-from tests.conftest import eqt_query
+from tests.conftest import cached_count, eqt_query
 
 
 @pytest.fixture
 def warmed(eqt_db, eqt, eqt_pmv, eqt_executor):
     """PMV warmed so cell (1, 2) holds F=2 tuples."""
     eqt_executor.execute(eqt_query(eqt, [1], [2]))
-    assert eqt_pmv.tuple_count((1, 2)) == 2
+    assert cached_count(eqt_pmv, (1, 2)) == 2
     return eqt_db, eqt, eqt_pmv, eqt_executor
 
 
@@ -74,7 +74,7 @@ class TestDelete:
         # Removing every s row with g=2 starves cell (r.f=1, s.g=2)
         # entirely, whichever join partners fed its cached tuples.
         db.delete_where("s", lambda row: row["g"] == 2)
-        assert pmv.tuple_count((1, 2)) == 0
+        assert cached_count(pmv, (1, 2)) == 0
         oracle = MaterializedView(db, eqt)
         query = eqt_query(eqt, [1], [2])
         result = executor.execute(query)
@@ -106,7 +106,7 @@ class TestUpdate:
         row_id, _ = next(iter(db.catalog.relation("r").find(lambda r: r["f"] == 1)))
         db.update("r", row_id, id=5000)
         assert pmv.metrics.maintenance_updates_skipped == 1
-        assert pmv.tuple_count((1, 2)) == 2
+        assert cached_count(pmv, (1, 2)) == 2
 
     def test_relevant_update_removes_old_tuple(self, maintainer):
         db, eqt, pmv, executor, _ = maintainer

@@ -5,7 +5,7 @@ import pytest
 from repro.core.manager import PMVManager
 from repro.errors import PMVError
 from repro.workload import make_t1, make_t2
-from tests.conftest import eqt_query
+from tests.conftest import cached_count, eqt_query
 
 
 @pytest.fixture
@@ -119,6 +119,6 @@ class TestAccounting:
     def test_maintenance_wired_through_manager(self, manager, eqt_db, eqt):
         manager.execute(eqt_query(eqt, [1], [2]))
         view = manager.view("Eqt")
-        assert view.tuple_count((1, 2)) == 2
+        assert cached_count(view, (1, 2)) == 2
         eqt_db.delete_where("s", lambda row: row["g"] == 2)
-        assert view.tuple_count((1, 2)) == 0
+        assert cached_count(view, (1, 2)) == 0

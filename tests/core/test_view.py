@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.view import (
     PartialMaterializedView,
+    _Entry,
     entries_for_budget,
 )
 from repro.core.discretize import BasicIntervals, Discretization
@@ -21,6 +22,7 @@ from repro.engine import (
     TEXT,
 )
 from repro.errors import ViewCapacityError, ViewDefinitionError
+from tests.conftest import cached_count
 
 
 @pytest.fixture
@@ -41,7 +43,7 @@ def make_view(eqt, F=2, entries=4, policy="clock", aux=()):
 
 
 def add_tuple(view, key, row):
-    return view.add_value_tuple(key, row.values, row.schema)
+    return view.refill(key, [row.values], row.schema)
 
 
 def result_row(schema, a, e, f, g):
@@ -124,7 +126,7 @@ class TestStorage:
         assert not add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         view.reference((1, 2))
         assert add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
-        assert view.tuple_count((1, 2)) == 1
+        assert cached_count(view, (1, 2)) == 1
 
     def test_f_bound_enforced(self, setup):
         _, eqt, schema = setup
@@ -142,7 +144,7 @@ class TestStorage:
         add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
         cached = view.lookup((1, 2))
         cached.clear()
-        assert view.tuple_count((1, 2)) == 1
+        assert cached_count(view, (1, 2)) == 1
 
     def test_lookup_miss_returns_none(self, setup):
         _, eqt, _ = setup
@@ -175,7 +177,7 @@ class TestStorage:
         view.reference((1, 2))
         add_tuple(view, (1, 2), target)
         assert view.remove_tuple(result_row(schema, "a", "e", 1, 2))
-        assert view.tuple_count((1, 2)) == 0
+        assert cached_count(view, (1, 2)) == 0
         assert not view.remove_tuple(target)
 
     def test_discard_entry(self, setup):
@@ -243,8 +245,9 @@ class TestInvariantChecker:
         _, eqt, schema = setup
         view = make_view(eqt, F=1)
         view.reference((1, 2))
-        add_tuple(view, (1, 2), result_row(schema, "a", "e", 1, 2))
-        view._entries[(1, 2)].values.append(result_row(schema, "b", "e", 1, 2).values)
+        a, b = (result_row(schema, x, "e", 1, 2).values for x in "ab")
+        add_tuple(view, (1, 2), Row(a, schema))
+        view._entries[(1, 2)] = _Entry((a, b))  # an entry over F
         with pytest.raises(ViewCapacityError):
             view.check_invariants()
 
@@ -254,6 +257,6 @@ class TestInvariantChecker:
         view.reference((1, 2))
         misfiled = result_row(schema, "a", "e", 9, 9)
         view._capture_schema(schema)
-        view._entries[(1, 2)].values.append(misfiled.values)
+        view._entries[(1, 2)] = _Entry((misfiled.values,))
         with pytest.raises(ViewDefinitionError):
             view.check_invariants()

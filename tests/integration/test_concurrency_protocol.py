@@ -20,7 +20,7 @@ import pytest
 from repro.core import PMVExecutor, PMVMaintainer
 from repro.core.maintenance import MaintenanceStrategy
 from repro.errors import LockError, PMVError
-from tests.conftest import eqt_query
+from tests.conftest import cached_count, eqt_query
 
 
 class _UnsafeMaintainer(PMVMaintainer):
@@ -70,7 +70,7 @@ class TestProtocolEnforced:
         reader.commit()
         # After the reader finishes, maintenance proceeds.
         eqt_db.delete_where("r", lambda row: row["f"] == 1)
-        assert eqt_pmv.tuple_count((1, 2)) == 0
+        assert cached_count(eqt_pmv, (1, 2)) == 0
 
     def test_writer_degrades_new_queries_to_bypass(
         self, eqt_db, eqt, eqt_pmv, eqt_executor
@@ -126,13 +126,13 @@ class TestAnomalyWithoutProtocol:
         this shows the *permission*, not a torn read)."""
         _UnsafeMaintainer(eqt_db, eqt_pmv).attach()
         eqt_executor.execute(eqt_query(eqt, [1], [2]))
-        assert eqt_pmv.tuple_count((1, 2)) == 2
+        assert cached_count(eqt_pmv, (1, 2)) == 2
         reader = eqt_db.begin(read_only=True)
         reader.lock_shared(eqt_pmv.name, wait=False)
         # No LockError: the unsafe maintainer ignores the protocol and
         # shrinks the PMV out from under the reader.
         eqt_db.delete_where("s", lambda row: row["g"] == 2)
-        assert eqt_pmv.tuple_count((1, 2)) == 0
+        assert cached_count(eqt_pmv, (1, 2)) == 0
         reader.commit()
 
 

@@ -9,7 +9,7 @@ from repro.core import Discretization, PartialMaterializedView, PMVExecutor
 from repro.engine import Column, Database, EqualityDisjunction, INTEGER
 from repro.engine.snapshot import restore_snapshot, take_snapshot
 from repro.errors import ConditionError
-from tests.conftest import eqt_query
+from tests.conftest import cached_count, eqt_query
 
 
 class TestReportingFormats:
@@ -46,10 +46,10 @@ class TestViewIteration:
         from repro.core.maintenance import template_result_schema
 
         schema = template_result_schema(eqt, eqt_db)
-        view.add_value_tuple((1, 2), ("a", "e", 1, 2), schema)
+        view.refill((1, 2), [("a", "e", 1, 2)], schema)
         for _, rows in view.entries():
             rows.clear()
-        assert view.tuple_count((1, 2)) == 1
+        assert cached_count(view, (1, 2)) == 1
 
 
 class TestSnapshotUnderPressure:
