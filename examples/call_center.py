@@ -147,7 +147,7 @@ def main() -> None:
     # A sale ends mid-shift: deferred maintenance purges the cached
     # offers for that item, so the next call never sees it.
     ended = result.all_rows()[0]["sale.item"]
-    db.delete_where("sale", lambda row: row["item"] == ended)
+    db.delete_eq("sale", "item", ended)
     followup = executor.execute(call)
     assert all(row["sale.item"] != ended for row in followup.all_rows())
     print(f"\nsale on item {ended} ended -> no stale offer served "

@@ -477,6 +477,53 @@ class Database:
             deleted.append(self.delete(relation_name, row_id, txn=txn, idem=idem))
         return deleted
 
+    def delete_eq(
+        self,
+        relation_name: str,
+        column: str,
+        value: Any,
+        txn: Transaction | None = None,
+        idem: str | None = None,
+    ) -> list[Row]:
+        """Delete every row whose ``column`` equals ``value``; returns them.
+
+        Deletes what ``delete_where(relation_name, lambda row:
+        row[column] == value)`` deletes, in the same (heap) order, so
+        the WAL receives the same records.  With an index on ``column``
+        the latched lookup probes it and fetches only the matched rows
+        (sorting row ids sorts them into heap order); without one this
+        *is* that ``delete_where``.  Each victim is then deleted as its
+        own statement.
+        """
+        index = self.catalog.find_index(relation_name, column)
+        if index is None:
+            return self.delete_where(
+                relation_name, lambda row: row[column] == value, txn=txn, idem=idem
+            )
+        relation = self.catalog.relation(relation_name)
+        position = relation.schema.position(column)
+        with self.statement_latch:
+            try:
+                row_ids = index.probe(value)
+            except TypeError:
+                # ``value`` hashes or orders against no stored key (a
+                # list, or None on an ordered index): it equals none of
+                # them, so the scan would match nothing.
+                row_ids = []
+            row_ids.sort()
+            payloads = relation.fetch_payloads(row_ids)
+        # The probe matched ``value`` by hash or order; ``==`` is what
+        # the scan decides by, so it decides here too.
+        victims = [
+            row_id
+            for row_id, payload in zip(row_ids, payloads)
+            if payload[position] == value
+        ]
+        return [
+            self.delete(relation_name, row_id, txn=txn, idem=idem)
+            for row_id in victims
+        ]
+
     def update(
         self,
         relation_name: str,

@@ -82,9 +82,9 @@ class HashIndex(_BaseIndex):
         bucket = self._buckets.get(key)
         if bucket is None:
             raise self._not_indexed(key, row_id)
-        # remove() alone is one scan of the posting list, each step a
-        # Python-level RowId comparison; a membership test first would
-        # make it two.  Long postings make this the write path's cost.
+        # remove() alone is one scan of the posting list (each step a
+        # C-level tuple comparison); a membership test first would make
+        # it two.  The scan is linear in the key's degree.
         try:
             bucket.remove(row_id)
         except ValueError:

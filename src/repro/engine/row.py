@@ -11,34 +11,25 @@ Operation O3, even though the two paths build it independently.
 from __future__ import annotations
 
 from operator import is_, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.engine.schema import Schema
 
 __all__ = ["Row", "RowId", "project_rows", "project_values"]
 
 
-class RowId:
-    """Physical address of a record: (page number, slot number)."""
+class RowId(NamedTuple):
+    """Physical address of a record: (page number, slot number).
 
-    __slots__ = ("page_no", "slot_no")
+    A tuple, so equality, hashing and ordering are tuple's own C code:
+    an index delete's ``list.remove`` over a long posting list runs no
+    Python-level comparison.  Sorted row ids are in heap order: a heap
+    scans its pages in allocation order, which is page-number order,
+    and each page in slot order.
+    """
 
-    def __init__(self, page_no: int, slot_no: int) -> None:
-        self.page_no = page_no
-        self.slot_no = slot_no
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, RowId)
-            and other.page_no == self.page_no
-            and other.slot_no == self.slot_no
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.page_no, self.slot_no))
-
-    def __lt__(self, other: "RowId") -> bool:
-        return (self.page_no, self.slot_no) < (other.page_no, other.slot_no)
+    page_no: int
+    slot_no: int
 
     def __repr__(self) -> str:
         return f"RowId({self.page_no}, {self.slot_no})"

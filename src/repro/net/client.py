@@ -98,7 +98,13 @@ class RemoteAnswer:
 
 @dataclass
 class _WriteAck:
-    """A DML acknowledgement."""
+    """A DML acknowledgement.
+
+    ``deleted`` is a ``delete_eq``'s row count.  It is ``None`` on an
+    insert, and on a ``duplicate`` reply: the server answered a retry
+    from its dedup table without re-running the statement, so the
+    count is unknown (the first reply, which carried it, was lost).
+    """
 
     lsn: int
     duplicate: bool

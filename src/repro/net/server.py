@@ -19,8 +19,11 @@ Ops
 ``hello``      bind the session's ``client_id`` (required before DML)
 ``query``      a serialized template query; returns the row envelope
 ``insert``     one row; ``seq`` + the session's client_id form the key
-``delete_eq``  delete rows where column == value (idempotent by
-               predicate, still keyed for retry dedup)
+``delete_eq``  delete rows where column == value, found by an index
+               probe when ``column`` has an index (idempotent by
+               predicate, still keyed for retry dedup); ``deleted`` is
+               the row count, or ``None`` when the reply is a
+               duplicate: the retried statement is not re-run
 ``stats``      gate + net + cluster counters
 ``ping``       liveness
 
@@ -297,20 +300,20 @@ class NetServer:
         value = request["value"]
         idem = self._idem(session, request)
 
-        def apply(database, key):
-            deleted = database.delete_where(
-                relation, lambda row: row[column] == value, idem=key
-            )
-            wal = database.wal
-            lsn = wal.last_lsn if wal is not None else database.current_lsn()
-            apply.deleted = len(deleted)
-            return lsn
+        # Stays None when the dedup table answers a retry: the statement
+        # is not re-run, so how many rows it deleted is not known here.
+        deleted = None
 
-        apply.deleted = 0
+        def apply(database, key):
+            nonlocal deleted
+            deleted = len(database.delete_eq(relation, column, value, idem=key))
+            wal = database.wal
+            return wal.last_lsn if wal is not None else database.current_lsn()
+
         envelope = self.front_end.apply_write(
             idem, apply, deadline=self._deadline(request)
         )
-        envelope["deleted"] = apply.deleted
+        envelope["deleted"] = deleted
         return envelope
 
     def _op_stats(self, session: _Session, request: dict[str, Any]) -> dict[str, Any]:

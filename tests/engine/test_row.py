@@ -91,3 +91,15 @@ class TestRowId:
     def test_ordering(self):
         assert RowId(1, 5) < RowId(2, 0)
         assert RowId(1, 1) < RowId(1, 2)
+
+    def test_repr(self):
+        assert repr(RowId(3, 7)) == "RowId(3, 7)"
+        assert repr([RowId(0, 1)]) == "[RowId(0, 1)]"
+
+    def test_compares_in_c(self):
+        """A posting-list ``remove`` compares row ids many times per
+        delete; none of those comparisons may run Python code."""
+        assert RowId.__eq__ is tuple.__eq__
+        assert RowId.__hash__ is tuple.__hash__
+        assert RowId.__lt__ is tuple.__lt__
+        assert RowId(4, 2).page_no == 4 and RowId(4, 2).slot_no == 2

@@ -148,6 +148,39 @@ class TestKeyedDML:
         finally:
             client.close()
 
+    def test_delete_eq_on_indexed_column_probes(self, single_node):
+        """``r.c`` carries ``r_c``: the server's delete finds its rows
+        through that index, not a scan of ``r``."""
+        client = single_node.client()
+        try:
+            index = single_node.db.catalog.find_index("r", "c")
+            probes = index.probes
+            gone = client.delete_eq("r", "c", 5)
+            assert gone.deleted == 4 and not gone.duplicate
+            assert index.probes == probes + 1
+            relation = single_node.db.catalog.relation("r")
+            assert [row for row in relation.scan_rows() if row["c"] == 5] == []
+            assert index.probe(5) == []
+        finally:
+            client.close()
+
+    def test_retried_delete_eq_reports_unknown_count(self, single_node):
+        """A retry answered from the dedup table does not re-run the
+        delete, so it cannot say how many rows the original deleted:
+        ``deleted`` is None, never a false 0."""
+        client = single_node.client("redel")
+        request = {
+            "op": "delete_eq", "relation": "r", "column": "c", "value": 7, "seq": 3,
+        }
+        try:
+            first = client._request(dict(request))
+            second = client._request(dict(request))
+            assert not first["duplicate"] and first["deleted"] == 4
+            assert second["duplicate"] and second["deleted"] is None
+            assert first["lsn"] == second["lsn"]
+        finally:
+            client.close()
+
     def test_idem_key_rides_in_the_wal(self, single_node):
         client = single_node.client("walrider")
         try:
