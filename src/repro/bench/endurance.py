@@ -30,7 +30,7 @@ And at the end, after draining to convergence and a final checkpoint:
   back down to a few segments (bounded log);
 - the outbox spilled (``spilled_total > 0``) and its resident window
   stayed bounded (``peak_resident`` near the spill threshold);
-- the PMV answer equals full execution for every probed binding;
+- the PMV answer equals the true answer for every probed binding;
 - restarting from a mid-run snapshot + log suffix (which may read
   reclaimed segments back from the archive) reproduces exactly the
   acked state: the unique-id ledger shows zero lost and zero
@@ -52,11 +52,13 @@ from repro.check import (
     attach_view,
     bind,
     build_rs,
+    contents_of,
     found_ids,
     handle,
     multiset,
     random_binding,
     rs_template,
+    true_answer,
 )
 from repro.engine import Database, WriteAheadLog
 from repro.engine.snapshot import (
@@ -66,7 +68,7 @@ from repro.engine.snapshot import (
     snapshot_to_json,
 )
 from repro.errors import DiskFullError
-from repro.faults import FaultInjector, FaultMode, FaultPlan, FaultSpec, contents_of
+from repro.faults import FaultInjector, FaultMode, FaultPlan, FaultSpec
 
 __all__ = ["DRILL", "run"]
 
@@ -257,12 +259,12 @@ def run(seed: int, schedule: str = "none") -> Outcome:
                 f"outbox resident window unbounded: peak {counts['peak_resident']}"
             )
 
-        # -- convergence: PMV answers equal full execution ------------------
+        # -- convergence: PMV answers equal the true answers ---------------
         for f_val in range(4):
             for g_val in range(3):
                 query = bind(template, f_val, g_val)
                 got = multiset(manager.execute(query).all_rows())
-                want = multiset(database.run(query))
+                want = true_answer(database, query)
                 if got != want:
                     failures.append(
                         f"post-convergence divergence at f={f_val} g={g_val}: "

@@ -48,21 +48,23 @@ from repro.check import (
     Answer,
     Cluster,
     Drill,
+    InvariantViolation,
     Outcome,
     Replay,
     attach_view,
     bind,
     build_rs,
     check_answers,
+    contents_of,
     handle,
     multiset,
     rs_template,
     strategy_for_seed,
+    true_answer,
 )
 from repro.engine.snapshot import snapshot_to_json, take_snapshot
 from repro.errors import ReplicaLagError, ReproError, WALFencedError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
-from repro.faults.check import InvariantViolation, contents_of
 from repro.faults.inject import build_faulty_database
 from repro.faults.plan import FaultMode
 from repro.replication import ReplicaNode, ShippedRecord
@@ -214,7 +216,7 @@ def _run_workload(cluster: _Cluster, rng: random.Random) -> None:
         elif roll < 0.92:  # gate query on the primary + mirrored standby read
             query = cluster.bind_query(rng)
             result = cluster.gate.execute(query)
-            if multiset(result.all_rows()) != multiset(database.run(query)):
+            if multiset(result.all_rows()) != true_answer(database, query):
                 raise InvariantViolation("primary gate answer diverged from truth")
             cluster.pre_hits.append(1 if result.partial_rows else 0)
             cluster.serve_replica(rng, cluster.bind_query(rng))
@@ -358,7 +360,7 @@ def _after_crash(cluster: _Cluster, rng: random.Random) -> dict[str, int]:
     for _ in range(PROBE_WINDOW):
         query = cluster.bind_query(rng)
         result = cluster.gate.execute(query)
-        if multiset(result.all_rows()) != multiset(new_primary.database.run(query)):
+        if multiset(result.all_rows()) != true_answer(new_primary.database, query):
             raise InvariantViolation("promoted gate answer diverged from truth")
         post_hits.append(1 if result.partial_rows else 0)
     pre_rate = _hit_rate(cluster.pre_hits)

@@ -56,6 +56,7 @@ from repro.check import (
     bind,
     build_world,
     check_answers,
+    contents_of,
     found_ids,
     handle,
     random_binding,
@@ -63,7 +64,6 @@ from repro.check import (
 )
 from repro.errors import LockError, StorageError
 from repro.faults import InterleavingScheduler
-from repro.faults.check import contents_of
 
 __all__ = ["DRILL", "run"]
 

@@ -16,7 +16,7 @@ invariant set:
 - snapshot-based recovery (latest checkpoint + log suffix) agrees with
   full-log recovery;
 - a PMV restarted on the recovered database serves no phantom tuples
-  (probe every bcp, compare against full execution).
+  (every answer equals the reference model's, :mod:`repro.check.model`).
 
 Recoverable injected faults (ERROR mode) instead let the workload keep
 running and assert the engine aborted the statement cleanly — e.g. a
@@ -41,14 +41,19 @@ import threading
 from repro.check import (
     RELATIONS,
     Drill,
+    InvariantViolation,
     Outcome,
     attach_view,
     build_rs,
+    contents_of,
     handle,
     multiset,
     random_binding,
     rs_template,
     strategy_for_seed,
+    true_answer,
+    verify_crash_recovery,
+    verify_database,
 )
 from repro.engine import Database, WriteAheadLog, recover
 from repro.engine.snapshot import (
@@ -64,12 +69,8 @@ from repro.faults import (
     FaultSpec,
     SimulatedCrash,
     build_faulty_database,
-    contents_of,
     modes_for_site,
-    verify_crash_recovery,
-    verify_database,
 )
-from repro.faults.check import InvariantViolation
 
 __all__ = ["CDC_DRILL", "DRILL", "enumerate_points", "run_point"]
 
@@ -230,7 +231,7 @@ def _check_bounded_stale(result, got, want) -> None:
         )
     if result.staleness == 0 and got != want:
         raise InvariantViolation(
-            "answer stamped staleness=0 but differs from full execution "
+            "answer stamped staleness=0 but differs from the true answer "
             "— the freshness stamp lies"
         )
 
@@ -316,12 +317,12 @@ def _run_workload(seed, database, manager, template, shadow, snapshots,
                 query = random_binding(template, rng)
                 result = manager.execute(query)
                 got = multiset(result.all_rows())
-                want = multiset(database.run(query))
+                want = true_answer(database, query)
                 if maintainer is None:
                     if got != want:
                         raise InvariantViolation(
                             f"query through PMV returned {sum(got.values())} tuples, "
-                            f"full execution {sum(want.values())} — stale partial results"
+                            f"the true answer {sum(want.values())} — stale partial results"
                         )
                 else:
                     # Bounded-stale semantics: the answer is the current
@@ -354,12 +355,12 @@ def _run_workload(seed, database, manager, template, shadow, snapshots,
             probe = random_binding(template, rng)
             result = manager.execute(probe)
             got = multiset(result.all_rows())
-            want = multiset(database.run(probe))
+            want = true_answer(database, probe)
             if maintainer is None:
                 if got != want:
                     raise InvariantViolation(
                         "read-only degradation broke reads: PMV answer "
-                        "diverged from full execution during disk-full"
+                        "diverged from the true answer during disk-full"
                     )
             else:
                 _check_bounded_stale(result, got, want)
@@ -423,7 +424,7 @@ def _check_recovery(seed, cdc, wal_path, expected, expected_plus, snapshots) -> 
 
 def _check_pmv_restart(seed: int, cdc: bool, recovered: Database) -> None:
     """A PMV restarted empty on the recovered database must warm up
-    and serve exactly what full execution serves.
+    and serve exactly the true answer.
 
     In CDC mode the restarted view runs async again: the pre-crash
     feed died with the process (views restart empty, so there is
@@ -442,9 +443,9 @@ def _check_pmv_restart(seed: int, cdc: bool, recovered: Database) -> None:
     for _ in range(3):
         query = random_binding(template, rng)
         result = manager.execute(query)
-        if multiset(result.all_rows()) != multiset(recovered.run(query)):
+        if multiset(result.all_rows()) != true_answer(recovered, query):
             raise InvariantViolation(
-                "restarted PMV disagrees with full execution on the "
+                "restarted PMV disagrees with the true answer on the "
                 "recovered database"
             )
     if maintainer is not None:
@@ -455,7 +456,7 @@ def _check_pmv_restart(seed: int, cdc: bool, recovered: Database) -> None:
         maintainer.drain_to_convergence()
         query = random_binding(template, rng)
         result = manager.execute(query)
-        exact = multiset(result.all_rows()) == multiset(recovered.run(query))
+        exact = multiset(result.all_rows()) == true_answer(recovered, query)
         if not exact or (result.staleness or 0) != 0:
             raise InvariantViolation(
                 "restarted async PMV did not converge after the post-"

@@ -3,10 +3,11 @@
 A drill records what its callers were given — :class:`Answer`\\ s
 stamped with the LSN they were serialized at, and a
 :class:`WriteLedger` of acknowledged writes — and hands them here with
-the log records of the run.  :class:`Replay` rebuilds the truth from
+the log records of the run.  :class:`Replay` rebuilds the state from
 those records with the same :func:`~repro.engine.wal.replay_record` a
-restart uses; nothing the system under test said about itself is
-trusted except the stamps.
+restart uses, and the reference model (:mod:`repro.check.model`), not
+the engine's planner, computes each true answer over it; nothing the
+system under test said about itself is trusted except the stamps.
 
 The answer rule (:func:`check_answers`).  An answer was delivered
 somewhere in the LSN window ``[low, high]``: ``high`` is its stamp,
@@ -32,8 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.check.model import true_answer
 from repro.engine import Database
-from repro.engine.row import project_values
 from repro.engine.wal import replay_record
 
 __all__ = [
@@ -72,14 +73,14 @@ class Answer:
         return self.high if self.low is None else min(self.low, self.high)
 
 
-def record_answer(label: str, query, database: Database, execute, **options):
-    """Run ``execute(query, on_o3=..., **options)`` (an executor, manager
+def record_answer(label: str, query, database: Database, serve, **options):
+    """Run ``serve(query, on_o3=..., **options)`` (an executor, manager
     or gate method) and return ``(result, Answer)``, the answer stamped
     with the WAL position read at its serialization point: ``on_o3``
     fires inside the statement latch, for complete *and* degraded
     answers, where no append can interleave."""
     stamp: list[int] = []
-    result = execute(
+    result = serve(
         query, on_o3=lambda _q: stamp.append(database.current_lsn()), **options
     )
     rows = multiset(result.all_rows())
@@ -120,11 +121,6 @@ class Replay:
             self.records += 1
         return self.database
 
-    def truth(self, query, width: int | None = None) -> Counter:
-        """The true answer now, over the first ``width`` columns of ``Ls'``."""
-        names = query.template.expanded_select_list()[:width]
-        return Counter(project_values(self.database.run(query), names))
-
 
 def check_answers(answers: Iterable[Answer], replay: Replay) -> list[Violation]:
     """Judge every answer against a fresh ``replay``, which is consumed
@@ -154,7 +150,7 @@ def check_answers(answers: Iterable[Answer], replay: Replay) -> list[Violation]:
         still_open = []
         for answer, true_so_far in window:
             width = len(next(iter(answer.rows), ())) or None
-            truth = replay.truth(answer.query, width)
+            truth = true_answer(replay.database, answer.query, width)
             true_so_far |= truth  # per-tuple maximum over the window
             if lsn < answer.high:
                 still_open.append((answer, true_so_far))

@@ -112,7 +112,11 @@ def compute_delta_join(
             if left_in and right_in:
                 pending.remove(edge)
                 left_q, right_q = edge.qualified_left(), edge.qualified_right()
-                bindings = [b for b in bindings if b[left_q] == b[right_q]]
+                bindings = [
+                    b
+                    for b in bindings
+                    if b[left_q] == b[right_q] and b[left_q] is not None
+                ]
                 progressed = True
                 continue
             if not left_in and not right_in:
@@ -131,6 +135,8 @@ def compute_delta_join(
             target = catalog.relation(target_rel)
             grown: list[dict[str, Any]] = []
             for binding in bindings:
+                if binding[source_col] is None:
+                    continue  # a None join key equals nothing
                 for row_id in index.probe(binding[source_col]):
                     matched = target.fetch(row_id)
                     extended = dict(binding)

@@ -232,10 +232,10 @@ class PMVManager:
     def verify_consistency(self) -> None:
         """Assert that no managed PMV could serve a tuple it shouldn't.
 
-        Runs the fault-harness checker — every cached tuple of every
-        view must be a current true result of its template (and the
-        structural/bound invariants must hold).  Raises
-        :class:`~repro.faults.check.InvariantViolation` on divergence.
+        Runs the invariant checker — every cached tuple of every view
+        must be in the reference model's result of its template (and
+        the structural/bound invariants must hold).  Raises
+        :class:`~repro.check.invariants.InvariantViolation` on divergence.
         Used by tests and the crash-recovery torture harness.
 
         Async-maintained views are checked against the outbox
@@ -246,7 +246,7 @@ class PMVManager:
         (watermark caught up) gets the full strict check — a lost or
         double-applied delta still surfaces as a phantom there.
         """
-        from repro.faults.check import check_view_against_database
+        from repro.check.invariants import check_view_against_database
 
         high = self.database.current_lsn()
         for managed in self._views.values():

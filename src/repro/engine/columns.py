@@ -122,13 +122,20 @@ class ColumnBatch:
         return ColumnBatch(self.schema, tuples=tuples)
 
     def filter_equal_columns(self, left: int, right: int) -> "ColumnBatch":
-        """Keep rows where two columns are equal (residual join edges)."""
+        """Keep rows where two columns are equal (residual join edges);
+        a ``None`` equals nothing, as in a join."""
         if self._columns is not None and self._tuples is None:
             columns = self._columns
             lcol, rcol = columns[left], columns[right]
-            selection = [i for i in range(len(lcol)) if lcol[i] == rcol[i]]
+            selection = [
+                i
+                for i in range(len(lcol))
+                if lcol[i] == rcol[i] and lcol[i] is not None
+            ]
             return self.take(selection)
-        tuples = [t for t in self.tuples() if t[left] == t[right]]
+        tuples = [
+            t for t in self.tuples() if t[left] == t[right] and t[left] is not None
+        ]
         return ColumnBatch(self.schema, tuples=tuples)
 
     def take(self, selection: Sequence[int]) -> "ColumnBatch":

@@ -602,9 +602,16 @@ class Database:
         return self.plan_cache.plan(query, blocking, statistics=self.statistics)
 
     def run(self, query: Query, blocking: bool = True) -> list[Row]:
+        """Execute ``query`` to completion and return its ``Ls'`` rows:
+        the one place plan output is materialized as :class:`Row` objects."""
         plan = self.plan(query, blocking=blocking)
+        schema = plan.root.schema
         with self.statement_latch:
-            return plan.run()
+            return [
+                Row(values, schema)
+                for batch in plan.execute_column_batches()
+                for values in batch.tuples()
+            ]
 
     # -- accounting -----------------------------------------------------------------------
 

@@ -243,23 +243,6 @@ class HeapRelation:
         for _, row in self.scan():
             yield row
 
-    def scan_batches(self) -> Iterator[list[Row]]:
-        """Full scan yielding one list of live rows per page.
-
-        Each page is fetched exactly once; empty pages yield nothing.
-        This is the batched-execution entry point used by SeqScan and
-        hash-join builds.
-        """
-        schema = self.schema
-        for page_no in self._page_nos:
-            page = self._pool.fetch(page_no)
-            try:
-                batch = [Row(payload, schema) for _, payload in page.live_slots()]
-            finally:
-                self._pool.unpin(page_no)
-            if batch:
-                yield batch
-
     def fetch_payload(self, row_id: RowId) -> tuple:
         """Return the raw value tuple at ``row_id`` (no :class:`Row`).
 
@@ -307,9 +290,9 @@ class HeapRelation:
     def scan_payload_chunks(self) -> Iterator[list[tuple]]:
         """Full scan yielding one list of live value tuples per page.
 
-        The columnar counterpart of :meth:`scan_batches`: same per-page
-        fetch pattern, no :class:`Row` objects.  Callers coalesce
-        chunks up to their ``batch_rows`` target.
+        Each page is fetched exactly once; empty pages yield nothing.
+        No :class:`Row` objects: this feeds ``SeqScan`` and hash-join
+        builds, which coalesce chunks up to their batch target.
         """
         for page_no in self._page_nos:
             page = self._pool.fetch(page_no)

@@ -49,7 +49,6 @@ from repro.engine.predicate import (
     JoinEquality,
     SelectionCondition,
 )
-from repro.engine.row import Row
 from repro.engine.stats import StatisticsCollector
 from repro.engine.template import Query, QueryTemplate, SlotForm
 from repro.errors import PlanningError
@@ -73,14 +72,9 @@ class Plan:
     blocking: bool
 
     def execute_column_batches(self) -> Iterator[ColumnBatch]:
-        """Yield the result as :class:`ColumnBatch`es (the vectorized
-        path — no :class:`Row` objects until someone asks for them)."""
+        """Yield the result (over ``Ls'``) as column batches —
+        the plan's one execution path."""
         return self.root.execute_columns()
-
-    def run(self) -> list[Row]:
-        """Execute to completion and return all rows (with the expanded
-        select list ``Ls'``) through the row operators."""
-        return list(self.root.execute())
 
     def explain(self) -> str:
         return self.root.explain()
@@ -100,29 +94,15 @@ class DriverCandidate:
 
 @dataclass(frozen=True)
 class _PredicateRecipe:
-    """How to build one relation's residual predicate from a bound query:
+    """How to build one relation's residual tests from a bound query:
     AND the conditions of ``slot_indices`` with the ``fixed`` conditions."""
 
     slot_indices: tuple[int, ...]
     fixed: tuple[SelectionCondition, ...]
 
-    def build(self, conditions: Sequence[SelectionCondition]):
-        parts = [conditions[i] for i in self.slot_indices]
-        parts.extend(self.fixed)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0].matches
-        conds = tuple(parts)
-
-        def predicate(row: Row) -> bool:
-            return all(c.matches(row) for c in conds)
-
-        return predicate
-
     def build_tests(self, conditions: Sequence[SelectionCondition]):
-        """The same residual predicate in vector form: ``(column,
-        value_test)`` pairs for :class:`ColumnBatch` filtering."""
+        """The residual predicate as ``(column, value_test)`` pairs for
+        :class:`ColumnBatch` filtering."""
         parts = [conditions[i] for i in self.slot_indices]
         parts.extend(self.fixed)
         return tuple((c.column, c.value_test()) for c in parts)
@@ -258,24 +238,14 @@ class CompiledPlan:
     project_names: tuple[str, ...]
 
     def bind(self, query: Query) -> Plan:
-        """Stamp out an executable plan for one bound query.
-
-        Every predicate is bound in both forms — a row closure for the
-        row methods and ``(column, value_test)`` pairs for the vector
-        methods — so one compiled skeleton serves both.
-        """
+        """Stamp out an executable plan for one bound query."""
         if query.template is not self.template:
             raise PlanningError("query is from a different template")
         conditions = query.cselect.conditions
         root: Operator
-        driver_predicate = self.driver_recipe.build(conditions)
         driver_tests = self.driver_recipe.build_tests(conditions)
         if self.driver_slot is None:
-            root = SeqScan(
-                self.driver_relation,
-                predicate=driver_predicate,
-                tests=driver_tests,
-            )
+            root = SeqScan(self.driver_relation, tests=driver_tests)
         else:
             driver_condition = conditions[self.driver_slot]
             assert self.driver_index is not None
@@ -285,47 +255,39 @@ class CompiledPlan:
                     self.driver_relation,
                     self.driver_index,
                     driver_condition.intervals,
-                    predicate=driver_predicate,
                     tests=driver_tests,
-                    )
+                )
             else:
                 assert isinstance(driver_condition, EqualityDisjunction)
                 root = IndexEqualityScan(
                     self.driver_relation,
                     self.driver_index,
                     driver_condition.values,
-                    predicate=driver_predicate,
                     tests=driver_tests,
-                    )
+                )
         for step in self.steps:
             if isinstance(step, _EdgeFilterStep):
                 root = Filter(
+                    root, (step.left_col, step.right_col), label=step.label
+                )
+                continue
+            inner_tests = step.recipe.build_tests(conditions)
+            if step.inner_index is not None:
+                root = IndexNestedLoopJoin(
                     root,
-                    lambda row, lc=step.left_col, rc=step.right_col: row[lc] == row[rc],
-                    label=step.label,
-                    equal_columns=(step.left_col, step.right_col),
+                    step.inner_relation,
+                    step.inner_index,
+                    step.outer_key,
+                    inner_tests=inner_tests,
                 )
             else:
-                inner_predicate = step.recipe.build(conditions)
-                inner_tests = step.recipe.build_tests(conditions)
-                if step.inner_index is not None:
-                    root = IndexNestedLoopJoin(
-                        root,
-                        step.inner_relation,
-                        step.inner_index,
-                        step.outer_key,
-                        inner_predicate,
-                        inner_tests=inner_tests,
-                    )
-                else:
-                    root = NestedLoopJoin(
-                        root,
-                        step.inner_relation,
-                        step.inner_key,
-                        step.outer_key,
-                        inner_predicate,
-                        inner_tests=inner_tests,
-                    )
+                root = NestedLoopJoin(
+                    root,
+                    step.inner_relation,
+                    step.inner_key,
+                    step.outer_key,
+                    inner_tests=inner_tests,
+                )
         root = Project(root, self.project_names)
         if self.blocking:
             root = Materialize(root)

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and crash-recovery checking.
+"""Deterministic fault injection.
 
 The subsystem the crash-recovery torture harness
 (:mod:`repro.bench.torture`) drives:
@@ -8,9 +8,6 @@ The subsystem the crash-recovery torture harness
 - :mod:`repro.faults.inject` — the injector and the faulty engine
   components (:class:`FaultyWAL`, :class:`FaultyDiskManager`,
   :class:`SimulatedCrash`);
-- :mod:`repro.faults.check` — the recovery invariant checkers
-  (:func:`verify_database`, :func:`check_view_against_database`,
-  :func:`verify_crash_recovery`);
 - :mod:`repro.faults.sched` — the seeded cooperative thread scheduler
   (:class:`InterleavingScheduler`) that makes concurrent protocol
   races replayable, driven by :mod:`repro.bench.stress`;
@@ -22,13 +19,6 @@ Production code paths pay for none of this: the hooks are ``None``
 checks, and the faulty components are opt-in subclasses.
 """
 
-from repro.faults.check import (
-    InvariantViolation,
-    check_view_against_database,
-    contents_of,
-    verify_crash_recovery,
-    verify_database,
-)
 from repro.faults.inject import (
     FaultInjector,
     FaultyDiskManager,
@@ -62,9 +52,4 @@ __all__ = [
     "FaultyDiskManager",
     "SimulatedCrash",
     "build_faulty_database",
-    "InvariantViolation",
-    "check_view_against_database",
-    "contents_of",
-    "verify_crash_recovery",
-    "verify_database",
 ]

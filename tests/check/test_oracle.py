@@ -18,9 +18,16 @@ from dataclasses import replace
 import pytest
 
 from repro import check
-from repro.check import Answer, Replay, WriteLedger, check_answers, multiset, runner
+from repro.check import (
+    Answer,
+    Replay,
+    WriteLedger,
+    check_answers,
+    multiset,
+    runner,
+    verify_crash_recovery,
+)
 from repro.engine import Database, WriteAheadLog
-from repro.faults import verify_crash_recovery
 from repro.qos import Deadline
 
 

@@ -17,6 +17,7 @@ from repro.engine import (
     SlotForm,
     TEXT,
 )
+from repro.engine.row import Row
 from repro.workload import TPCRConfig, load_tpcr
 
 
@@ -135,3 +136,14 @@ def brute_force_eqt(database: Database, fs, gs) -> list[tuple]:
         for s in s_rows
         if r["c"] == s["d"] and r["f"] in fs and s["g"] in gs
     )
+
+
+def plan_rows(plan) -> list[Row]:
+    """Everything ``plan`` yields through its column-batch path, as rows
+    of its output schema."""
+    schema = plan.root.schema
+    return [
+        Row(values, schema)
+        for batch in plan.execute_column_batches()
+        for values in batch.tuples()
+    ]

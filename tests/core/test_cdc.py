@@ -10,12 +10,12 @@ policy, and the consistency checker's watermark awareness.
 import pytest
 
 from repro.cdc import AsyncMaintainer, ChangeOutbox, HeavyLightSplitter
+from repro.check import InvariantViolation, check_view_against_database
 from repro.core import PMVManager
 from repro.core.manager import ManagedView
 from repro.engine.transactions import Change, ChangeKind
 from repro.errors import LockError, MaintenanceError, PMVError
 from repro.faults import FaultInjector, FaultPlan, SimulatedCrash
-from repro.faults.check import InvariantViolation, check_view_against_database
 from repro.faults.plan import FaultMode, FaultSpec
 from repro.qos.admission import AdmissionController
 from repro.qos.breaker import FAILURE_THRESHOLD, CircuitBreaker

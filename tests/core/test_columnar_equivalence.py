@@ -5,8 +5,8 @@ Every scenario drives one world (data, template, managed view) and
 checks each answer against:
 
 - ``oracle()`` — a brute-force nested-loop join over the heap;
-- ``Database.run`` — the plan's *row* operators, which the executor
-  never calls (it consumes the plan's ``ColumnBatch`` stream);
+- the reference model (:mod:`repro.check.model`), which calls no
+  planner, operator or index;
 - ``expected_partials()`` — what O2 must deliver, derived from the
   view's contents before the query with ``decompose`` / ``group_parts``
   / ``view.lookup`` and the condition parts' row-level ``matches``.
@@ -23,6 +23,7 @@ from collections import Counter
 
 import pytest
 
+from repro.check import true_answer
 from repro.core import Discretization, PMVManager
 from repro.core.decompose import decompose, group_parts
 from repro.core.discretize import BasicIntervals
@@ -192,7 +193,7 @@ class World:
         """Execute one query and check the whole per-answer contract."""
         query = binder(self.template)
         # Two independent references must agree before judging anyone.
-        assert sorted(values(self.db.run(query))) == truth
+        assert sorted(true_answer(self.db, query).elements()) == truth
         per_group = expected_partials(self.view, query)
         evicted_before = self.view.metrics.entries_evicted
         result = self.executor.execute(query, distinct=distinct, **execute_kwargs)

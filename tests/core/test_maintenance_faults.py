@@ -16,6 +16,7 @@ Both are exercised under both maintenance strategies.
 
 import pytest
 
+from repro.check import check_view_against_database
 from repro.core import Discretization, MaintenanceStrategy, PMVManager
 from repro.engine import WriteAheadLog
 from repro.errors import FaultInjectionError
@@ -23,7 +24,6 @@ from repro.faults import (
     FaultInjector,
     FaultMode,
     FaultPlan,
-    check_view_against_database,
 )
 from tests.conftest import brute_force_eqt, eqt_query
 

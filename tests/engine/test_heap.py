@@ -131,30 +131,32 @@ class TestScan:
 
 
 class TestScanBatches:
+    """The per-page payload batches of ``scan_payload_chunks``."""
+
     def test_batches_flatten_to_scan(self, heap):
         for i in range(500):
             heap.insert((i, "x" * 30))
-        flat = [row["id"] for batch in heap.scan_batches() for row in batch]
+        flat = [t[0] for chunk in heap.scan_payload_chunks() for t in chunk]
         assert flat == [row["id"] for _, row in heap.scan()]
 
     def test_one_batch_per_page(self, heap):
         for i in range(2000):
             heap.insert((i, "x" * 20))
-        batches = list(heap.scan_batches())
-        assert len(batches) == heap.page_count
-        assert sum(len(batch) for batch in batches) == 2000
+        chunks = list(heap.scan_payload_chunks())
+        assert len(chunks) == heap.page_count
+        assert sum(len(chunk) for chunk in chunks) == 2000
 
     def test_skips_deleted_and_empty_pages(self, heap):
         ids = [heap.insert((i, "x" * 200)) for i in range(60)]
         for row_id in ids[:40]:
             heap.delete(row_id)
-        flat = sorted(row["id"] for batch in heap.scan_batches() for row in batch)
+        flat = sorted(t[0] for chunk in heap.scan_payload_chunks() for t in chunk)
         assert flat == list(range(40, 60))
         # Fully-emptied pages yield no (empty) batches.
-        assert all(batch for batch in heap.scan_batches())
+        assert all(chunk for chunk in heap.scan_payload_chunks())
 
     def test_empty_relation_yields_nothing(self, heap):
-        assert list(heap.scan_batches()) == []
+        assert list(heap.scan_payload_chunks()) == []
 
 
 class TestInsertManyFastPath:

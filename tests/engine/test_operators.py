@@ -1,8 +1,9 @@
-"""Unit tests for the Volcano operators."""
+"""Unit tests for the Volcano operators' column-batch path."""
 
 import pytest
 
 from repro.engine import Column, Database, INTEGER, Interval, TEXT
+from repro.engine.row import Row
 from repro.engine.operators import (
     Filter,
     IndexEqualityScan,
@@ -13,6 +14,15 @@ from repro.engine.operators import (
     SeqScan,
 )
 from repro.errors import PlanningError
+
+
+def rows(operator):
+    """Everything ``operator`` yields, as rows of its output schema."""
+    return [
+        Row(values, operator.schema)
+        for batch in operator.execute_columns()
+        for values in batch.tuples()
+    ]
 
 
 @pytest.fixture
@@ -35,19 +45,19 @@ def env():
 class TestSeqScan:
     def test_full_scan(self, env):
         scan = SeqScan(env.catalog.relation("r"))
-        assert len(list(scan.execute())) == 30
+        assert len(rows(scan)) == 30
 
     def test_filter_pushdown(self, env):
-        scan = SeqScan(env.catalog.relation("r"), predicate=lambda row: row["k"] == 0)
-        assert all(row["k"] == 0 for row in scan.execute())
-        assert len(list(scan.execute())) == 3
+        scan = SeqScan(env.catalog.relation("r"), tests=[("k", lambda k: k == 0)])
+        assert all(row["k"] == 0 for row in rows(scan))
+        assert len(rows(scan)) == 3
 
 
 class TestIndexScans:
     def test_equality_scan_multiple_keys(self, env):
         relation = env.catalog.relation("r")
         scan = IndexEqualityScan(relation, env.catalog.index("r_k_hash"), [2, 5])
-        ks = sorted(row["k"] for row in scan.execute())
+        ks = sorted(row["k"] for row in rows(scan))
         assert ks == [2, 2, 2, 5, 5, 5]
 
     def test_equality_scan_residual(self, env):
@@ -56,16 +66,16 @@ class TestIndexScans:
             relation,
             env.catalog.index("r_k_hash"),
             [2],
-            predicate=lambda row: row["id"] < 10,
+            tests=[("id", lambda i: i < 10)],
         )
-        assert [row["id"] for row in scan.execute()] == [2]
+        assert [row["id"] for row in rows(scan)] == [2]
 
     def test_range_scan(self, env):
         relation = env.catalog.relation("r")
         scan = IndexRangeScan(
             relation, env.catalog.index("r_k_ord"), [Interval(2, 5)]
         )
-        assert sorted(set(row["k"] for row in scan.execute())) == [3, 4]
+        assert sorted(set(row["k"] for row in rows(scan))) == [3, 4]
 
     def test_range_scan_multiple_intervals(self, env):
         relation = env.catalog.relation("r")
@@ -74,7 +84,7 @@ class TestIndexScans:
             env.catalog.index("r_k_ord"),
             [Interval(0, 2, low_inclusive=True), Interval(7, 9, high_inclusive=True)],
         )
-        assert sorted(set(row["k"] for row in scan.execute())) == [0, 1, 8, 9]
+        assert sorted(set(row["k"] for row in rows(scan))) == [0, 1, 8, 9]
 
     def test_wrong_relation_rejected(self, env):
         with pytest.raises(PlanningError):
@@ -91,9 +101,9 @@ class TestJoin:
         join = IndexNestedLoopJoin(
             outer, env.catalog.relation("s"), env.catalog.index("s_k"), "r.k"
         )
-        rows = list(join.execute())
-        assert len(rows) == 30  # every r row matches exactly one s row
-        sample = rows[0]
+        out = rows(join)
+        assert len(out) == 30  # every r row matches exactly one s row
+        sample = out[0]
         assert sample["r.k"] == sample["s.k"]
 
     def test_inner_predicate(self, env):
@@ -103,9 +113,9 @@ class TestJoin:
             env.catalog.relation("s"),
             env.catalog.index("s_k"),
             "r.k",
-            inner_predicate=lambda row: row["k"] < 3,
+            inner_tests=[("k", lambda k: k < 3)],
         )
-        assert len(list(join.execute())) == 9
+        assert len(rows(join)) == 9
 
     def test_schema_concat_resolves_both_sides(self, env):
         outer = SeqScan(env.catalog.relation("r"))
@@ -119,31 +129,41 @@ class TestJoin:
 class TestProjectFilterMaterialize:
     def test_project(self, env):
         plan = Project(SeqScan(env.catalog.relation("r")), ["r.t", "r.id"])
-        row = next(iter(plan.execute()))
+        row = rows(plan)[0]
         assert len(row) == 2
         assert row["r.t"].startswith("t")
 
     def test_filter(self, env):
-        plan = Filter(SeqScan(env.catalog.relation("r")), lambda row: row["id"] > 27)
-        assert len(list(plan.execute())) == 2
+        join = IndexNestedLoopJoin(
+            SeqScan(env.catalog.relation("r")),
+            env.catalog.relation("s"),
+            env.catalog.index("s_k"),
+            "r.k",
+        )
+        # A redundant edge: r.id = s.k holds for ids 0..9 only.
+        plan = Filter(join, ("r.id", "s.k"), label="r.id=s.k")
+        out = rows(plan)
+        assert sorted(row["r.id"] for row in out) == list(range(10))
+        assert all(row["r.id"] == row["s.k"] for row in out)
+        assert plan.explain().startswith("Filter(r.id=s.k)")
 
     def test_materialize_blocks(self, env):
         relation = env.catalog.relation("r")
         consumed = []
 
         class Recording(SeqScan):
-            def execute_batches(self):
-                for batch in super().execute_batches():
-                    consumed.extend(batch)
+            def execute_columns(self):
+                for batch in super().execute_columns():
+                    consumed.extend(batch.tuples())
                     yield batch
 
         plan = Materialize(Recording(relation))
-        iterator = plan.execute()
+        iterator = plan.execute_columns()
         first = next(iterator)
         # With Materialize, the entire child is drained before the
-        # first row is emitted — the paper's blocking behaviour.
+        # first batch is emitted — the paper's blocking behaviour.
         assert len(consumed) == 30
-        assert first == consumed[0]
+        assert first.tuples()[0] == consumed[0]
 
     def test_explain_renders_tree(self, env):
         plan = Materialize(Project(SeqScan(env.catalog.relation("r")), ["r.id"]))
@@ -165,8 +185,8 @@ class TestNestedLoopJoinFallback:
         via_hash = NestedLoopJoin(
             outer2, env.catalog.relation("s"), "k", "r.k"
         )
-        assert sorted(tuple(r.values) for r in via_hash.execute()) == sorted(
-            tuple(r.values) for r in via_index.execute()
+        assert sorted(r.values for r in rows(via_hash)) == sorted(
+            r.values for r in rows(via_index)
         )
 
     def test_inner_predicate_applied(self, env):
@@ -177,10 +197,10 @@ class TestNestedLoopJoinFallback:
             env.catalog.relation("s"),
             "k",
             "r.k",
-            inner_predicate=lambda row: row["k"] < 2,
+            inner_tests=[("k", lambda k: k < 2)],
         )
-        rows = list(join.execute())
-        assert rows and all(row["s.k"] < 2 for row in rows)
+        out = rows(join)
+        assert out and all(row["s.k"] < 2 for row in out)
 
     def test_empty_inner_yields_nothing(self):
         from repro.engine.operators import NestedLoopJoin
@@ -192,7 +212,7 @@ class TestNestedLoopJoinFallback:
         join = NestedLoopJoin(
             SeqScan(db.catalog.relation("a")), db.catalog.relation("b"), "x", "a.x"
         )
-        assert list(join.execute()) == []
+        assert rows(join) == []
 
     def test_explain_mentions_hash(self, env):
         from repro.engine.operators import NestedLoopJoin

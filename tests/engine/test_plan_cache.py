@@ -19,7 +19,7 @@ from repro.engine import (
     SlotForm,
 )
 from repro.engine.database import PlanCache
-from tests.conftest import eqt_query
+from tests.conftest import eqt_query, plan_rows
 
 
 @pytest.fixture
@@ -47,7 +47,12 @@ def _bind(template, values):
 def _fresh(db, query):
     """The uncached reference: a from-scratch compile + bind."""
     plan = PlanCache(db.catalog).plan(query, True, statistics=db.statistics)
-    return [tuple(r.values) for r in plan.run()]
+    return [tuple(r.values) for r in plan_rows(plan)]
+
+
+def _cached(db, query):
+    """The answer through the database's plan cache."""
+    return [tuple(r.values) for r in plan_rows(db.plan(query))]
 
 
 class TestCaching:
@@ -64,13 +69,12 @@ class TestCaching:
         db, template = single_db
         for values in ([1], [2, 4], [0, 3]):
             query = _bind(template, values)
-            cached = [tuple(r.values) for r in db.plan(query).run()]
-            assert cached == _fresh(db, query)
+            assert _cached(db, query) == _fresh(db, query)
 
     def test_rebinding_does_not_leak_previous_values(self, single_db):
         db, template = single_db
-        first = sorted(r["t.a"] for r in db.plan(_bind(template, [1])).run())
-        second = sorted(r["t.a"] for r in db.plan(_bind(template, [2])).run())
+        first = sorted(r["t.a"] for r in plan_rows(db.plan(_bind(template, [1]))))
+        second = sorted(r["t.a"] for r in plan_rows(db.plan(_bind(template, [2]))))
         assert first == sorted(i for i in range(40) if i % 5 == 1)
         assert second == sorted(i for i in range(40) if i % 5 == 2)
 
@@ -94,7 +98,7 @@ class TestInvalidation:
         db.drop_index("t_b")
         plan = db.plan(_bind(template, [1]))
         assert "SeqScan(t)" in plan.explain()
-        assert sorted(r["t.a"] for r in plan.run()) == sorted(
+        assert sorted(r["t.a"] for r in plan_rows(plan)) == sorted(
             i for i in range(40) if i % 5 == 1
         )
 
@@ -102,9 +106,9 @@ class TestInvalidation:
         db, template = single_db
         expected = _fresh(db, _bind(template, [2]))
         db.create_index("t_b", "t", ["b"])
-        with_index = [tuple(r.values) for r in db.plan(_bind(template, [2])).run()]
+        with_index = _cached(db, _bind(template, [2]))
         db.drop_index("t_b")
-        without_index = [tuple(r.values) for r in db.plan(_bind(template, [2])).run()]
+        without_index = _cached(db, _bind(template, [2]))
         assert sorted(with_index) == sorted(expected)
         assert sorted(without_index) == sorted(expected)
 

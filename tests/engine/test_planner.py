@@ -16,7 +16,7 @@ from repro.engine import (
     TEXT,
 )
 from repro.errors import PlanningError
-from tests.conftest import brute_force_eqt, eqt_query
+from tests.conftest import brute_force_eqt, eqt_query, plan_rows
 
 
 class TestEqtPlans:
@@ -66,7 +66,7 @@ class TestFallbacks:
         query = template.bind([EqualityDisjunction("t.b", [1, 2])])
         plan = db.plan(query)
         assert "SeqScan(t)" in plan.explain()
-        assert sorted(row["t.a"] for row in plan.run()) == sorted(
+        assert sorted(row["t.a"] for row in plan_rows(plan)) == sorted(
             i for i in range(20) if i % 4 in (1, 2)
         )
 
@@ -101,7 +101,7 @@ class TestFallbacks:
             for s in s_rows
             if r["c"] == s["d"] and r["f"] == 1 and s["g"] == 1
         )
-        assert sorted(tuple(row.values) for row in plan.run()) == expect
+        assert sorted(tuple(row.values) for row in plan_rows(plan)) == expect
 
     def test_interval_slot_needs_ordered_index_for_driving(self):
         db = Database()
@@ -120,7 +120,7 @@ class TestFallbacks:
         plan = db.plan(query)
         # Falls back to a filtered SeqScan rather than misusing the hash index.
         assert "SeqScan" in plan.explain()
-        assert sorted(row["t.a"] for row in plan.run()) == [4, 5, 6, 7]
+        assert sorted(row["t.a"] for row in plan_rows(plan)) == [4, 5, 6, 7]
 
     def test_interval_slot_uses_ordered_index(self):
         db = Database()
@@ -138,7 +138,7 @@ class TestFallbacks:
         query = template.bind([IntervalDisjunction("t.b", [Interval(3, 8)])])
         plan = db.plan(query)
         assert "IndexRangeScan" in plan.explain()
-        assert sorted(row["t.a"] for row in plan.run()) == [4, 5, 6, 7]
+        assert sorted(row["t.a"] for row in plan_rows(plan)) == [4, 5, 6, 7]
 
 
 class TestThreeWayJoin:

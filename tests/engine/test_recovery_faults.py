@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.bench.torture import enumerate_points, run_point
+from repro.check import contents_of
 from repro.engine import Column, Database, INTEGER, TEXT, WriteAheadLog, recover
 from repro.engine.wal import LogKind, LogRecord
 from repro.errors import EngineError, WALCorruptionError
@@ -23,7 +24,6 @@ from repro.faults import (
     FaultSpec,
     SimulatedCrash,
     build_faulty_database,
-    contents_of,
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import Column, Database, EqualityDisjunction, INTEGER, Interval, TEXT
 from repro.engine.stats import StatisticsCollector
 from repro.errors import EngineError
+from tests.conftest import plan_rows
 
 
 @pytest.fixture
@@ -124,7 +125,7 @@ class TestPlannerIntegration:
         plan = db.plan(query)
         assert "IndexEqualityScan(s via s_g" in plan.explain()
         # And the answer is unchanged.
-        rows = plan.run()
+        rows = plan_rows(plan)
         assert all(row["s.g"] == 7 and row["r.f"] == 1 for row in rows)
         assert len(rows) == 10  # r.c==s.d==7 -> 10 r rows x 1 s row
 

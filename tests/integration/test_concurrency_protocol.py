@@ -164,9 +164,9 @@ import random
 import threading
 import time
 
+from repro.check import check_view_against_database
 from repro.engine.locks import LockMode
 from repro.errors import DeadlockError
-from repro.faults.check import check_view_against_database
 
 
 class TestThreadedProtocol:

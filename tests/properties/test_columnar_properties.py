@@ -4,15 +4,16 @@ references that share no code with it.
 One world — data, template, eagerly-maintained view — is driven
 through random interleavings of queries and base-table churn.  After
 every query the full answer must equal, as a multiset, both the
-brute-force join and ``Database.run`` (the plan's row operators, which
-the executor never calls); the partial rows must be exactly the cached
-tuples the query's parts select from the view as it stood before the
-query, in probe order; and the view must keep its structural
-invariants.
+brute-force join and the reference model (:mod:`repro.check.model`,
+which calls no planner, operator or index); the partial rows must be
+exactly the cached tuples the query's parts select from the view as it
+stood before the query, in probe order; and the view must keep its
+structural invariants.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.check import true_answer
 from repro.core import (
     Discretization,
     MaintenanceStrategy,
@@ -151,7 +152,7 @@ def apply_churn(db, op, x, y, next_id):
 
 
 def execute_and_check(db, view, executor, query, full):
-    assert sorted(tuple(r.values) for r in db.run(query)) == full
+    assert sorted(true_answer(db, query).elements()) == full
     per_group = expected_partials(view, query)
     evicted_before = view.metrics.entries_evicted
     result = executor.execute(query)
