@@ -2,8 +2,9 @@
 
 Layers (bottom up):
 
-- :mod:`repro.net.protocol` — length-prefixed, versioned JSON framing
-  plus query/result serialization shared by both sides of the wire;
+- :mod:`repro.net.protocol` — length-prefixed, versioned frames (a
+  JSON header, answers as typed columns) plus query/result
+  serialization shared by both sides of the wire;
 - :mod:`repro.net.cluster` — :class:`ClusterFrontEnd` routes reads
   (primary via the serving gate, or bounded-staleness replicas) and
   writes (gate-admitted, idempotency-keyed, semi-sync acked) over a

@@ -333,7 +333,7 @@ class PMVClient:
         self._observe_stamp(response.get("epoch"), response.get("applied_lsn"))
         return RemoteAnswer(
             columns=list(response.get("columns", ())),
-            rows=[tuple(row) for row in response.get("rows", ())],
+            rows=response.get("rows", []),
             complete=bool(response.get("complete", True)),
             degraded_reason=response.get("degraded_reason"),
             completeness_estimate=response.get("completeness_estimate"),

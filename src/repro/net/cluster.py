@@ -180,8 +180,7 @@ class ClusterFrontEnd:
         if prefer_replica and self.coordinator is not None and self.coordinator.replicas:
             # The lag stamp below is measured against this primary's
             # log: an ISOLATED primary can no longer vouch for it.
-            if self.gate.serving_check is not None:
-                self.gate.serving_check()
+            self.gate.check_serving()
             bound = self.staleness_bound if staleness_bound is None else staleness_bound
             replica = self._pick_replica()
             replica.note_watermark(self.database.wal.last_lsn)

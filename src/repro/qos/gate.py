@@ -67,6 +67,12 @@ class ServingGate:
         # node must not serve reads or accept writes.
         self.serving_check: Callable[[], None] | None = None
 
+    def check_serving(self) -> None:
+        """Raise :class:`~repro.errors.NodeIsolatedError` while the bound
+        node may not serve; the one place ``serving_check`` runs."""
+        if self.serving_check is not None:
+            self.serving_check()
+
     # -- the protected query path --------------------------------------------
 
     def execute(
@@ -86,8 +92,7 @@ class ServingGate:
         allowed O3 to finish, else the PMV partial answer with
         ``result.complete`` False.
         """
-        if self.serving_check is not None:
-            self.serving_check()
+        self.check_serving()
         deadline = self._resolve_deadline(deadline)
         slot = self.admission.admit(
             timeout=None if deadline is None else deadline.remaining()
@@ -117,8 +122,7 @@ class ServingGate:
         exactly as for queries; sheds raise
         :class:`~repro.errors.OverloadError`.
         """
-        if self.serving_check is not None:
-            self.serving_check()
+        self.check_serving()
         deadline = self._resolve_deadline(deadline)
         return self.admission.admit(
             timeout=None if deadline is None else deadline.remaining()

@@ -122,6 +122,8 @@ SHAPES = {
             IntervalDisjunction("s.d", [Interval(0, 1, high_inclusive=True)]),
         ),
         explain=["IndexEqualityScan(r via r_f"],
+        # The fixed conditions keep only 0 and 1: draw little else.
+        values={INTEGER: [0, 1, None], FLOAT: [0, 1.0, None]},
     ),
 }
 
@@ -147,11 +149,21 @@ def intervals(draw):
     return out
 
 
-def _condition(draw, column: str, form: SlotForm, values: list):
+def _condition(draw, column: str, form: SlotForm, values: list, present: list):
     if form is EQ:
-        chosen = st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
+        # Values the column holds are drawn as often as the whole domain,
+        # so the selection keeps rows to join.
+        value = st.sampled_from(values)
+        if present:
+            value = st.sampled_from(present) | value
+        chosen = st.lists(value, min_size=1, max_size=3, unique=True)
         return EqualityDisjunction(column, draw(chosen))
-    return IntervalDisjunction(column, draw(intervals()))
+    around = intervals()
+    points = [v for v in present if v is not None]
+    if points:
+        # Likewise a point interval on a value the column holds.
+        around = st.sampled_from(points).map(lambda v: [Interval(v, v, True, True)]) | around
+    return IntervalDisjunction(column, draw(around))
 
 
 @st.composite
@@ -164,21 +176,38 @@ def worlds(draw, shape: dict):
         database.create_relation(name, columns)
     for index, relation, column, is_ordered in shape["indexes"]:
         database.create_index(index, relation, [column], ordered=is_ordered)
-    for name, columns in shape["relations"]:
-        row = st.tuples(
-            *(
-                # An ordered index cannot hold NULL keys.
-                st.sampled_from(
-                    [v for v in domains[col.dtype] if v is not None]
-                    if (name, col.name) in ordered
-                    else domains[col.dtype]
-                )
-                for col in columns
-            )
+    # Join partners: a column joined to one of an earlier relation also
+    # draws from the keys that column took, so joins hit.
+    partners = {}
+    for join in shape["joins"]:
+        partners.setdefault((join.right_relation, join.right_column), []).append(
+            (join.left_relation, join.left_column)
         )
+    taken = {}
+    for name, columns in shape["relations"]:
+        fields = []
+        for col in columns:
+            domain = domains[col.dtype]
+            # An ordered index cannot hold NULL keys.
+            if (name, col.name) in ordered:
+                domain = [v for v in domain if v is not None]
+            keys = [
+                v
+                for v in domain
+                if v is not None
+                and any(v in taken.get(p, ()) for p in partners.get((name, col.name), ()))
+            ]
+            field = st.sampled_from(domain)
+            fields.append(st.sampled_from(keys) | field if keys else field)
+        row = st.tuples(*fields)
         # A drawn count, not st.lists: lists stay short and joins empty.
-        for _ in range(draw(st.integers(0, 10))):
-            database.insert(name, draw(row))
+        # Empty last: hypothesis favours the first element, and an empty
+        # relation joins nothing.
+        for _ in range(draw(st.sampled_from((*range(1, 11), 0)))):
+            values = draw(row)
+            database.insert(name, values)
+            for col, value in zip(columns, values):
+                taken.setdefault((name, col.name), set()).add(value)
     template = QueryTemplate(
         "shape",
         tuple(name for name, _ in shape["relations"]),
@@ -193,7 +222,8 @@ def worlds(draw, shape: dict):
         values = domains[dtype]
         if (rel, column.split(".", 1)[1]) in ordered:
             values = [v for v in values if v is not None]
-        conditions.append(_condition(draw, column, form, values))
+        present = [v for v in values if v in taken.get((rel, column.split(".", 1)[1]), ())]
+        conditions.append(_condition(draw, column, form, values, present))
     return database, template.bind(conditions)
 
 

@@ -1,8 +1,9 @@
 """Wire-protocol unit tests: framing, versioning, query and result
-round-trips."""
+round-trips, and answers that keep the exact type of every cell."""
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 
@@ -25,6 +26,16 @@ from repro.net import protocol
 from repro.qos.deadline import Deadline
 
 from tests.net.conftest import make_database, make_template
+
+
+def raw_frame(header: bytes, block: bytes = b"", version: int = 3) -> bytes:
+    """A frame laid out by hand: version, header length, header, block."""
+    payload = bytes([version]) + struct.pack("<I", len(header)) + header + block
+    return struct.pack(">I", len(payload)) + payload
+
+
+def column(tag: int, data: bytes) -> bytes:
+    return struct.pack("<BI", tag, len(data)) + data
 
 
 @pytest.fixture
@@ -75,23 +86,19 @@ class TestFraming:
 
     def test_future_version_rejected(self, pair):
         left, right = pair
-        body = b'{"op":"ping"}'
-        payload = bytes([protocol.PROTOCOL_VERSION + 1]) + body
-        left.sendall(struct.pack(">I", len(payload)) + payload)
+        left.sendall(raw_frame(b'{"op":"ping"}', version=protocol.PROTOCOL_VERSION + 1))
         with pytest.raises(NetProtocolError, match="unsupported protocol version"):
             protocol.recv_frame(right)
 
     def test_garbage_body_rejected(self, pair):
         left, right = pair
-        payload = bytes([protocol.PROTOCOL_VERSION]) + b"not json"
-        left.sendall(struct.pack(">I", len(payload)) + payload)
+        left.sendall(raw_frame(b"not json"))
         with pytest.raises(NetProtocolError, match="unparseable"):
             protocol.recv_frame(right)
 
     def test_non_object_body_rejected(self, pair):
         left, right = pair
-        payload = bytes([protocol.PROTOCOL_VERSION]) + b"[1,2]"
-        left.sendall(struct.pack(">I", len(payload)) + payload)
+        left.sendall(raw_frame(b"[1,2]"))
         with pytest.raises(NetProtocolError, match="JSON object"):
             protocol.recv_frame(right)
 
@@ -181,8 +188,9 @@ class TestQuerySerialization:
 class TestResultEncoding:
     @pytest.mark.parametrize("case", ["complete", "deadline-skip", "empty", "replica"])
     def test_result_rows_roundtrip_as_user_rows(self, pair, cluster_world, case):
-        """The envelope's value tuples cross a real frame as arrays equal
-        to user_rows(), in delivery order (partial results first)."""
+        """The envelope's value tuples cross a real frame as typed columns
+        and come back as the same tuples as user_values(), in delivery
+        order (partial results first)."""
         left, right = pair
         world = cluster_world
         fs, gs = ([99], [99]) if case == "empty" else ([1], [2])
@@ -209,7 +217,8 @@ class TestResultEncoding:
             ),
         )
         response = protocol.recv_frame(right)
-        assert response["rows"] == [list(row.values) for row in result.user_rows()]
+        assert response["rows"] == result.user_values()
+        assert response["rows"] == [row.values for row in result.user_rows()]
         assert response["complete"] is result.complete
         if case == "empty":
             assert response["rows"] == []
@@ -220,3 +229,136 @@ class TestResultEncoding:
             assert result.partial_rows
         if case == "replica":
             assert response["served_by"].startswith("replica")
+
+
+class _Answer:
+    """The surface encode_result reads, over fixed rows."""
+
+    complete = True
+    degraded_reason = None
+    completeness_estimate = None
+    staleness = None
+    applied_lsn = None
+
+    def __init__(self, rows):
+        self.rows = rows
+        width = len(rows[0]) if rows else 1
+        self.query = type(
+            "Q", (), {"template": type("T", (), {"select_list": ("c",) * width})}
+        )
+
+    def user_values(self):
+        return self.rows
+
+
+class TestExactTypes:
+    """encode_result -> send_frame -> recv_frame gives back user_values()
+    with the same type() in every cell."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(17.0, 1), (2.5, -3)],
+            [(-0.0, math.inf), (-math.inf, 1e308)],
+            [(-1, -(2**63)), (2**63 - 1, 0)],
+            [(2**63,), (-(2**63) - 1,), (2**100,)],
+            [(1, 1.0, "a"), (None, None, None), (3, 3.5, "c")],
+            [(None,), (None,)],
+            [(True, 1), (False, 0)],
+            [(1, 2.0), ("x", None)],
+            [("żółw", "日本"), ("naïve", "")],
+            [("a\0b", "x"), ("\0", "y"), ("", "z")],
+            [("\ud800",), ("ok",)],
+            [],
+        ],
+        ids=[
+            "whole-float-stays-float",
+            "negative-zero-and-infinities",
+            "int64-edges",
+            "ints-beyond-64-bits",
+            "none-in-int-float-text",
+            "all-none",
+            "bool-is-not-int",
+            "mixed-types",
+            "non-ascii-text",
+            "text-holding-nul",
+            "lone-surrogate",
+            "empty-answer",
+        ],
+    )
+    def test_cells_keep_value_and_type(self, pair, rows):
+        left, right = pair
+        protocol.send_frame(left, protocol.encode_result(_Answer(rows), epoch=1))
+        response = protocol.recv_frame(right)
+        assert response["rows"] == rows
+        assert all(type(row) is tuple for row in response["rows"])
+        assert [[type(v) for v in row] for row in response["rows"]] == [
+            [type(v) for v in row] for row in rows
+        ]
+        signs = [[math.copysign(1, v) for v in row if type(v) is float] for row in rows]
+        assert signs == [
+            [math.copysign(1, v) for v in row if type(v) is float]
+            for row in response["rows"]
+        ]
+        assert response["epoch"] == 1 and response["ok"] is True
+
+    def test_ragged_rows_refused_on_send(self):
+        with pytest.raises(NetProtocolError, match="unequal width"):
+            protocol.encode_frame({"rows": [(1, 2), (3,)]})
+
+
+class TestMalformedColumns:
+    """Every size in the column block is checked before it is read."""
+
+    @pytest.mark.parametrize(
+        "header, block, match",
+        [
+            (b'{"rows":2}', b"", "cut off before its column count"),
+            (b'{"rows":-1}', struct.pack("<I", 0), "invalid row count"),
+            (b'{"rows":true}', struct.pack("<I", 1), "invalid row count"),
+            (b'{"rows":2}', struct.pack("<I", 0), "cannot hold"),
+            (b'{"rows":0}', struct.pack("<I", 1) + column(1, b""), "cannot hold"),
+            (b'{"rows":2}', struct.pack("<I", 1) + column(1, b"\0" * 8), "8-byte values"),
+            (b'{"rows":2}', struct.pack("<I", 1) + column(3, b"a\0b\0c"), "3 values, not 2"),
+            (b'{"rows":1}', struct.pack("<I", 1) + column(3, b"\xff"), "unparseable column"),
+            (b'{"rows":2}', struct.pack("<I", 1) + column(4, b"\1\0\0\0"), "lacks its sizes"),
+            (
+                b'{"rows":1}',
+                struct.pack("<I", 1) + column(4, struct.pack("<I", 5) + b"ab"),
+                "do not add up",
+            ),
+            (b'{"rows":1}', struct.pack("<I", 1) + column(5, b'{"a":1}'), "not a list"),
+            (b'{"rows":1}', struct.pack("<I", 1) + column(5, b"[1,2]"), "2 values, not 1"),
+            (b'{"rows":1}', struct.pack("<I", 1) + column(9, b"x"), "unknown column tag"),
+            (
+                b'{"rows":1}',
+                struct.pack("<I", 2) + column(3, b"a") + column(3, b"a\0b"),
+                "2 values, not 1",
+            ),
+            (
+                b'{"rows":1}',
+                struct.pack("<I", 1) + struct.pack("<BI", 3, 99) + b"a",
+                "overruns the frame",
+            ),
+            (b'{"rows":1}', struct.pack("<I", 1) + column(3, b"a") + b"!", "trail the column"),
+            (b'{"op":"ping"}', b"!", "trail a header without rows"),
+        ],
+    )
+    def test_typed_error(self, pair, header, block, match):
+        left, right = pair
+        left.sendall(raw_frame(header, block))
+        with pytest.raises(NetProtocolError, match=match):
+            protocol.recv_frame(right)
+
+    def test_header_longer_than_the_payload(self, pair):
+        left, right = pair
+        payload = bytes([3]) + struct.pack("<I", 50) + b"{}"
+        left.sendall(struct.pack(">I", len(payload)) + payload)
+        with pytest.raises(NetProtocolError, match="unparseable frame"):
+            protocol.recv_frame(right)
+
+    def test_payload_shorter_than_a_header_length(self, pair):
+        left, right = pair
+        left.sendall(struct.pack(">I", 3) + bytes([3, 0, 0]))
+        with pytest.raises(NetProtocolError, match="hold no header"):
+            protocol.recv_frame(right)

@@ -1,4 +1,5 @@
-"""Protocol v2: the session monotonic-read token end to end.
+"""The session monotonic-read token end to end, and the protocol
+version each end speaks.
 
 The client remembers the highest ``applied_lsn`` it observed (scoped
 to the serving epoch) and stamps it into every query; a replica whose
@@ -35,31 +36,33 @@ def world():
 
 
 class TestVersionAcceptance:
+    @staticmethod
+    def _refused(version: int) -> NetProtocolError:
+        left, right = socket.socketpair()
+        try:
+            header = b'{"op":"ping"}'
+            payload = bytes([version]) + struct.pack("<I", len(header)) + header
+            left.sendall(struct.pack(">I", len(payload)) + payload)
+            with pytest.raises(NetProtocolError, match="unsupported") as refused:
+                protocol.recv_frame(right)
+            return refused.value
+        finally:
+            left.close()
+            right.close()
+
     def test_v1_rejected(self):
-        left, right = socket.socketpair()
-        try:
-            payload = bytes([1]) + b'{"op":"ping"}'
-            left.sendall(struct.pack(">I", len(payload)) + payload)
-            with pytest.raises(NetProtocolError, match="unsupported"):
-                protocol.recv_frame(right)
-        finally:
-            left.close()
-            right.close()
+        self._refused(1)
 
-    def test_v2_is_current(self):
-        assert protocol.PROTOCOL_VERSION == 2
-        assert protocol.encode_frame({"op": "ping"})[4] == 2
+    def test_v2_rejected(self):
+        error = self._refused(2)
+        assert str(error).startswith("unsupported protocol version 2 ")
 
-    def test_v3_rejected(self):
-        left, right = socket.socketpair()
-        try:
-            payload = bytes([3]) + b'{"op":"ping"}'
-            left.sendall(struct.pack(">I", len(payload)) + payload)
-            with pytest.raises(NetProtocolError, match="unsupported"):
-                protocol.recv_frame(right)
-        finally:
-            left.close()
-            right.close()
+    def test_v3_is_current(self):
+        assert protocol.PROTOCOL_VERSION == 3
+        assert protocol.encode_frame({"op": "ping"})[4] == 3
+
+    def test_v4_rejected(self):
+        self._refused(4)
 
     def test_routing_stamp_overrides_result_field(self):
         class FakeResult:
