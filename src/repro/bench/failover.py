@@ -337,7 +337,7 @@ def _after_crash(cluster: _Cluster, rng: random.Random) -> dict[str, int]:
             ShippedRecord(
                 epoch=old_primary.epoch,
                 watermark=old_primary.database.wal.last_lsn,
-                line=zombie_record.to_json(),
+                frame=zombie_record.frame,
             ).to_wire()
         )
         stale_rejects = link.stale_epoch_rejects - before

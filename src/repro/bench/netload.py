@@ -8,8 +8,8 @@ real TCP socket:
 2. run 8 :class:`~repro.net.client.PMVClient` threads × 40 ops mixing
    template queries (primary and bounded-staleness replica reads) with
    idempotency-keyed DML, while the server *drops the connection after
-   applying every 7th write but before responding* — forcing the
-   clients through the retry + dedup path;
+   applying every 7th write's first attempt but before responding* —
+   forcing the clients through the retry + dedup path;
 3. halfway through, stop the primary's heartbeats, advance the (fake)
    failure detector clock, and fail over; clients ride through the blip
    on retryable errors;
@@ -137,17 +137,23 @@ def run(seed: int, schedule: str = "none") -> Outcome:
         cluster.gate, coordinator=cluster.coordinator, staleness_bound=STALENESS_BOUND
     )
 
-    # Deterministic drop injection: every Nth applied DML loses its
-    # response, forcing the client through retry + server-side dedup.
-    writes = {"applied": 0, "dropped": 0}
+    # Deterministic drop injection: every Nth write's first attempt (keyed
+    # by its client-owned row id) loses its response, forcing the client
+    # through retry + server-side dedup.  Retries are never dropped, so
+    # thread interleaving cannot move the count.
+    attempted: set[tuple[str, int]] = set()
+    writes = {"dropped": 0}
     drop_mutex = threading.Lock()
 
     def drop_before_respond(op: str, request: dict) -> bool:
         if op not in ("insert", "delete_eq"):
             return False
+        key = (op, request["values"][0] if op == "insert" else request["value"])
         with drop_mutex:
-            writes["applied"] += 1
-            if writes["applied"] % DROP_EVERY == 0:
+            if key in attempted:
+                return False
+            attempted.add(key)
+            if len(attempted) % DROP_EVERY == 0:
                 writes["dropped"] += 1
                 return True
         return False
@@ -188,12 +194,17 @@ def run(seed: int, schedule: str = "none") -> Outcome:
     outcome.violations.extend(f"{kind}: r.id {ids}" for kind, ids in verdict.items() if ids)
     if cluster.coordinator.failovers < 1:
         outcome.violations.append("the injected failover did not promote a standby")
+    duplicates = sum(one.duplicates for one in ledgers)
+    if duplicates != writes["dropped"]:
+        outcome.violations.append(
+            f"{writes['dropped']} responses dropped, {duplicates} acked as duplicates"
+        )
     outcome.counts = {
         "ops": CLIENTS * OPS_PER_CLIENT,
         "queries": sum(one.queries for one in ledgers),
         "replica_served": sum(one.replica_served for one in ledgers),
         "writes_acked": sum(len(one.acked_inserts) + len(one.acked_deletes) for one in ledgers),
-        "duplicates_acked": sum(one.duplicates for one in ledgers),
+        "duplicates_acked": duplicates,
         "client_retries": sum(one.retries for one in ledgers),
         "dropped_responses": writes["dropped"],
         "sheds": sum(one.sheds for one in ledgers),

@@ -35,14 +35,13 @@ governor's job, fed by the backlog depth this module reports.
 from __future__ import annotations
 
 import errno as _errno
-import json
 import os
 import tempfile
 import threading
-import zlib
 from collections import deque
-from typing import Callable
+from typing import Any, Callable
 
+from repro.engine import codec
 from repro.engine.row import Row
 from repro.engine.transactions import Change, ChangeKind
 from repro.errors import DiskFullError, EngineError, OutboxSpillError
@@ -80,6 +79,19 @@ class OutboxRecord:
             f"OutboxRecord(lsn={self.lsn}, {body}, "
             f"applied={sorted(self.applied_views)})"
         )
+
+
+_CHANGE_KINDS = tuple(kind.value for kind in ChangeKind)
+
+
+def _is_spilled_change(payload: Any) -> bool:
+    return (
+        isinstance(payload, dict)
+        and type(payload.get("lsn")) is int
+        and payload.get("kind") in _CHANGE_KINDS
+        and isinstance(payload.get("relation"), str)
+        and all(isinstance(payload.get(s, 0), (list, type(None))) for s in ("old", "new"))
+    )
 
 
 class ChangeOutbox:
@@ -273,18 +285,15 @@ class ChangeOutbox:
                 "no space left on device (outbox spill write)", site="disk.full"
             )
         change = record.change
-        body = json.dumps(
+        data = codec.encode(
             {
                 "lsn": record.lsn,
                 "kind": change.kind.value,
                 "relation": change.relation,
                 "old": None if change.old_row is None else list(change.old_row.values),
                 "new": None if change.new_row is None else list(change.new_row.values),
-            },
-            separators=(",", ":"),
-        )
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        data = f"{crc:08x} {body}\n".encode("utf-8")
+            }
+        ).encode("ascii")
         handle = self._spill_handle()
         handle.seek(0, os.SEEK_END)
         offset = handle.tell()
@@ -312,22 +321,8 @@ class ChangeOutbox:
         offset, length = record.spill_ref
         handle = self._spill_handle()
         handle.seek(offset)
-        data = handle.read(length)
-        text = data.decode("utf-8", errors="replace")
-        crc_hex, _, body = text.rstrip("\n").partition(" ")
-        try:
-            stored = int(crc_hex, 16)
-        except ValueError:
-            stored = -1
-        if (
-            len(data) != length
-            or stored != zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        ):
-            raise OutboxSpillError(
-                f"spilled outbox record at offset {offset} failed its CRC "
-                f"check; the feed must be rebuilt from WAL replay"
-            )
-        payload = json.loads(body)
+        text = handle.read(length).decode("utf-8", errors="replace")
+        payload = codec.decode(text, OutboxSpillError, accept=_is_spilled_change)
         if payload["lsn"] != record.lsn:
             raise OutboxSpillError(
                 f"spilled outbox record at offset {offset} carries LSN "
@@ -338,16 +333,8 @@ class ChangeOutbox:
                 "a spilling outbox needs a schema_resolver to rehydrate rows"
             )
         schema = self.schema_resolver(payload["relation"])
-        old = (
-            None
-            if payload["old"] is None
-            else Row(tuple(payload["old"]), schema)
-        )
-        new = (
-            None
-            if payload["new"] is None
-            else Row(tuple(payload["new"]), schema)
-        )
+        old = None if payload["old"] is None else Row(tuple(payload["old"]), schema)
+        new = None if payload["new"] is None else Row(tuple(payload["new"]), schema)
         record.change = Change(
             ChangeKind(payload["kind"]), payload["relation"], old_row=old, new_row=new
         )

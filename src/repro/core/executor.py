@@ -73,8 +73,9 @@ class PMVQueryResult:
     serving mode made into a first-class result state)."""
     degraded_reason: str | None = None
     """Why the answer is incomplete: ``"deadline-skip"`` (O3 never
-    started) or ``"deadline-abandon"`` (O3 stopped at a cooperative
-    batch checkpoint).  ``None`` for complete answers."""
+    started), ``"deadline-abandon"`` (O3 stopped at a cooperative
+    batch checkpoint) or ``"preview"`` (:meth:`PMVExecutor.preview`
+    never runs O3).  ``None`` for complete answers."""
     completeness_estimate: float | None = None
     """Rough fraction of the full answer delivered, derived from the
     view's lifetime tuples-per-query — a quality signal for the
@@ -465,7 +466,7 @@ class PMVExecutor:
 
     def _preview_locked(self, query: Query, txn: Transaction) -> PMVQueryResult:
         clock = self._clock
-        result = PMVQueryResult(query=query)
+        result = PMVQueryResult(query=query, complete=False, degraded_reason="preview")
         metrics = result.metrics
         start = clock()
         parts, groups = self._decompose_grouped(query, metrics)

@@ -15,20 +15,18 @@ Like the plain :func:`~repro.engine.wal.recover`, snapshots cover the
 durable substrate only; templates and PMVs are in-memory objects that
 the application re-registers (PMVs restart empty by design).
 
-Serialized snapshots are framed with a CRC32 over the document
-(:func:`snapshot_to_json` embeds it, :func:`snapshot_from_json`
+A serialized snapshot is one :mod:`~repro.engine.codec` frame, the
+WAL's own (:func:`snapshot_to_json` writes it, :func:`snapshot_from_json`
 verifies it): a corrupted snapshot file fails loudly with
 :class:`~repro.errors.SnapshotCorruptionError` instead of silently
-installing a garbled page image — the same checksum discipline the WAL
-applies per record.
+installing a garbled page image.
 """
 
 from __future__ import annotations
 
-import json
-import zlib
 from typing import Any
 
+from repro.engine import codec
 from repro.engine.database import Database
 from repro.engine.page import Page
 from repro.engine.wal import WriteAheadLog, _column_from_payload, _column_to_payload
@@ -39,7 +37,6 @@ __all__ = [
     "restore_snapshot",
     "checkpoint",
     "recover_from_snapshot",
-    "snapshot_crc",
     "snapshot_to_json",
     "snapshot_from_json",
 ]
@@ -200,36 +197,12 @@ def recover_from_snapshot(
     return database
 
 
-def snapshot_crc(snapshot: dict[str, Any]) -> int:
-    """CRC32 over the snapshot document (sans any embedded ``crc`` key)."""
-    body = {k: v for k, v in snapshot.items() if k != "crc"}
-    text = json.dumps(body, separators=(",", ":"), sort_keys=True)
-    return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-
-
 def snapshot_to_json(snapshot: dict[str, Any]) -> str:
-    """Serialize a snapshot for storage, embedding a CRC32 frame."""
-    body = {k: v for k, v in snapshot.items() if k != "crc"}
-    body["crc"] = snapshot_crc(snapshot)
-    return json.dumps(body, separators=(",", ":"))
+    """Serialize a snapshot for storage: one codec frame."""
+    return codec.encode(snapshot)
 
 
 def snapshot_from_json(text: str) -> dict[str, Any]:
-    """Parse a stored snapshot, verifying its CRC32.
-
-    A document with no ``crc`` key or a mismatched checksum fails
-    loudly rather than restoring a silently-garbled page image.
-    """
-    try:
-        snapshot = json.loads(text)
-    except ValueError as exc:
-        raise SnapshotCorruptionError(f"snapshot is not valid JSON: {exc}") from exc
-    if not isinstance(snapshot, dict):
-        raise SnapshotCorruptionError("snapshot document is not an object")
-    stored = snapshot.pop("crc", None)
-    if stored != snapshot_crc(snapshot):
-        raise SnapshotCorruptionError(
-            f"snapshot checksum mismatch (stored {stored}, "
-            f"computed {snapshot_crc(snapshot)})"
-        )
-    return snapshot
+    """Parse a stored snapshot; garbage, a truncated file or a CRC
+    mismatch is a :class:`~repro.errors.SnapshotCorruptionError`."""
+    return codec.decode(text, SnapshotCorruptionError)

@@ -9,14 +9,14 @@ The engine's durability story, kept deliberately simple but honest:
   commit-at-log semantics: a statement interrupted before its record
   is durable simply never happened);
 - the log lives in memory and, optionally, on disk so it survives a
-  process crash — as a directory of ``wal-*.seg`` JSON-lines segments
-  that rotate at ``segment_bytes`` (never, when it is ``None``) and
-  whose reclaimed prefix moves to an archive tier (DESIGN.md §15);
-- every serialized record carries a CRC32 over its canonical body
-  (``lsn``/``kind``/``payload``), verified whenever the record is read
-  back — on crash-recovery replay and again on the replication ship
-  path — so bit rot is detected loudly instead of being replayed into
-  a fresh instance; a document without one is not a record;
+  process crash — as a directory of ``wal-*.seg`` segments of one
+  :mod:`~repro.engine.codec` frame per record, that rotate at
+  ``segment_bytes`` (never, when it is ``None``) and whose reclaimed
+  prefix moves to an archive tier (DESIGN.md §15);
+- each record is framed once, at append: a CRC32 over its stored body,
+  verified whenever the record is read back — on crash-recovery replay
+  and again on the replication ship path — so bit rot is detected
+  loudly instead of being replayed into a fresh instance;
 - every read of segment bytes — archive load, live load, archived
   read-back — goes through one reader, :func:`_read_segment`: clean,
   a repairable tail, or :class:`~repro.errors.WALCorruptionError`;
@@ -46,14 +46,13 @@ from __future__ import annotations
 
 import enum
 import errno as _errno
-import json
 import os
 import re
 import threading
-import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.engine import codec
 from repro.engine.datatypes import DataType, TypeKind
 from repro.engine.row import RowId
 from repro.engine.schema import Column
@@ -84,7 +83,7 @@ class LogKind(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
     """One durable log entry.
 
@@ -96,67 +95,51 @@ class LogRecord:
     - DELETE: ``{"relation", "page_no", "slot_no"}``
     - UPDATE: ``{"relation", "page_no", "slot_no", "changes"}``
     - CHECKPOINT: ``{}``
+
+    ``frame`` is its :mod:`~repro.engine.codec` line, serialized once
+    by :meth:`make`: what a segment stores and a ship message carries.
+    A record made by an append keeps only its frame, so a resident log
+    costs its bytes, not a dict per record; reading its ``payload``
+    (replay, recovery, checks — never the write or ship path) parses
+    the frame again.  A decoded record keeps the payload it parsed.
     """
 
     lsn: int
     kind: LogKind
-    payload: dict[str, Any]
-
-    def body_json(self) -> str:
-        """The canonical serialized body the CRC covers."""
-        return json.dumps(
-            {"lsn": self.lsn, "kind": self.kind.value, "payload": self.payload},
-            separators=(",", ":"),
-        )
+    frame: str
+    _payload: dict[str, Any] | None = field(default=None, compare=False, repr=False)
 
     @property
-    def crc(self) -> int:
-        """CRC32 of the canonical body — the per-record checksum that
-        frames every durable and every shipped copy of this record."""
-        return zlib.crc32(self.body_json().encode("utf-8")) & 0xFFFFFFFF
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lsn": self.lsn,
-                "kind": self.kind.value,
-                "payload": self.payload,
-                "crc": self.crc,
-            },
-            separators=(",", ":"),
-        )
+    def payload(self) -> dict[str, Any]:
+        if self._payload is None:
+            return LogRecord.decode(self.frame)._payload
+        return self._payload
 
     @staticmethod
-    def from_json(line: str) -> "LogRecord":
-        """Parse one serialized record; typed failure on any input:
+    def make(lsn: int, kind: LogKind, payload: dict[str, Any]) -> "LogRecord":
+        frame = codec.encode({"lsn": lsn, "kind": kind.value, "payload": payload})
+        return LogRecord(lsn, kind, frame)
+
+    @staticmethod
+    def decode(frame: str) -> "LogRecord":
+        """Parse one framed record; typed failure on any input:
         :class:`~repro.errors.WALCorruptionError` for anything that is
-        not a record document (not JSON, not an object, a non-integer
-        LSN, an unknown kind, no ``crc``), its
+        not the frame of a record document, its
         :class:`~repro.errors.WALChecksumError` subclass for a record
-        whose checksum disagrees with its body."""
-        try:
-            data = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise WALCorruptionError(f"not a JSON log record: {line[:80]!r}") from exc
-        if not (
-            isinstance(data, dict)
-            and type(data.get("lsn")) is int
-            and data["lsn"] > 0
-            and isinstance(data.get("kind"), str)
-            and data["kind"] in _KIND_BY_NAME
-            and isinstance(data.get("payload"), dict)
-            and type(data.get("crc")) is int
-        ):
-            raise WALCorruptionError(f"not a log record: {line[:80]!r}")
-        record = LogRecord(
-            lsn=data["lsn"], kind=_KIND_BY_NAME[data["kind"]], payload=data["payload"]
-        )
-        if data["crc"] != record.crc:
-            raise WALChecksumError(
-                f"checksum mismatch on LSN {record.lsn}: stored {data['crc']}, "
-                f"computed {record.crc}"
-            )
-        return record
+        whose CRC disagrees with its stored body."""
+        data = codec.decode(frame, WALCorruptionError, WALChecksumError, _is_record)
+        return LogRecord(data["lsn"], _KIND_BY_NAME[data["kind"]], frame, data["payload"])
+
+
+def _is_record(data: Any) -> bool:
+    return (
+        isinstance(data, dict)
+        and type(data.get("lsn")) is int
+        and data["lsn"] > 0
+        and isinstance(data.get("kind"), str)
+        and data["kind"] in _KIND_BY_NAME
+        and isinstance(data.get("payload"), dict)
+    )
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in LogKind}
@@ -261,7 +244,7 @@ def _read_segment(
     for line_bytes in lines:
         line = line_bytes.decode("utf-8", "replace")
         try:
-            records.append(LogRecord.from_json(line))
+            records.append(LogRecord.decode(line + "\n"))
         except WALChecksumError:
             return records, complete_bytes, ("checksum", line)
         except WALCorruptionError as exc:
@@ -373,19 +356,18 @@ class WriteAheadLog:
                 f"log is fenced: epoch {self.fenced_by_epoch} was promoted "
                 f"elsewhere; this instance must not accept appends"
             )
-        record = LogRecord(lsn=self._next_lsn, kind=kind, payload=payload)
+        record = LogRecord.make(self._next_lsn, kind, payload)
         self._next_lsn += 1
         self._records.append(record)
         if self._file is not None:
-            line = record.to_json() + "\n"
-            self._file.write(line)
+            self._file.write(record.frame)
             self._file.flush()
             os.fsync(self._file.fileno())
             active = self._segments[-1]
             if active.first_lsn == 0:
                 active.first_lsn = record.lsn
             active.last_lsn = record.lsn
-            active.size += len(line.encode("utf-8"))
+            active.size += len(record.frame)  # an ASCII frame: chars == bytes
         return record
 
     def reserve(self) -> None:

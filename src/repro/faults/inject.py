@@ -120,7 +120,7 @@ class FaultyWAL(WriteAheadLog):
 
     - ``CRASH_BEFORE`` — nothing reached the file: the statement never
       happened;
-    - ``TORN`` — a prefix of the record's JSON line reached the file
+    - ``TORN`` — the first half of the record's frame reached the file
       (no newline, no complete fsync): recovery must treat it as "never
       happened" and :meth:`WriteAheadLog.repair` must cut it off;
     - ``CRASH_AFTER`` — the record is durable but the statement was
@@ -142,11 +142,9 @@ class FaultyWAL(WriteAheadLog):
             # mid-write, so neither the full record nor its newline is
             # durable.  The in-memory record list is NOT updated: this
             # process is dead and only the file survives.
-            record = LogRecord(lsn=self._next_lsn, kind=kind, payload=payload)
-            text = record.to_json()
-            cut = max(1, len(text) // 2)
+            frame = LogRecord.make(self._next_lsn, kind, payload).frame
             if self._file is not None:
-                self._file.write(text[:cut])
+                self._file.write(frame[: max(1, len(frame) // 2)])
                 self._file.flush()
                 os.fsync(self._file.fileno())
             raise SimulatedCrash(spec)

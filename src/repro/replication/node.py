@@ -32,7 +32,7 @@ from typing import Callable
 from repro.core.manager import PMVManager
 from repro.engine.database import Database
 from repro.engine.snapshot import restore_snapshot, snapshot_from_json
-from repro.engine.wal import LogKind, WriteAheadLog, replay_record
+from repro.engine.wal import LogKind, LogRecord, WriteAheadLog, replay_record
 from repro.errors import (
     NodeIsolatedError,
     ReplicaLagError,
@@ -115,10 +115,7 @@ class PrimaryNode:
             if link.partitioned:
                 continue
             for record in self.database.wal.records(after_lsn=link.read_ack()):
-                message = ShippedRecord(
-                    epoch=self.epoch, watermark=watermark, line=record.to_json()
-                )
-                link.send(message.to_wire())
+                link.send(ShippedRecord(self.epoch, watermark, record.frame).to_wire())
                 sends += 1
                 if link.partitioned:
                     break  # the send itself took the link down
@@ -297,7 +294,7 @@ class ReplicaNode:
             )
         self.epoch = message.epoch
         self.primary_watermark = max(self.primary_watermark, message.watermark)
-        record = message.decode()  # CRC32 verified here, on the ship path
+        record = LogRecord.decode(message.frame)  # CRC32 verified on the ship path
         if record.lsn <= self.applied_lsn:
             self.duplicates_ignored += 1
             return 0

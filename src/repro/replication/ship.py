@@ -1,11 +1,11 @@
 """The log-shipping wire format and the lossy in-process transport.
 
-Replication ships the primary's WAL as-is: each message carries one
-serialized :class:`~repro.engine.wal.LogRecord` line — CRC32 frame
-included, so the checksum written at append time is the checksum
-verified at apply time — plus the sender's ``epoch`` (the fencing
-token) and its current ``watermark`` (last LSN on the primary, from
-which replicas compute their lag).
+Replication ships the primary's WAL as-is: each message is the
+sender's ``epoch`` (the fencing token), its current ``watermark`` (last
+LSN on the primary, from which replicas compute their lag) and one
+:class:`~repro.engine.wal.LogRecord`'s frame, byte for byte as its
+segment stores it — so the checksum written at append time is the
+checksum verified at apply time.
 
 :class:`ReplicationLink` is one primary→replica connection.  It is
 deliberately in-process and synchronous — ``send`` delivers straight
@@ -22,10 +22,8 @@ exactly this loop).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from repro.engine.wal import LogRecord
 from repro.errors import ReplicationError, StaleEpochError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultMode
@@ -38,40 +36,30 @@ SHIP_SITE = "ship.send"
 
 @dataclass(frozen=True)
 class ShippedRecord:
-    """One replication message.
+    """One replication message, ``"<epoch> <watermark> <frame>"`` on
+    the wire.
 
-    ``line`` is the record's durable JSON-line form *verbatim*,
-    including its CRC32 — decoding re-verifies the checksum, so a
-    record corrupted anywhere between the primary's disk and the
-    replica's apply loop fails loudly
+    ``frame`` is the record's WAL frame *verbatim*, CRC32 included —
+    :meth:`LogRecord.decode <repro.engine.wal.LogRecord.decode>` verifies
+    it, so a record corrupted anywhere between the primary's disk and
+    the replica's apply loop fails loudly
     (:class:`~repro.errors.WALChecksumError`).
     """
 
     epoch: int
     watermark: int
-    line: str
+    frame: str
 
     def to_wire(self) -> str:
-        return json.dumps(
-            {"epoch": self.epoch, "watermark": self.watermark, "record": self.line},
-            separators=(",", ":"),
-        )
+        return f"{self.epoch} {self.watermark} {self.frame}"
 
     @staticmethod
     def from_wire(text: str) -> "ShippedRecord":
         try:
-            data = json.loads(text)
-            return ShippedRecord(
-                epoch=data["epoch"],
-                watermark=data["watermark"],
-                line=data["record"],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ReplicationError(f"malformed replication message: {exc}") from exc
-
-    def decode(self) -> LogRecord:
-        """Parse (and checksum-verify) the shipped log record."""
-        return LogRecord.from_json(self.line)
+            epoch, watermark, frame = text.split(" ", 2)
+            return ShippedRecord(int(epoch), int(watermark), frame)
+        except ValueError as exc:
+            raise ReplicationError(f"malformed ship message: {text[:80]!r}") from exc
 
 
 class ReplicationLink:

@@ -18,6 +18,17 @@ class TestPreview:
         full_set = {tuple(r.values) for r in full.all_rows()}
         assert partial_set <= full_set
 
+    def test_preview_never_claims_a_complete_answer(self, eqt_db, eqt, eqt_executor):
+        """A preview skips O3, so it holds a subset of the answer and
+        must say so, like any other partial answer."""
+        query = eqt_query(eqt, [1, 2, 3], [2, 4])
+        full = eqt_executor.execute(query)  # warm
+        preview = eqt_executor.preview(query)
+        assert preview.partial_rows
+        assert len(preview.all_rows()) < len(full.all_rows())
+        assert not preview.complete
+        assert preview.degraded_reason == "preview"
+
     def test_preview_cold_is_empty(self, eqt_db, eqt, eqt_executor):
         preview = eqt_executor.preview(eqt_query(eqt, [5], [4]))
         assert preview.partial_rows == []

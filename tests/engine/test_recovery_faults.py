@@ -40,8 +40,13 @@ def _write_lines(wal_dir, lines, torn_tail=None):
     return path
 
 
+def _line(lsn, kind, payload):
+    """A record's frame without its newline."""
+    return LogRecord.make(lsn, kind, payload).frame[:-1]
+
+
 def _record(lsn, values):
-    return LogRecord(lsn, LogKind.INSERT, {"relation": "t", "values": values}).to_json()
+    return _line(lsn, LogKind.INSERT, {"relation": "t", "values": values})
 
 
 class TestTornTail:
@@ -98,16 +103,14 @@ class TestTornTail:
 
     def test_recover_skips_the_torn_statement(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        create = LogRecord(
+        create = _line(
             1,
             LogKind.CREATE_RELATION,
             {"name": "t", "columns": [["k", "integer", False, None]]},
-        ).to_json()
+        )
 
         def insert(lsn, key):
-            return LogRecord(
-                lsn, LogKind.INSERT, {"relation": "t", "values": [key]}
-            ).to_json()
+            return _record(lsn, [key])
 
         _write_lines(wal_dir, [create, insert(2, 7)], torn_tail=insert(3, 8)[:20])
         recovered = recover(WriteAheadLog.load(wal_dir))

@@ -137,19 +137,21 @@ class TestCheckpointRecovery:
 
 
 class TestSnapshotChecksum:
-    """CRC32 over the canonical snapshot body: a rotten checkpoint must
+    """CRC32 over the stored snapshot body: a rotten checkpoint must
     refuse to restore instead of resurrecting a subtly wrong heap."""
 
     def test_serialized_snapshot_carries_matching_crc(self):
         import json
-
-        from repro.engine.snapshot import snapshot_crc
+        import zlib
 
         db = build_db()
         db.insert("t", (1, "a"))
-        data = json.loads(snapshot_to_json(take_snapshot(db)))
-        crc = data.pop("crc")
-        assert crc == snapshot_crc(data)
+        snapshot = take_snapshot(db)
+        text = snapshot_to_json(snapshot)
+        crc, body = text[:8], text[9:-1]
+        assert text[8] == " " and text[-1] == "\n"
+        assert crc == f"{zlib.crc32(body.encode()):08x}"
+        assert json.loads(body) == snapshot
 
     def test_roundtrip_restores_identical_database(self):
         db = build_db()
@@ -186,10 +188,9 @@ class TestSnapshotChecksum:
 
         db = build_db()
         db.insert("t", (1, "a"))
-        data = json.loads(snapshot_to_json(take_snapshot(db)))
-        del data["crc"]
+        bare = json.dumps(take_snapshot(db), separators=(",", ":")) + "\n"
         with pytest.raises(SnapshotCorruptionError):
-            snapshot_from_json(json.dumps(data))
+            snapshot_from_json(bare)
 
 
 class TestRestoredHeapPlacement:

@@ -133,8 +133,8 @@ class TestFilePersistence:
         db.insert("t", (1, "quote ' and unicode é"))
         wal.close()
         reloaded = WriteAheadLog.load(path)
-        assert [r.to_json() for r in reloaded.records()] == [
-            r.to_json() for r in WriteAheadLog.load(path).records()
+        assert [r.frame for r in reloaded.records()] == [
+            r.frame for r in WriteAheadLog.load(path).records()
         ]
         recovered = recover(reloaded)
         assert table_contents(recovered) == [(1, "quote ' and unicode é")]
@@ -196,32 +196,34 @@ class TestChecksummedRecords:
 
     def test_record_json_carries_crc(self):
         import json
+        import zlib
 
         wal = WriteAheadLog()
         db = build_logged_db(wal)
         db.insert("t", (1, "a"))
         for record in wal.records():
-            data = json.loads(record.to_json())
-            assert data["crc"] == record.crc
+            crc, body = record.frame[:8], record.frame[9:-1]
+            assert crc == f"{zlib.crc32(body.encode()):08x}"
+            assert json.loads(body) == {
+                "lsn": record.lsn, "kind": record.kind.value, "payload": record.payload
+            }
 
     def test_bitflip_detected_on_parse(self):
-        import json
-
         from repro.engine.wal import LogRecord
         from repro.errors import WALChecksumError, WALCorruptionError
 
         wal = WriteAheadLog()
         db = build_logged_db(wal)
         db.insert("t", (1, "a"))
-        line = list(wal.records())[-1].to_json()
-        data = json.loads(line)
-        data["payload"]["values"] = [2, "flipped"]
+        frame = list(wal.records())[-1].frame
+        flipped = frame.replace('[1,"a"]', '[2,"flipped"]')
+        assert flipped != frame
         with pytest.raises(WALChecksumError):
-            LogRecord.from_json(json.dumps(data))
+            LogRecord.decode(flipped)
         # The checksum error is a corruption error: one except clause
         # covers torn, structural, and bit-rot damage.
         with pytest.raises(WALCorruptionError):
-            LogRecord.from_json(json.dumps(data))
+            LogRecord.decode(flipped)
 
     def test_record_without_crc_rejected(self):
         import json
@@ -230,8 +232,9 @@ class TestChecksummedRecords:
         from repro.errors import WALCorruptionError
 
         with pytest.raises(WALCorruptionError):
-            LogRecord.from_json(
+            LogRecord.decode(
                 json.dumps({"lsn": 1, "kind": "insert", "payload": {"relation": "t"}})
+                + "\n"
             )
 
     def _corrupt_payload_of_record(self, path, index):
@@ -239,9 +242,10 @@ class TestChecksummedRecords:
 
         with open(path) as handle:
             lines = handle.read().splitlines()
-        data = json.loads(lines[index])
+        crc, body = lines[index].split(" ", 1)
+        data = json.loads(body)
         data["payload"]["values"] = [999, "rot"]
-        lines[index] = json.dumps(data)  # stale crc now disagrees
+        lines[index] = f"{crc} {json.dumps(data)}"  # stale crc now disagrees
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
 

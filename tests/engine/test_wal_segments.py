@@ -2,6 +2,7 @@
 retention pinning, typed damage and continuity checks, repair
 reporting, and ENOSPC probes."""
 
+import json
 import os
 
 import pytest
@@ -13,6 +14,7 @@ from repro.engine import (
     LogKind,
     TEXT,
     WriteAheadLog,
+    codec,
     recover,
 )
 from repro.engine.snapshot import checkpoint as snapshot_checkpoint
@@ -267,14 +269,16 @@ class TestDamage:
             '{"lsn":true,"kind":"insert","payload":{},"crc":1}',
             '{"lsn":3,"kind":[],"payload":{},"crc":1}',
             '{"lsn":3,"kind":"insert","payload":[],"crc":1}',
+            # Framed, this one is a record, but its LSN runs backwards.
             '{"lsn":3,"kind":"insert","payload":{}}',
+            '{"lsn":0,"kind":"insert","payload":{}}',
         ],
     )
     def test_json_that_is_not_a_record_is_typed_corruption(self, tmp_path, line):
         wal = self._grown(tmp_path, count=3)
         [segment] = wal._segments
         with open(segment.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+            handle.write(codec.encode(json.loads(line)))  # a good CRC
         with pytest.raises(WALCorruptionError):
             WriteAheadLog.load(str(tmp_path / "wal"))
 

@@ -10,7 +10,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Column, Database, INTEGER, TEXT, WriteAheadLog, recover
+from repro.engine import Column, Database, INTEGER, TEXT, WriteAheadLog, codec, recover
 from repro.engine.wal import LogKind
 from repro.errors import WALCorruptionError
 
@@ -120,12 +120,13 @@ def _seeded_segments(wal_dir: str, seed: int):
             wal.reclaim()
     wal.close()
     assert wal._archived and len(wal._segments) >= 3
-    lines = [record.to_json() for record in wal.records()]
+    lines = [record.frame for record in wal.records()]
     return lines, [segment.path for segment in wal._segments]
 
 
 #: Byte runs random noise would almost never spell: whole lines that
-#: are valid JSON but not records, blank lines, a bare newline.
+#: are valid JSON but not records, frames with a matching CRC whose
+#: document is not a record, blank lines, a bare newline.
 _PLAUSIBLE_LINES = [
     b"\n",
     b"\n\n",
@@ -136,6 +137,9 @@ _PLAUSIBLE_LINES = [
     b"{}\n",
     b'{"lsn":"x","kind":"insert","payload":{},"crc":0}\n',
     b'{"lsn":5,"kind":"insert","payload":{"relation":"t","values":[0,""]}}\n',
+    codec.encode([]).encode(),
+    codec.encode({"lsn": "x", "kind": "insert", "payload": {}}).encode(),
+    codec.encode({"lsn": 5, "kind": "insert", "payload": []}).encode(),
 ]
 
 
@@ -183,7 +187,7 @@ def test_damaged_live_segment_loads_a_prefix_or_fails_typed(
             log = WriteAheadLog.load(wal_dir)
         except WALCorruptionError:
             return
-        loaded = [record.to_json() for record in log.records()]
+        loaded = [record.frame for record in log.records()]
         assert loaded == written[: len(loaded)]
         if len(loaded) < len(written) and not log.needs_repair:
             assert path == live[-1] and before.startswith(after)
@@ -192,4 +196,4 @@ def test_damaged_live_segment_loads_a_prefix_or_fails_typed(
             assert log.repair() > 0
             repaired = WriteAheadLog.load(wal_dir)
             assert not repaired.needs_repair
-            assert [record.to_json() for record in repaired.records()] == loaded
+            assert [record.frame for record in repaired.records()] == loaded

@@ -2,8 +2,6 @@
 link, epoch fencing, bounded-staleness serving, snapshot bootstrap, and
 the failover coordinator."""
 
-import json
-
 import pytest
 
 from repro.engine import (
@@ -19,6 +17,7 @@ from repro.engine import (
     WriteAheadLog,
 )
 from repro.engine.snapshot import checkpoint, snapshot_to_json
+from repro.engine.wal import LogKind, LogRecord
 from repro.errors import (
     ReplicaLagError,
     ReplicationError,
@@ -66,7 +65,9 @@ def ship_plan(*specs) -> FaultInjector:
 
 class TestWireFormat:
     def test_roundtrip(self):
-        msg = ShippedRecord(epoch=3, watermark=17, line='{"x":1}')
+        frame = LogRecord.make(5, LogKind.CHECKPOINT, {}).frame
+        msg = ShippedRecord(epoch=3, watermark=17, frame=frame)
+        assert msg.to_wire() == "3 17 " + frame  # the frame rides unescaped
         assert ShippedRecord.from_wire(msg.to_wire()) == msg
 
     def test_malformed_wire_rejected(self):
@@ -74,16 +75,18 @@ class TestWireFormat:
             ShippedRecord.from_wire("not json")
         with pytest.raises(ReplicationError):
             ShippedRecord.from_wire('{"epoch": 1}')  # missing fields
+        with pytest.raises(ReplicationError):
+            ShippedRecord.from_wire("one 2 frame")  # not an epoch
 
     def test_tampered_record_fails_checksum_on_decode(self):
         primary = build_primary()
         primary.database.insert("t", (1, "a"))
-        line = primary.database.wal.records(after_lsn=2).__next__().to_json()
-        data = json.loads(line)
-        data["payload"]["values"] = [999, "tampered"]
-        msg = ShippedRecord(epoch=1, watermark=3, line=json.dumps(data))
+        frame = primary.database.wal.records(after_lsn=2).__next__().frame
+        tampered = frame.replace('[1,"a"]', '[999,"tampered"]')
+        assert tampered != frame
+        msg = ShippedRecord(epoch=1, watermark=3, frame=tampered)
         with pytest.raises(WALChecksumError):
-            msg.decode()
+            ReplicaNode().receive(msg.to_wire())
 
 
 class TestShipping:
@@ -193,7 +196,7 @@ class TestEpochFencing:
         replica.observe_epoch(2)  # a newer primary was promoted elsewhere
         record = list(primary.database.wal.records())[-1]
         msg = ShippedRecord(
-            epoch=1, watermark=primary.database.wal.last_lsn, line=record.to_json()
+            epoch=1, watermark=primary.database.wal.last_lsn, frame=record.frame
         )
         with pytest.raises(StaleEpochError):
             replica.receive(msg.to_wire())
