@@ -5,9 +5,9 @@ The fault-free run (schedule ``none``) has two phases:
 - **convergence** — two identical worlds run the same deterministic
   Zipf-skewed, write-heavy DML stream against a warmed PMV: the *eager*
   world maintains the view inside every writing statement (X lock,
-  delta join, aux updates), the *async* world routes every relevant
-  change through the transactional outbox and applies nothing on the
-  write path.  After the drain both worlds must answer every cell
+  delta join, aux updates), the *async* world leaves every relevant
+  change in the WAL for the drain and applies nothing on the write
+  path.  After the drain both worlds must answer every cell
   identically.  What the deferral buys in writes per second is the perf
   harness's ``write_cdc_inproc`` vs ``cold_inproc`` ``write_wps``;
 - **stamp replay** — an interleaved write/drain/query phase on a
@@ -17,9 +17,9 @@ The fault-free run (schedule ``none``) has two phases:
   must have been true at some LSN within the stamped staleness window
   (the stamp is a *true* upper bound, checked by replay, not trusted).
 
-Every other point is one crash of the ``torture-cdc`` workload at an
-``outbox.*`` fault site (crash before/after the feed append, error and
-crash mid-drain), :data:`SWEEP_POINTS` of them by even stride.
+Every other point is one crash of the ``torture-cdc`` workload at the
+``cdc.drain`` fault site (error and crash mid-drain),
+:data:`SWEEP_POINTS` of them by even stride.
 """
 
 from __future__ import annotations
@@ -64,8 +64,13 @@ REPLAY_OPS = 90
 SWEEP_POINTS = 24
 
 
-def _build_world(async_mode: bool, database=None):
-    db = build_rs(database or Database(), ROWS_R, ROWS_S, domains=(N_C, N_F, N_G))
+def _build_world(async_mode: bool):
+    db = build_rs(
+        Database(wal=WriteAheadLog()),
+        ROWS_R,
+        ROWS_S,
+        domains=(N_C, N_F, N_G),
+    )
     template = rs_template("cq")
     manager = attach_view(
         db,
@@ -155,9 +160,7 @@ def _check_convergence(seed: int, outcome: Outcome) -> None:
 def _stamp_replay(seed: int, outcome: Outcome) -> None:
     """Interleave writes, partial drains, and queries; verify every
     stamp by replaying the recorded history."""
-    db, manager, template, executor, maintainer = _build_world(
-        async_mode=True, database=Database(wal=WriteAheadLog())
-    )
+    db, manager, template, executor, maintainer = _build_world(async_mode=True)
     executor.freshness_bound = 25
     rng = random.Random(seed + 1)
     zipf = ZipfianDistribution(N_F, ALPHA, seed=seed + 1)
@@ -217,7 +220,7 @@ def run(seed: int, schedule: str) -> Outcome:
 
 
 def _points(seed: int) -> list[str]:
-    specs = [s for s in enumerate_points(seed, cdc=True) if s.site.startswith("outbox.")]
+    specs = [s for s in enumerate_points(seed, cdc=True) if s.site.startswith("cdc.")]
     return ["none", *sample([spec.describe() for spec in specs], SWEEP_POINTS)]
 
 

@@ -3,13 +3,12 @@
 Where :mod:`repro.bench.torture` asks "does one injected fault ever
 lose an acked write?", this drill asks the run-forever question: does a
 long, write-heavy, CDC-maintained workload keep its footprint *bounded*
-— WAL bytes on disk, outbox records in memory — and does a full disk
+— WAL bytes on disk, logged changes in memory — and does a full disk
 degrade the instance instead of corrupting it?
 
 One seeded run drives ~600 mixed operations against a **segmented** WAL
 (small segments so rotation and checkpoint-driven reclaim happen many
-times) with a spill-to-disk change outbox (small resident window so the
-feed actually spills) and a batch-draining async maintainer.  Two
+times) with a batch-draining async maintainer reading it.  Two
 sustained ENOSPC windows are scheduled mid-run via the fault plan — one
 on the WAL reserve probe (``wal.enospc``), one on the data-volume probe
 (``disk.full``) — each a dozen consecutive arrivals, modelling a disk
@@ -17,6 +16,9 @@ that stays full for a while and then clears.
 
 The drill asserts, while running:
 
+- the records holding a change are exactly the logged statements above
+  the slowest cursor (a drained change is dropped, an undrained one is
+  kept);
 - every refusal inside a window is a typed
   :class:`~repro.errors.DiskFullError` with **zero durable effect**
   (the WAL LSN does not move);
@@ -28,8 +30,8 @@ And at the end, after draining to convergence and a final checkpoint:
 
 - segments were rotated *and* reclaimed; the live WAL directory is
   back down to a few segments (bounded log);
-- the outbox spilled (``spilled_total > 0``) and its resident window
-  stayed bounded (``peak_resident`` near the spill threshold);
+- no record holds a change any more (``peak_changes`` reports the
+  most that were ever held at once);
 - the PMV answer equals the true answer for every probed binding;
 - restarting from a mid-run snapshot + log suffix (which may read
   reclaimed segments back from the archive) reproduces exactly the
@@ -60,7 +62,7 @@ from repro.check import (
     rs_template,
     true_answer,
 )
-from repro.engine import Database, WriteAheadLog
+from repro.engine import Database, LogKind, WriteAheadLog
 from repro.engine.snapshot import (
     checkpoint as wal_checkpoint,
     recover_from_snapshot,
@@ -74,7 +76,6 @@ __all__ = ["DRILL", "run"]
 
 OPS = 600
 SEGMENT_BYTES = 4096
-SPILL_THRESHOLD = 32
 DRAIN_BATCH = 8
 DRAIN_EVERY = 50
 CHECKPOINT_EVERY = 75
@@ -108,17 +109,23 @@ def _setup(workdir: str, injector: FaultInjector):
     manager = attach_view(
         database, template, tuples_per_entry=4, max_entries=12, aux_index=False
     )
-    from repro.cdc import ChangeOutbox
+    maintainer = manager.enable_async_maintenance(drain_batch=DRAIN_BATCH)
+    return database, manager, template, maintainer, wal_dir
 
-    outbox = ChangeOutbox(
-        fault_check=injector.check,
-        spill_threshold=SPILL_THRESHOLD,
-        spill_path=os.path.join(workdir, "outbox.spill"),
-    )
-    maintainer = manager.enable_async_maintenance(
-        outbox=outbox, drain_batch=DRAIN_BATCH
-    )
-    return database, manager, template, maintainer, outbox, wal_dir
+
+_DML = (LogKind.INSERT, LogKind.DELETE, LogKind.UPDATE)
+
+
+def _held_changes(wal, floor: int) -> tuple[int, list[int]]:
+    """How many resident records hold a change, and the LSNs where that
+    disagrees with "exactly the statements above ``floor``"."""
+    held, wrong = 0, []
+    for record in wal.records(after_lsn=wal.truncated_lsn):
+        holds = record.change is not None
+        held += holds
+        if holds != (record.lsn > floor and record.kind in _DML):
+            wrong.append(record.lsn)
+    return held, wrong
 
 
 def run(seed: int, schedule: str = "none") -> Outcome:
@@ -132,13 +139,13 @@ def run(seed: int, schedule: str = "none") -> Outcome:
         "queries_served_during_refusal": 0,
         "checkpoints": 0,
         "live_bytes_peak": 0,
+        "peak_changes": 0,
     }
     workdir = tempfile.mkdtemp(prefix="pmv-endurance-")
     injector = FaultInjector(_enospc_windows())
     try:
-        database, manager, template, maintainer, outbox, wal_dir = _setup(
-            workdir, injector
-        )
+        database, manager, template, maintainer, wal_dir = _setup(workdir, injector)
+        view = manager.view(template.name)
         rng = random.Random(seed * 6367 + 11)
         inserted_ids: set[int] = set()
         deleted_ids: set[int] = set()
@@ -152,9 +159,20 @@ def run(seed: int, schedule: str = "none") -> Outcome:
             live = database.wal.resource_stats()["live_bytes"]
             counts["live_bytes_peak"] = max(counts["live_bytes_peak"], live)
 
+        def check_changes(when: str) -> None:
+            held, wrong = _held_changes(database.wal, view.applied_lsn)
+            counts["peak_changes"] = max(counts["peak_changes"], held)
+            if wrong:
+                failures.append(
+                    f"{when}: records {wrong[:5]} hold a change they should "
+                    f"not, or lack one they need (cursor {view.applied_lsn})"
+                )
+
         for op_no in range(OPS):
             if op_no and op_no % DRAIN_EVERY == 0:
+                check_changes(f"op {op_no}, before the drain")
                 maintainer.drain(max_records=3 * DRAIN_BATCH)
+                check_changes(f"op {op_no}, after the drain")
             if op_no and op_no % CHECKPOINT_EVERY == 0:
                 checkpoint()
             roll = rng.random()
@@ -217,9 +235,9 @@ def run(seed: int, schedule: str = "none") -> Outcome:
         # Steady state: drain everything, then one final checkpoint to
         # drive reclaim down to the minimum live log.
         maintainer.drain_to_convergence()
+        held_after, _ = _held_changes(database.wal, view.applied_lsn)
         checkpoint()
         stats = database.wal.resource_stats()
-        box = outbox.stats()
         counts.update(
             recoveries=database.disk_full_recoveries,
             rotated=stats["segments_rotated"],
@@ -227,9 +245,6 @@ def run(seed: int, schedule: str = "none") -> Outcome:
             live_segments=stats["live_segments"],
             live_bytes=stats["live_bytes"],
             archived_bytes=stats["archived_bytes"],
-            spilled=box["spilled_total"],
-            peak_resident=box["peak_resident"],
-            spill_enospc=box["spill_enospc"],
             drain_batches=maintainer.drain_batches,
         )
 
@@ -252,11 +267,10 @@ def run(seed: int, schedule: str = "none") -> Outcome:
                 "live WAL not bounded after final checkpoint: "
                 f"{counts['live_segments']} segments, {counts['live_bytes']} bytes"
             )
-        if counts["spilled"] == 0:
-            failures.append("outbox never spilled — threshold never reached")
-        if counts["peak_resident"] > SPILL_THRESHOLD + WINDOW_LEN + DRAIN_BATCH:
+        if held_after:
             failures.append(
-                f"outbox resident window unbounded: peak {counts['peak_resident']}"
+                f"{held_after} records still hold a change after the "
+                f"convergence drain"
             )
 
         # -- convergence: PMV answers equal the true answers ---------------
@@ -296,7 +310,6 @@ def run(seed: int, schedule: str = "none") -> Outcome:
                 f"ledger: acked-write loss/phantom after restart "
                 f"(lost={lost}, phantom={phantom})"
             )
-        outbox.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return outcome

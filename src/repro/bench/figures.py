@@ -25,6 +25,7 @@ Environment overrides:
 from __future__ import annotations
 
 import os
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -261,14 +262,17 @@ def find_dense_cell(env: ExperimentDatabase, template_name: str) -> tuple:
 
 @dataclass
 class OverheadMeasurement:
-    """Averages over one engine data point (one (template, h, F, s))."""
+    """Statistics over one engine data point (one (template, h, F, s))."""
 
     template: str
     h: int
     tuples_per_entry: int
     scale_factor: float
     runs: int
-    mean_overhead_seconds: float
+    median_overhead_seconds: float
+    """The median query's O1+O2+O3 bookkeeping: one descheduling or GC
+    pause among ``runs`` queries of 40-300 us each moves a mean by a
+    fifth, and figs 8-10 read the shape of this statistic."""
     mean_partial_latency_seconds: float
     mean_execution_seconds: float
     mean_simulated_execution_seconds: float
@@ -289,8 +293,8 @@ class OverheadMeasurement:
         comparable quantity (see EXPERIMENTS.md).
         """
         if self.mean_total_tuples == 0:
-            return self.mean_overhead_seconds
-        return self.mean_overhead_seconds / self.mean_total_tuples
+            return self.median_overhead_seconds
+        return self.median_overhead_seconds / self.mean_total_tuples
 
 
 def measure_overhead(
@@ -334,14 +338,15 @@ def measure_overhead(
     factory = ControlledQueryFactory(template, domains, seed=seed)
     # Warm: make the hot cell resident and filled with F tuples, then
     # run (and discard) a few protocol queries so interpreter and
-    # buffer-pool warm-up does not pollute the measured averages.
+    # buffer-pool warm-up does not pollute the measured statistics.
     executor.execute(factory.query(1, hot))
     for _ in range(3):
         executor.execute(factory.query(h, hot))
 
     stream = [factory.query(h, hot) for _ in range(runs)]
 
-    overhead = partial_latency = execution = simulated = partial_tuples = 0.0
+    overheads = []
+    partial_latency = execution = simulated = partial_tuples = 0.0
     total_tuples = 0.0
     hits = 0
     o1_hits_before = view.metrics.o1_cache_hits
@@ -351,7 +356,7 @@ def measure_overhead(
         result = executor.execute(query)
         io = db.io_since(before)
         metrics = result.metrics
-        overhead += metrics.overhead_seconds
+        overheads.append(metrics.overhead_seconds)
         partial_latency += metrics.partial_latency_seconds
         execution += metrics.execution_seconds
         simulated += metrics.execution_seconds + latency.cost(io.reads, io.writes)
@@ -365,7 +370,7 @@ def measure_overhead(
         tuples_per_entry=tuples_per_entry,
         scale_factor=env.dataset.config.scale_factor,
         runs=runs,
-        mean_overhead_seconds=overhead / runs,
+        median_overhead_seconds=statistics.median(overheads),
         mean_partial_latency_seconds=partial_latency / runs,
         mean_execution_seconds=execution / runs,
         mean_simulated_execution_seconds=simulated / runs,
@@ -397,7 +402,7 @@ def run_fig8(
     for f in f_values:
         for offset, name in ((0, "T1"), (1, "T2")):
             m = measure_overhead(env, name, h=h, tuples_per_entry=f)
-            series[offset].add(f, m.mean_overhead_seconds)
+            series[offset].add(f, m.median_overhead_seconds)
             series[offset + 2].add(f, m.overhead_per_tuple_seconds)
             series[offset + 4].add(f, m.mean_partial_tuples)
     if verbose:
@@ -423,7 +428,7 @@ def run_fig9(
     for h in h_values:
         for offset, name in ((0, "T1"), (1, "T2")):
             m = measure_overhead(env, name, h=h, tuples_per_entry=tuples_per_entry)
-            series[offset].add(h, m.mean_overhead_seconds)
+            series[offset].add(h, m.median_overhead_seconds)
             series[offset + 2].add(h, m.overhead_per_tuple_seconds)
     if verbose:
         print(scale_note(_engine_scale_text(env)))
@@ -457,9 +462,9 @@ def run_fig10(
         t1 = measure_overhead(env, "T1", h=h, tuples_per_entry=tuples_per_entry)
         t2 = measure_overhead(env, "T2", h=h, tuples_per_entry=tuples_per_entry)
         series[0].add(s, t1.mean_simulated_execution_seconds)
-        series[1].add(s, t1.mean_overhead_seconds)
+        series[1].add(s, t1.median_overhead_seconds)
         series[2].add(s, t2.mean_simulated_execution_seconds)
-        series[3].add(s, t2.mean_overhead_seconds)
+        series[3].add(s, t2.median_overhead_seconds)
     if verbose and last_env is not None:
         print(scale_note(_engine_scale_text(last_env)))
         print(format_series("s", series))

@@ -24,11 +24,11 @@ failure inside PMV maintenance must leave the view with zero stale
 entries (the fail-safe clear).
 
 Two drills: ``torture`` (eager maintenance) and ``torture-cdc`` (the PMV
-under CDC-driven async maintenance: DML feeds the transactional outbox
-with its two crash windows armed, a heavy-light splitter keeps part of
-the key space eager, background drains interleave — including crashes
-mid-drain — answers are checked under bounded-stale semantics and the
-run must end convergent, DESIGN.md §13).
+under CDC-driven async maintenance: the drain reads its changes from
+the WAL, a heavy-light splitter keeps part of the key space eager,
+background drains interleave — including crashes mid-drain — answers
+are checked under bounded-stale semantics and the run must end
+convergent, DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -115,37 +115,37 @@ def _setup(seed: int, cdc: bool, injector: FaultInjector, wal_path: str):
     )
     maintainer = None
     if cdc:
-        from repro.cdc import ChangeOutbox, HeavyLightSplitter
+        from repro.cdc import HeavyLightSplitter
 
-        # The feed starts empty here — seed inserts above predate it,
-        # matching a view registered against a running database.  The
-        # splitter keeps part of the r.f key space eager so the sweep
-        # crosses both the hot (write-path) and cold (drain) routes.
+        # The cursor starts at the log's end here — seed inserts above
+        # predate it, matching a view registered against a running
+        # database.  The splitter keeps part of the r.f key space eager
+        # so the sweep crosses both the hot (write-path) and cold
+        # (drain) routes.
         maintainer = manager.enable_async_maintenance(
-            outbox=ChangeOutbox(fault_check=injector.check),
             splitter=HeavyLightSplitter({"r.f": {0, 1}}),
         )
         manager.executor(template.name).freshness_bound = 6
         # Hook the drain-vs-commit interleaving site: every few commits
-        # a probe thread runs the feed-end catch-up while the writer is
-        # parked between WAL append and outbox append.
+        # a probe thread runs a drain while the writer is parked between
+        # its WAL append and its eager apply.
         database.scheduler = _DrainCommitProbe(database, maintainer)
     return database, manager, template, maintainer
 
 
 class _DrainCommitProbe:
-    """Exercises the drain-vs-commit window at the ``dml.outbox-append``
-    seam (DESIGN.md §13).
+    """Exercises the drain-vs-commit window at the ``dml.logged`` seam
+    (DESIGN.md §13).
 
     Installed as ``database.scheduler`` so the DML path calls
     :meth:`switch` inside the statement latch, after the WAL append but
-    before the outbox append — the WAL LSN is ahead of the feed.  A
-    probe thread then runs the drain's feed-end catch-up
-    (``drain(max_records=0)`` skips the apply loop, which would block
-    on the held latch) and the probe asserts no registered view's
-    watermark reached the in-flight LSN: claiming it would be phantom
-    freshness, the exact race the non-blocking-latch fix closes.
-    Non-seam sites are ignored, so lock traffic is unaffected.
+    before the eager apply — a hot record is in the log before its
+    delta has landed in the view.  A probe thread then runs a drain and
+    the probe asserts no registered view's watermark reached the
+    in-flight LSN: claiming it would be phantom freshness.  The drain
+    reads its horizon under the statement latch (non-blocking), so
+    while the writer holds it the drain must read nothing.  Non-seam
+    sites are ignored, so lock traffic is unaffected.
     """
 
     def __init__(self, database, maintainer, every: int = 5) -> None:
@@ -156,7 +156,7 @@ class _DrainCommitProbe:
         self.probes = 0
 
     def switch(self, site: str) -> None:
-        if site != "dml.outbox-append":
+        if site != "dml.logged":
             return
         self.calls += 1
         if self.calls % self.every:
@@ -166,7 +166,7 @@ class _DrainCommitProbe:
         watermarks: dict[str, int] = {}
 
         def attempt() -> None:
-            self.maintainer.drain(max_records=0)
+            self.maintainer.drain()
             for name, m in self.maintainer._registered.items():
                 watermarks[name] = m.view.applied_lsn
 
@@ -175,16 +175,15 @@ class _DrainCommitProbe:
         probe.join(timeout=10.0)
         if probe.is_alive():
             raise InvariantViolation(
-                "drain-vs-commit probe wedged: the feed-end catch-up "
-                "blocked on the statement latch held by the committing "
-                "writer"
+                "drain-vs-commit probe wedged: the drain blocked on the "
+                "statement latch held by the committing writer"
             )
         for name, applied in watermarks.items():
             if applied >= in_flight:
                 raise InvariantViolation(
                     f"phantom freshness: view {name!r} watermark {applied} "
-                    f"reached in-flight LSN {in_flight} before its feed "
-                    f"record was appended"
+                    f"reached in-flight LSN {in_flight} before its eager "
+                    f"apply landed"
                 )
 
     # Scheduler protocol stubs — the DML seam only calls switch(), but
@@ -266,8 +265,8 @@ def _run_workload(seed, database, manager, template, shadow, snapshots,
         lsn_before = database.wal.last_lsn
         try:
             if maintainer is not None and op_no % 3 == 2:
-                # Interleaved background drain: applies pending feed
-                # deltas (hitting the ``outbox.drain`` fault site), no
+                # Interleaved background drain: applies pending logged
+                # deltas (hitting the ``cdc.drain`` fault site), no
                 # base-data effect — a mid-drain crash must recover to
                 # the same acked state as any other.
                 maintainer.drain(max_records=8)
@@ -426,19 +425,19 @@ def _check_pmv_restart(seed: int, cdc: bool, recovered: Database) -> None:
     """A PMV restarted empty on the recovered database must warm up
     and serve exactly the true answer.
 
-    In CDC mode the restarted view runs async again: the pre-crash
-    feed died with the process (views restart empty, so there is
-    nothing to replay) and a *fresh* feed starts at zero staleness.
-    New writes must then flow outbox → drain → convergence, after
-    which the strict consistency check still holds.
+    In CDC mode the restarted view runs async again: views restart
+    empty, so there is nothing to replay, and a *fresh* drain starts at
+    the recovered log's end with zero staleness.  New writes must then
+    flow log → drain → convergence, after which the strict consistency
+    check still holds.
     """
     template = rs_template("tq")
     manager = attach_view(recovered, template)
     maintainer = None
     if cdc:
-        from repro.cdc import ChangeOutbox
-
-        maintainer = manager.enable_async_maintenance(outbox=ChangeOutbox())
+        # The drain reads the log: give the recovered instance one.
+        recovered.wal = WriteAheadLog()
+        maintainer = manager.enable_async_maintenance()
     rng = random.Random(seed + 1)
     for _ in range(3):
         query = random_binding(template, rng)
@@ -474,8 +473,10 @@ def _check_completed(database, manager, wal_path, shadow, maintainer=None) -> No
         # consistency check — a lost or double-applied delta surfaces
         # here as a phantom tuple or a MaintenanceError.
         maintainer.drain_to_convergence()
-        if len(database.outbox) != 0:
-            raise InvariantViolation("feed not empty after convergence drain")
+        if any(r.change is not None for r in database.wal.records()):
+            raise InvariantViolation(
+                "a logged change outlived the convergence drain"
+            )
         view = manager.view("tq")
         if view.applied_lsn < database.current_lsn():
             raise InvariantViolation(

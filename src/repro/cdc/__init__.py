@@ -5,17 +5,16 @@ the write path of every relevant delete/update — correct, but ROADMAP
 open item 4's scalability ceiling for write-heavy traffic.  This package
 moves the long tail of maintenance off the write path:
 
-- :class:`ChangeOutbox` — a transactional outbox: DML appends one
-  change record inside the same latched critical section as its WAL
-  append, stamped with the WAL LSN, so the feed order *is* the
-  serialization order;
-- :class:`AsyncMaintainer` — drains the feed in LSN order and applies
-  deltas through the existing :class:`~repro.core.maintenance.PMVMaintainer`
-  machinery under its own lock/breaker discipline, advancing each
-  view's ``applied_lsn`` watermark;
+- :class:`AsyncMaintainer` — a cursor on the write-ahead log: each
+  statement's record carries its change while a drain is registered,
+  so the feed order *is* the serialization order.  The drain applies
+  the deltas in LSN order through the existing
+  :class:`~repro.core.maintenance.PMVMaintainer` machinery under its
+  own lock/breaker discipline, advancing each view's ``applied_lsn``
+  cursor;
 - :class:`HeavyLightSplitter` — keeps operator- or popularity-designated
   hot condition parts on the eager path (Abo-Khamis et al.'s
-  heavy-light partitioning) while cold changes ride the feed.
+  heavy-light partitioning) while cold changes wait in the log.
 
 Answers served from an async-maintained view carry a ``staleness``
 stamp (current LSN minus applied LSN) and are bypassed to full
@@ -24,12 +23,6 @@ model replication uses for replica lag.
 """
 
 from repro.cdc.maintainer import AsyncMaintainer
-from repro.cdc.outbox import ChangeOutbox, OutboxRecord
 from repro.cdc.split import HeavyLightSplitter
 
-__all__ = [
-    "AsyncMaintainer",
-    "ChangeOutbox",
-    "OutboxRecord",
-    "HeavyLightSplitter",
-]
+__all__ = ["AsyncMaintainer", "HeavyLightSplitter"]

@@ -1,29 +1,35 @@
-"""The background drain: LSN-ordered async application of the feed.
+"""The background drain: a cursor on the WAL.
 
-An :class:`AsyncMaintainer` owns one :class:`~repro.cdc.outbox.ChangeOutbox`
-and a set of registered views.  Registration flips the view's
-maintainer into *async mode*: relevant changes stop taking the X lock
-on the write path (unless the heavy-light splitter routes them eager)
-and are instead applied here, one feed record at a time, oldest first.
+An :class:`AsyncMaintainer` reads the database's write-ahead log after
+its registered views' cursors and applies the deltas it finds there.
+Registration flips the view's maintainer into *async mode*: relevant
+changes stop taking the X lock on the write path (unless the
+heavy-light splitter routes them eager), and the log keeps each
+statement's :class:`~repro.engine.transactions.Change` on its resident
+record (:attr:`~repro.engine.wal.WriteAheadLog.change_feed`) until every
+registered view has read past it.
 
 Lock discipline mirrors a writing statement, in the mandatory order:
 the drain takes the view's X lock **first** (through the maintainer's
 breaker-gated :meth:`~repro.core.maintenance.PMVMaintainer._acquire_x`,
 so an open circuit breaker collapses it to a single no-wait attempt),
 and only then enters the statement latch to mutate the view.  A lock
-denial requeues the record at the feed head and yields — the next
-drain retries it, and ``applied_views`` guarantees the retry never
-applies a delta twice.
+denial leaves that view's cursor where it was and yields — the next
+drain reads the same records again.
 
-Watermark rules (DESIGN.md §13):
+Cursor rules (DESIGN.md §13):
 
-- ``view.applied_lsn`` advances to a record's LSN once the record is
-  applied to (or provably irrelevant for) that view — records are
-  drained oldest-first, so the watermark is monotone;
+- ``view.applied_lsn`` is the view's cursor: every record at or below
+  it is reflected in the view (applied, applied eagerly by the hot
+  path, or irrelevant to it).  Cursors only move forward, and only
+  under the statement latch;
+- the drain reads no further than a *horizon*, the WAL's last LSN read
+  under the statement latch: no statement at or below it is then
+  between its WAL append and its eager apply;
 - a fail-safe clear (organic apply failure) empties the view, and the
-  empty subset is correct *as of now*: the watermark jumps to the
-  current LSN;
-- after a crash, views restart empty and a fresh feed starts at the
+  empty subset is correct *as of now*: the cursor jumps to the current
+  LSN;
+- after a crash, views restart empty and a fresh drain starts at the
   recovered WAL end — nothing to replay, staleness zero by
   construction.
 """
@@ -31,37 +37,33 @@ Watermark rules (DESIGN.md §13):
 from __future__ import annotations
 
 import threading
+from itertools import islice
+from typing import Iterator
 
-from repro.cdc.outbox import ChangeOutbox, OutboxRecord
 from repro.cdc.split import HeavyLightSplitter
 from repro.core.maintenance import PMVMaintainer
 from repro.engine.database import Database
+from repro.engine.wal import LogRecord
 from repro.errors import LockError, MaintenanceError
 
 __all__ = ["AsyncMaintainer"]
 
 
 class AsyncMaintainer:
-    """Drains the change feed and applies deltas to registered views."""
+    """Reads the WAL after each view's cursor and applies the deltas."""
 
     def __init__(
         self,
         database: Database,
-        outbox: ChangeOutbox | None = None,
         splitter: HeavyLightSplitter | None = None,
         drain_batch: int = 1,
     ) -> None:
-        self.database = database
-        if outbox is None:
-            outbox = database.outbox if database.outbox is not None else ChangeOutbox()
-        self.outbox = outbox
-        # The database's DML appends to this feed from now on.
-        database.outbox = outbox
-        # A spilling outbox rehydrates rows through the catalog.
-        if outbox.schema_resolver is None:
-            outbox.schema_resolver = (
-                lambda name: database.catalog.relation(name).schema
+        if database.wal is None:
+            raise MaintenanceError(
+                "async maintenance reads its changes from the WAL; a "
+                "database without one has no change feed"
             )
+        self.database = database
         self.splitter = splitter
         # Records applied per X-lock acquisition: the drain takes each
         # view's X lock once per batch instead of once per record.
@@ -71,7 +73,8 @@ class AsyncMaintainer:
         self._registered: dict[str, PMVMaintainer] = {}
         # One drain at a time: LSN order is only meaningful single-file.
         self._drain_mutex = threading.Lock()
-        self._last_drained_lsn = 0
+        # Every record at or below this LSN has had its change dropped.
+        self._released_lsn = 0
         self.records_drained = 0
         self.drain_batches = 0
         self.deltas_applied = 0
@@ -90,213 +93,154 @@ class AsyncMaintainer:
         """Switch one view to async maintenance.
 
         Accepts a :class:`PMVMaintainer` or anything carrying one as
-        ``.maintainer`` (a ``ManagedView``).  The view's watermark
-        starts at the current LSN: everything already applied eagerly
-        up to this point is, by definition, fresh.  The feed may still
-        hold records at or below that LSN (the outbox records every
-        change once it is attached, even while views are eager), so
-        those records are stamped as applied for the new view — the
-        eager path already absorbed them, and a drain that applied them
-        again would double-apply the deltas.  LSN read and backlog
-        stamp happen under the statement latch so no statement can
-        commit between them.
+        ``.maintainer`` (a ``ManagedView``).  The view's cursor starts
+        at the current LSN: everything logged up to here was applied
+        eagerly, so it is fresh by definition and the drain never reads
+        it.  The LSN read and the cursor set happen under the statement
+        latch, so no statement can commit between them.  A log feeds
+        one drain: each drops the changes its own views have passed.
         """
+        if self.database.wal.change_feed not in (None, self):
+            raise MaintenanceError(
+                "this WAL already feeds another drain; register the view "
+                "with that one"
+            )
         if not isinstance(maintainer, PMVMaintainer):
             maintainer = maintainer.maintainer
         view = maintainer.view
         maintainer.async_mode = True
         maintainer.splitter = splitter if splitter is not None else self.splitter
-        maintainer.outbox = self.outbox
         view.async_maintenance = True
+        wal = self.database.wal
         with self.database.statement_latch:
-            lsn = self.database.current_lsn()
-            self.outbox.mark_applied_up_to(lsn, view.name)
+            lsn = wal.last_lsn
+            if not self._registered:
+                self._released_lsn = lsn
             view.applied_lsn = lsn
             self._registered[view.name] = maintainer
+            wal.change_feed = self
         self._update_retention()
 
     def lag(self, view) -> int:
-        """Feed positions the view trails the current LSN by."""
+        """LSNs the view's cursor trails the current LSN by."""
         return max(0, self.database.current_lsn() - view.applied_lsn)
+
+    def _floor(self) -> int:
+        """The slowest registered view's cursor."""
+        return min(m.view.applied_lsn for m in self._registered.values())
 
     # -- draining --------------------------------------------------------------
 
     def drain(self, max_records: int | None = None) -> int:
-        """Apply up to ``max_records`` feed records in LSN order.
+        """Apply up to ``max_records`` logged changes in LSN order.
 
-        Records are processed in batches of up to ``drain_batch``: one
-        X-lock acquisition per view per batch instead of per record,
-        which is what makes a deep backlog drain cheap (ROADMAP item 4
-        follow-on).  Returns the number of records fully processed.
-        Stops early when a view's X lock is denied (the whole batch is
-        requeued in order and ``lock_yields`` bumped — ``applied_views``
-        stamps keep the retry from double-applying).  A second
-        concurrent drain returns 0 immediately rather than
-        interleaving.
+        Reads the records after the slowest cursor, up to the horizon,
+        in batches of up to ``drain_batch`` changes: one X-lock
+        acquisition per view per batch instead of per record, which is
+        what makes a deep backlog drain cheap.  Records without a change
+        (DDL, checkpoints) are passed over uncounted.  Returns the
+        number of changes processed.  Stops early when a view's X lock
+        is denied (``lock_yields``; that view's cursor stays put, so the
+        next drain reads the same records).  Returns 0 at once when
+        another drain is running, or when a statement holds the latch so
+        the horizon cannot be read (``advance_skips``): blocking there
+        could deadlock against a writer parked by the interleaving
+        scheduler, and the next drain catches up.
         """
         if not self._drain_mutex.acquire(blocking=False):
             return 0
         try:
+            if not self._registered:
+                return 0
+            horizon = self._read_horizon()
+            if horizon is None:
+                self.advance_skips += 1
+                return 0
+            feed = self._feed(horizon)
             drained = 0
             while max_records is None or drained < max_records:
                 limit = self.drain_batch
                 if max_records is not None:
                     limit = min(limit, max_records - drained)
-                batch = self._take_batch(limit)
+                batch = list(islice(feed, limit))
                 if not batch:
+                    # Every change up to the horizon is in: the cursors
+                    # pass the records without one too.
+                    for maintainer in self._registered.values():
+                        self._advance(maintainer, horizon)
                     break
                 try:
                     self._apply_batch(batch)
                 except LockError:
-                    self._requeue_batch(batch)
                     self.lock_yields += 1
                     break
-                except BaseException:
-                    # Crash/control unwind: keep the records at the head
-                    # so an in-process retry (ERROR-mode injections)
-                    # resumes exactly where it stopped.
-                    self._requeue_batch(batch)
-                    raise
-                self._last_drained_lsn = batch[-1].lsn
                 self.records_drained += len(batch)
                 self.drain_batches += 1
                 drained += len(batch)
-            self._advance_to_feed_end()
+            self._release_changes()
             self._update_retention()
             return drained
         finally:
             self._drain_mutex.release()
 
-    def _take_batch(self, limit: int) -> list[OutboxRecord]:
-        """Pop up to ``limit`` records off the feed head, verifying the
-        LSN-order invariant as they come."""
-        batch: list[OutboxRecord] = []
-        while len(batch) < limit:
-            record = self.outbox.take()
-            if record is None:
-                break
-            if record.lsn <= self._last_drained_lsn:
-                self.outbox.requeue(record)
-                self._requeue_batch(batch)
-                raise MaintenanceError(
-                    f"outbox feed out of order: record LSN {record.lsn} "
-                    f"after {self._last_drained_lsn} — a delta would be "
-                    f"double-applied"
-                )
-            batch.append(record)
-        return batch
-
-    def _requeue_batch(self, batch: list[OutboxRecord]) -> None:
-        """Put a batch back at the feed head, oldest first afterwards."""
-        for record in reversed(batch):
-            self.outbox.requeue(record)
-
-    def _update_retention(self) -> None:
-        """Publish the CDC low-watermark to the WAL retention registry.
-
-        Segment reclamation must not retire records the feed still
-        needs for idempotent reasoning or that a registered view has
-        not absorbed: the published position is the minimum of every
-        view's applied LSN and the LSN just below the oldest pending
-        feed record.
-        """
-        wal = self.database.wal
-        if wal is None or not hasattr(wal, "retention"):
-            return
-        if not self._registered:
-            wal.retention.release("cdc")
-            return
-        floor = min(m.view.applied_lsn for m in self._registered.values())
-        head = self.outbox.peek_lsn()
-        if head is not None:
-            floor = min(floor, head - 1)
-        wal.retention.update("cdc", floor)
-
-    def _advance_to_feed_end(self) -> None:
-        """With the feed empty, catch watermarks up to the current LSN.
-
-        WAL-only records (checkpoint markers) advance the LSN without a
-        feed record; without this step a fully-drained view would
-        report phantom staleness forever.  LSN read and emptiness check
-        must be atomic against committing statements: a writer bumps
-        the WAL LSN and appends the feed record as two steps inside the
-        statement latch, so a drain that reads the LSN after the WAL
-        append but checks emptiness before the outbox append would see
-        an empty feed and jump the watermark past an unapplied change
-        (phantom freshness).  Both steps therefore run under the
-        statement latch, acquired non-blocking: if a statement is
-        mid-commit the bump is simply skipped (``advance_skips``) and
-        the next drain catches up — blocking here could deadlock
-        against a writer parked by the interleaving scheduler.
-        """
+    def _read_horizon(self) -> int | None:
+        """The WAL's last LSN, read under the statement latch (acquired
+        non-blocking; ``None`` when a statement holds it).  Every
+        statement at or below it has finished its eager apply."""
         latch = self.database.statement_latch
         if not latch.acquire(blocking=False):
-            self.advance_skips += 1
-            return
+            return None
         try:
-            high = self.database.current_lsn()
-            if len(self.outbox) != 0:
-                return
-            for maintainer in self._registered.values():
-                if maintainer.view.applied_lsn < high:
-                    maintainer.view.applied_lsn = high
+            return self.database.wal.last_lsn
         finally:
             latch.release()
 
-    def drain_to_convergence(self, max_rounds: int = 1000) -> int:
-        """Drain until the feed is empty; returns records processed.
+    def _feed(self, horizon: int) -> Iterator[LogRecord]:
+        """The records carrying a change, after the slowest cursor and
+        up to ``horizon``, oldest first."""
+        for record in self.database.wal.records(after_lsn=self._floor()):
+            if record.lsn > horizon:
+                return
+            if record.change is not None:
+                yield record
 
-        Bounded by ``max_rounds`` lock yields so a reader that never
-        releases its S lock cannot hang the caller.
+    def _apply_batch(self, batch: list[LogRecord]) -> None:
+        """Apply a batch of records to every registered view.
+
+        Per view: records at or below its cursor are skipped, so are
+        those the hot path applied eagerly (``eager_skips``) and those
+        irrelevant to it; the relevant rest is applied under ONE X-lock
+        acquisition, and then the view's cursor moves to the batch end.
+        A later view's lock denial leaves the earlier views' cursors
+        advanced, so no delta is ever applied twice.
         """
-        total = 0
-        for _ in range(max_rounds):
-            total += self.drain()
-            if len(self.outbox) == 0:
-                return total
-        raise MaintenanceError(
-            f"feed did not converge after {max_rounds} drain rounds "
-            f"({len(self.outbox)} records pending)"
-        )
-
-    def _apply_batch(self, batch: list[OutboxRecord]) -> None:
-        """Apply a batch of feed records to every registered view.
-
-        Per view: partition the batch into already-applied (stamped by
-        the eager hot path or an interrupted earlier pass), irrelevant
-        (stamped immediately), and relevant records — then apply all
-        relevant deltas under ONE X-lock acquisition.  Watermarks
-        advance only after the whole batch succeeded for every view, so
-        a mid-batch failure leaves them honest (lagging, never lying).
-        """
-        for name, maintainer in self._registered.items():
-            relevant: list[OutboxRecord] = []
-            for record in batch:
-                if name in record.applied_views:
-                    self.eager_skips += 1
-                elif maintainer._needs_maintenance(record.change):
-                    relevant.append(record)
-                else:
-                    record.applied_views.add(name)
-            if relevant:
-                self._apply_deltas(maintainer, relevant)
+        end = batch[-1].lsn
         for maintainer in self._registered.values():
             view = maintainer.view
-            if batch[-1].lsn > view.applied_lsn:
-                view.applied_lsn = batch[-1].lsn
+            relevant: list[LogRecord] = []
+            for record in batch:
+                if record.lsn <= view.applied_lsn:
+                    continue
+                change = record.change
+                if not maintainer._needs_maintenance(change):
+                    continue
+                if change.prepared.get(maintainer, (False, None))[0]:
+                    self.eager_skips += 1
+                else:
+                    relevant.append(record)
+            if relevant:
+                self._apply_deltas(maintainer, relevant)
+            self._advance(maintainer, end)
 
     def _apply_deltas(
-        self, maintainer: PMVMaintainer, records: list[OutboxRecord]
+        self, maintainer: PMVMaintainer, records: list[LogRecord]
     ) -> None:
         """Apply ``records`` to one view under a single X lock.
 
         The statement latch is still taken per record (the latch guards
         physical structures and must stay short); only the *logical*
         lock acquisition — the expensive, possibly-waiting step — is
-        amortized across the batch.  Each record is stamped as applied
-        the moment its delta lands, so an organic failure partway
-        through (the batch is requeued by the caller) never
-        double-applies on retry.
+        amortized across the batch.
         """
         txn = self.database.begin()
         try:
@@ -307,17 +251,56 @@ class AsyncMaintainer:
         try:
             for record in records:
                 with self.database.statement_latch:
-                    if not maintainer.apply_async(record.change):
-                        self.failsafe_clears += 1
-                    else:
+                    if maintainer.apply_async(record.change):
                         self.deltas_applied += 1
-                record.applied_views.add(maintainer.view.name)
+                    else:
+                        self.failsafe_clears += 1
         finally:
             txn.commit()
+
+    def _advance(self, maintainer: PMVMaintainer, lsn: int) -> None:
+        with self.database.statement_latch:
+            if maintainer.view.applied_lsn < lsn:
+                maintainer.view.applied_lsn = lsn
+
+    def _release_changes(self) -> None:
+        """Drop the change of every record all registered views have
+        read past: the log keeps only what some cursor still needs."""
+        floor = self._floor()
+        for record in self.database.wal.records(after_lsn=self._released_lsn):
+            if record.lsn > floor:
+                break
+            record.change = None
+        self._released_lsn = max(self._released_lsn, floor)
+
+    def _update_retention(self) -> None:
+        """Publish the slowest cursor to the WAL retention registry, so
+        segment reclamation never retires a record some registered view
+        has not read yet (a reclaimed record loses its change)."""
+        self.database.wal.retention.update("cdc", self._floor())
+
+    def drain_to_convergence(self, max_rounds: int = 1000) -> int:
+        """Drain until every cursor reaches the current LSN; returns
+        the changes processed.
+
+        Bounded by ``max_rounds`` drains so a reader that never
+        releases its S lock cannot hang the caller.
+        """
+        total = 0
+        for _ in range(max_rounds):
+            total += self.drain()
+            if not self._registered or self._floor() >= self.database.current_lsn():
+                return total
+        raise MaintenanceError(
+            f"drain did not converge after {max_rounds} rounds "
+            f"({self.database.current_lsn() - self._floor()} LSNs behind)"
+        )
 
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> dict:
+        views = {name: m.view.applied_lsn for name, m in self._registered.items()}
+        high = self.database.current_lsn()
         return {
             "records_drained": self.records_drained,
             "cdc_drain_batches": self.drain_batches,
@@ -327,9 +310,7 @@ class AsyncMaintainer:
             "lock_yields": self.lock_yields,
             "failsafe_clears": self.failsafe_clears,
             "advance_skips": self.advance_skips,
-            "pending": len(self.outbox),
-            "high_watermark": self.outbox.last_lsn,
-            "views": {
-                name: m.view.applied_lsn for name, m in self._registered.items()
-            },
+            "lag": high - min(views.values(), default=high),
+            "high_watermark": high,
+            "views": views,
         }

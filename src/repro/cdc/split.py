@@ -5,8 +5,8 @@ into *heavy* (maintained eagerly, they are read constantly) and *light*
 (batched, the long tail).  Here the unit is the condition part: a
 base-relation change whose ``Cselect`` attribute values fall in a
 designated hot set is applied to the PMV at write time (the classic
-X-lock path), everything else rides the outbox feed and is applied by
-the background drain.
+X-lock path), everything else waits in the log and is applied by the
+background drain.
 
 Hot sets come from the operator (``hot_parts``).
 """

@@ -112,7 +112,7 @@ def check_view_against_database(
     future delete).
 
     ``allow_stale`` skips *only* the phantom check: an async-maintained
-    view whose applied-LSN watermark trails the outbox high-watermark
+    view whose applied-LSN watermark trails the current LSN
     legitimately caches tuples the current state no longer derives
     (DESIGN.md §13) — its structural, UB, and aux-coverage invariants
     must still hold.  Callers must pass it only while the view is

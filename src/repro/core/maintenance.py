@@ -29,7 +29,6 @@ of an X lock" discipline the paper describes.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from typing import Any
 
@@ -181,19 +180,13 @@ class PMVMaintainer:
         # Async (CDC) mode, configured by repro.cdc.AsyncMaintainer:
         # relevant changes are routed at prepare time — hot condition
         # parts (per the splitter) keep the eager X-lock path below,
-        # cold ones skip the write-path lock entirely and ride the
-        # outbox feed to the background drain (DESIGN.md §13).
+        # cold ones skip the write-path lock entirely and the drain
+        # reads them from the WAL (DESIGN.md §13).  The route, and the
+        # X-lock transaction a prepare opens outside a caller
+        # transaction, ride on the statement's Change
+        # (``change.prepared[self]``) to its change or abort.
         self.async_mode = False
         self.splitter = None
-        self.outbox = None
-        self._pending_routes: dict[int, list[bool]] = {}
-        # X-lock transactions opened in the prepare phase for
-        # statements outside a caller transaction, committed when the
-        # corresponding change (or abort) arrives.  One statement is in
-        # flight per thread at a time, so a per-thread stack pairs the
-        # prepare with its change/abort even with concurrent writers.
-        self._pending_txns: dict[int, list[Transaction]] = {}
-        self._pending_mutex = threading.Lock()
         self._result_schema = template_result_schema(view.template, database)
         if strategy is MaintenanceStrategy.AUX_INDEX:
             self._check_aux_coverage()
@@ -259,20 +252,15 @@ class PMVMaintainer:
         """
         if not self._needs_maintenance(change):
             return
-        if self.async_mode:
-            hot = (
-                self.splitter.is_hot(change, self.view)
-                if self.splitter is not None
-                else False
-            )
-            self._push_route(hot)
-            if not hot:
-                # Cold condition part: no write-path X lock — the
-                # outbox feed carries the delta to the drain.
-                return
+        if self.async_mode and not self._is_hot(change):
+            # Cold condition part: no write-path X lock — the drain
+            # reads the delta from the log.
+            change.prepared[self] = (False, None)
+            return
         self._fire_fault("maintenance.prepare")
         if txn is not None:
             self._acquire_x(txn)
+            change.prepared[self] = (True, None)
             return
         pending = self.database.begin()
         try:
@@ -285,7 +273,11 @@ class PMVMaintainer:
             # left holding a half-prepared lock.
             pending.abort()
             raise
-        self._push_pending(pending)
+        change.prepared[self] = (True, pending)
+
+    def _is_hot(self, change: Change) -> bool:
+        """Async mode's route: hot (eager) per the splitter, else cold."""
+        return self.splitter is not None and self.splitter.is_hot(change, self.view)
 
     def _acquire_x(self, txn: Transaction) -> None:
         """Take the view's X lock, waiting and retrying with backoff.
@@ -323,49 +315,11 @@ class PMVMaintainer:
                 self.view.metrics.maintenance_lock_retries += 1
                 time.sleep(X_LOCK_BACKOFF * attempt)
 
-    def _push_route(self, hot: bool) -> None:
-        ident = threading.get_ident()
-        with self._pending_mutex:
-            self._pending_routes.setdefault(ident, []).append(hot)
-
-    def _pop_route(self) -> bool | None:
-        ident = threading.get_ident()
-        with self._pending_mutex:
-            stack = self._pending_routes.get(ident)
-            if not stack:
-                return None
-            hot = stack.pop()
-            if not stack:
-                del self._pending_routes[ident]
-            return hot
-
-    def _push_pending(self, pending: Transaction) -> None:
-        ident = threading.get_ident()
-        with self._pending_mutex:
-            self._pending_txns.setdefault(ident, []).append(pending)
-
-    def _pop_pending(self) -> Transaction | None:
-        ident = threading.get_ident()
-        with self._pending_mutex:
-            stack = self._pending_txns.get(ident)
-            if not stack:
-                return None
-            pending = stack.pop()
-            if not stack:
-                del self._pending_txns[ident]
-            return pending
-
     def abort_change(self, change: Change, txn: Transaction | None) -> None:
         """The prepared statement failed: release any pending X lock."""
-        if not self._needs_maintenance(change):
-            return
-        if self.async_mode and self._pop_route() is False:
-            # Cold route: prepare took no lock, nothing to release.
-            return
-        if txn is None:
-            pending = self._pop_pending()
-            if pending is not None:
-                pending.abort()
+        _hot, pending = change.prepared.pop(self, (False, None))
+        if pending is not None:
+            pending.abort()
 
     def handle_change(self, change: Change, txn: Transaction | None) -> None:
         """React to one applied base-relation change (the ΔRi element)."""
@@ -376,56 +330,41 @@ class PMVMaintainer:
             # Section 3.4 case 1: existing PMV tuples are unaffected.
             metrics.maintenance_inserts_ignored += 1
             return
-        if change.kind is ChangeKind.UPDATE:
-            assert change.old_row is not None and change.new_row is not None
-            if not self._update_is_relevant(change):
-                metrics.maintenance_updates_skipped += 1
-                return
-            if self.async_mode and not self._consume_route(change):
-                return
-            self._remove_derived(change.relation, change.old_row, txn)
-            self._mark_eager_applied()
+        if change.kind is ChangeKind.UPDATE and not self._update_is_relevant(change):
+            metrics.maintenance_updates_skipped += 1
             return
-        assert change.old_row is not None
-        if self.async_mode and not self._consume_route(change):
-            return
-        metrics.maintenance_deletes += 1
-        self._remove_derived(change.relation, change.old_row, txn)
-        self._mark_eager_applied()
-
-    def _consume_route(self, change: Change) -> bool:
-        """Async mode: consume the prepare-time routing decision.
-
-        True means hot — apply eagerly now (the X lock was taken in
-        prepare) and mark the feed record so the drain skips it.
-        False means cold — the delta is deferred to the drain.
-        """
-        hot = self._pop_route()
+        hot, pending = change.prepared.get(self, (None, None))
         if hot is None:
-            # Change arrived without a prepare (maintainer attached
-            # mid-statement): re-derive the route, defaulting cold.
-            hot = (
-                self.splitter.is_hot(change, self.view)
-                if self.splitter is not None
-                else False
-            )
+            # Change arrived without a prepare (the maintainer attached
+            # mid-statement): route it now, and lock best effort —
+            # strictly no-wait, because this path runs inside the
+            # statement latch where waiting could deadlock.
+            hot = not self.async_mode or self._is_hot(change)
+            if hot and txn is None:
+                pending = self.database.begin()
+                pending.lock_exclusive(self.view.name, wait=False)
+        # The drain reads the route off the logged change; the pending
+        # transaction is done with once this apply returns.
+        change.prepared[self] = (hot, None)
         if not hot:
-            self.view.metrics.maintenance_deferred += 1
-            return False
-        return True
-
-    def _mark_eager_applied(self) -> None:
-        """Hot-path bookkeeping: the statement's feed record (the
-        newest one — we are still inside its latched section) is
-        already reflected in this view; the drain must not re-apply.
-        When no earlier pending record still awaits this view, the
-        freshness watermark advances immediately — an all-hot view
-        reports zero staleness without waiting for a drain pass."""
-        if self.async_mode and self.outbox is not None:
-            lsn = self.outbox.last_lsn
-            self.outbox.mark_applied(lsn, self.view.name)
-            if self.outbox.applied_up_to(lsn, self.view.name):
-                self.view.applied_lsn = max(self.view.applied_lsn, lsn)
+            metrics.maintenance_deferred += 1
+            return
+        if change.kind is ChangeKind.DELETE:
+            metrics.maintenance_deletes += 1
+        try:
+            self._apply_delta(change, "maintenance.apply")
+        finally:
+            # A caller txn holds the X lock until its own commit, a
+            # pending internal txn until the maintenance work is done.
+            if pending is not None:
+                pending.commit()
+        if self.async_mode:
+            # Hot route: the view's cursor moves past this statement's
+            # record when nothing earlier still awaits it, so an
+            # all-hot view reports zero staleness without a drain.
+            lsn = self.database.current_lsn()
+            if self.view.applied_lsn == lsn - 1:
+                self.view.applied_lsn = lsn
 
     def _update_is_relevant(self, change: Change) -> bool:
         relevant = self._relevant_attrs[change.relation]
@@ -435,42 +374,28 @@ class PMVMaintainer:
 
     # -- removal strategies ----------------------------------------------------------
 
-    def _remove_derived(
-        self, relation: str, old_row: Row, txn: Transaction | None
-    ) -> None:
-        # The X lock was taken in the prepare phase; a caller txn holds
-        # it until its own commit, a pending internal txn until the
-        # maintenance work below completes.
-        pending = None
-        if txn is None:
-            pending = self._pop_pending()
-            if pending is None:
-                # Change arrived without a prepare (e.g. the maintainer
-                # attached mid-statement): lock now, best effort — and
-                # strictly no-wait, because this path runs inside the
-                # statement latch where waiting could deadlock.
-                pending = self.database.begin()
-                pending.lock_exclusive(self.view.name, wait=False)
+    def _apply_delta(self, change: Change, site: str) -> None:
+        """Remove the cached derivations of ``change``'s old row: the
+        one apply of the eager path and the CDC drain.
+
+        The caller holds the view's X lock and the statement latch.  An
+        organic failure triggers the fail-safe and re-raises: the
+        removal may have stopped partway, so the PMV could serve stale
+        tuples, and the empty subset is always a correct subset.
+        Control exceptions (scheduler markers, simulated crashes)
+        propagate without it, so the fault harness sees the PMV exactly
+        as the "crash" left it — after a crash the PMV restarts empty
+        anyway, which is the same fail-safe.
+        """
         try:
-            self._fire_fault("maintenance.apply")
+            self._fire_fault(site)
             if self.strategy is MaintenanceStrategy.AUX_INDEX:
-                self._remove_via_aux_index(relation, old_row)
+                self._remove_via_aux_index(change.relation, change.old_row)
             else:
-                self._remove_via_delta_join(relation, old_row)
+                self._remove_via_delta_join(change.relation, change.old_row)
         except Exception as exc:
             if is_control_exception(exc):
-                # Scheduler-deadlock markers and other control-flow
-                # exceptions are not organic maintenance failures:
-                # propagate without the fail-safe side effects, so the
-                # fault harness sees the PMV exactly as the "crash"
-                # left it.
                 raise
-            # Fail-safe: the removal may have stopped partway, so the
-            # PMV could now serve stale tuples.  The empty subset is
-            # always a correct subset, so clear the whole view before
-            # re-raising.  (A SimulatedCrash is a BaseException and
-            # bypasses this — after a crash the PMV restarts empty
-            # anyway, which is the same fail-safe.)
             try:
                 self.view.clear()
             except Exception:
@@ -486,49 +411,26 @@ class PMVMaintainer:
             if self.breaker is not None:
                 self.breaker.record_failure()
             raise
-        finally:
-            if pending is not None:
-                pending.commit()
 
     def apply_async(self, change: Change) -> bool:
-        """Apply one outbox delta — the async drain path.
+        """Apply one logged delta — the CDC drain's path.
 
         The caller (:class:`repro.cdc.AsyncMaintainer`) already holds
         the view's X lock and the statement latch.  Returns True when
         the delta was applied, False when an organic failure triggered
-        the fail-safe clear — after which the (empty) view is fully
-        fresh, so the caller advances the watermark either way.
-        Control exceptions (simulated crashes) propagate untouched.
+        the fail-safe clear: unlike a writing statement there is
+        nothing to abort, so the failure is absorbed (counted, never
+        silent) and the drain moves on.
         """
-        metrics = self.view.metrics
-        old_row = change.old_row
-        assert old_row is not None
+        if change.kind is ChangeKind.DELETE:
+            self.view.metrics.maintenance_deletes += 1
         try:
-            self._fire_fault("outbox.drain")
-            if change.kind is ChangeKind.DELETE:
-                metrics.maintenance_deletes += 1
-            if self.strategy is MaintenanceStrategy.AUX_INDEX:
-                self._remove_via_aux_index(change.relation, old_row)
-            else:
-                self._remove_via_delta_join(change.relation, old_row)
+            self._apply_delta(change, "cdc.drain")
         except Exception as exc:
             if is_control_exception(exc):
                 raise
-            # Same fail-safe as the eager path: a half-done removal may
-            # leave stale tuples, the empty subset never can.  Unlike a
-            # writing statement there is nothing to abort here, so the
-            # failure is absorbed (counted, never silent) and the drain
-            # moves on.
-            try:
-                self.view.clear()
-            except Exception:
-                metrics.swallowed_errors += 1
-            metrics.maintenance_failsafe_clears += 1
-            self.view.applied_lsn = self.database.current_lsn()
-            if self.breaker is not None:
-                self.breaker.record_failure()
             return False
-        metrics.maintenance_async_applied += 1
+        self.view.metrics.maintenance_async_applied += 1
         return True
 
     def _remove_via_delta_join(self, relation: str, old_row: Row) -> None:

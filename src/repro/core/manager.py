@@ -238,10 +238,10 @@ class PMVManager:
         :class:`~repro.check.invariants.InvariantViolation` on divergence.
         Used by tests and the crash-recovery torture harness.
 
-        Async-maintained views are checked against the outbox
-        high-watermark: while a view's applied LSN trails the current
-        LSN it is *intentionally* stale (undrained feed records may
-        leave bounded-stale extras cached), so only its structural
+        Async-maintained views are checked against the current LSN:
+        while a view's applied LSN trails it, the view is
+        *intentionally* stale (undrained log records may leave
+        bounded-stale extras cached), so only its structural
         invariants are enforced.  A view that claims convergence
         (watermark caught up) gets the full strict check — a lost or
         double-applied delta still surfaces as a phantom there.
@@ -261,15 +261,14 @@ class PMVManager:
     def enable_async_maintenance(
         self,
         template_names: Sequence[str] | None = None,
-        outbox=None,
         splitter=None,
         drain_batch: int = 1,
     ):
         """Switch managed views to CDC-driven async maintenance.
 
-        Creates (or adopts) a change outbox on the database, registers
-        the named views (all of them by default) with a fresh
-        :class:`~repro.cdc.AsyncMaintainer`, and returns it — the
+        Registers the named views (all of them by default) with a fresh
+        :class:`~repro.cdc.AsyncMaintainer`, a cursor on the database's
+        WAL, and returns it — the
         caller owns the drain cadence (call ``drain()`` /
         ``drain_to_convergence()``).  ``splitter`` routes hot condition
         parts back to the eager path (DESIGN.md §13); ``drain_batch`` sets how many feed
@@ -278,7 +277,7 @@ class PMVManager:
         from repro.cdc import AsyncMaintainer
 
         async_maintainer = AsyncMaintainer(
-            self.database, outbox=outbox, splitter=splitter, drain_batch=drain_batch
+            self.database, splitter=splitter, drain_batch=drain_batch
         )
         names = (
             list(template_names) if template_names is not None else list(self._views)

@@ -91,8 +91,8 @@ class PMVMetrics:
     because the query's deadline budget ran out before O3 finished."""
     maintenance_deferred: int = 0
     """Relevant changes routed cold by the heavy-light splitter: no
-    write-path X lock, the delta rides the outbox feed to the
-    background drain (async mode only)."""
+    write-path X lock, the background drain reads the delta from the
+    log (async mode only)."""
     maintenance_async_applied: int = 0
     """Deltas the background drain applied to this view."""
     pmv_bypassed_stale: int = 0

@@ -1,5 +1,4 @@
-"""The one record frame of the WAL, the ship link, the outbox spill and
-the snapshot: the CRC32 of the body as eight lowercase hex digits, one
+"""The one record frame of the WAL, the ship link and the snapshot: the CRC32 of the body as eight lowercase hex digits, one
 space, the body as compact (ASCII) JSON, and a newline::
 
     1c291ca3 {"lsn":7,"kind":"insert","payload":{"relation":"t","values":[1]}}

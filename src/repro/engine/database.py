@@ -170,11 +170,9 @@ class Database:
         # maintenance layer at its prepare/apply sites.  None (and
         # zero-cost) in production.
         self.fault_hook: Callable[[str], None] | None = None
-        # Transactional outbox (repro.cdc): when attached, every DML
-        # statement appends its change record here inside the same
-        # latched critical section as the WAL append, stamped with the
-        # WAL LSN — so the feed order is the serialization order.
-        # None (and zero-cost) when async maintenance is off.
+        # Always None: the WAL is the change feed (repro.cdc).  Kept
+        # only for its one reader, the benchmark tracer
+        # (bench/trace.py:142); ROADMAP item 2(d) drops that read.
         self.outbox = None
         self._listeners: list[ChangeListener] = []
         self._prepare_listeners: list[ChangeListener] = []
@@ -233,14 +231,10 @@ class Database:
         )
 
     def current_lsn(self) -> int:
-        """The newest serialization position: the WAL's last LSN when
-        logging, else the outbox's own sequence (0 with neither).
-        Freshness accounting measures PMV staleness against this."""
-        if self.wal is not None:
-            return self.wal.last_lsn
-        if self.outbox is not None:
-            return self.outbox.last_lsn
-        return 0
+        """The newest serialization position: the WAL's last LSN (0
+        without a WAL).  Freshness accounting measures PMV staleness
+        against this."""
+        return self.wal.last_lsn if self.wal is not None else 0
 
     def install_scheduler(self, sched) -> None:
         """Install (or with ``None`` remove) a deterministic
@@ -278,8 +272,15 @@ class Database:
         self._abort_listeners.remove(listener)
 
     def _notify_prepare(self, change: Change, txn: Transaction | None) -> None:
-        for listener in self._prepare_listeners:
-            listener(change, txn)
+        try:
+            for listener in self._prepare_listeners:
+                listener(change, txn)
+        except BaseException:
+            # A later listener refused: release what the earlier ones
+            # prepared.  Each keeps its prepare state on the change, so
+            # the abort reaches exactly those.
+            self._notify_abort(change, txn)
+            raise
 
     def _notify_abort(self, change: Change, txn: Transaction | None) -> None:
         """Best-effort: every abort listener gets its chance to release
@@ -300,6 +301,23 @@ class Database:
                     self.swallowed_errors += 1
         if control is not None:
             raise control
+
+    def _log(
+        self, kind: LogKind, payload: dict, idem: str | None, change: Change
+    ) -> None:
+        """Append the statement's record, inside the statement latch
+        (callers check for a WAL first, so a log-less load builds no
+        payload).  ``change`` rides the resident record while a CDC
+        drain reads the log
+        (:attr:`~repro.engine.wal.WriteAheadLog.change_feed`)."""
+        if idem is not None:
+            payload["idem"] = idem
+        self.wal.append(kind, payload, change)
+        if self.scheduler is not None and self.wal.change_feed is not None:
+            # Interleaving seam: the record and its change are in the
+            # log, the eager apply has not landed yet — the
+            # drain-vs-commit race site (DESIGN.md §13).
+            self.scheduler.switch("dml.logged")
 
     def _notify(self, change: Change, txn: Transaction | None) -> None:
         if txn is not None:
@@ -386,20 +404,15 @@ class Database:
                 # swallows nothing silently.
                 self._notify_abort(change, txn)
                 raise
+            applied = Change(
+                ChangeKind.INSERT, relation_name, new_row=row, prepared=change.prepared
+            )
             if self.wal is not None:
-                payload = {"relation": relation_name, "values": list(row.values)}
-                if idem is not None:
-                    payload["idem"] = idem
-                self.wal.append(LogKind.INSERT, payload)
-            applied = Change(ChangeKind.INSERT, relation_name, new_row=row)
-            if self.outbox is not None:
-                if self.scheduler is not None:
-                    # Interleaving seam: the window between the WAL
-                    # append (LSN bumped) and the outbox append (feed
-                    # record visible) — the phantom-freshness race site.
-                    self.scheduler.switch("dml.outbox-append")
-                self.outbox.append(
-                    applied, self.wal.last_lsn if self.wal is not None else None
+                self._log(
+                    LogKind.INSERT,
+                    {"relation": relation_name, "values": list(row.values)},
+                    idem,
+                    applied,
                 )
             self._notify(applied, txn)
         return row_id
@@ -441,20 +454,15 @@ class Database:
                 self._notify_abort(change, txn)
                 raise
             if self.wal is not None:
-                payload = {
-                    "relation": relation_name,
-                    "page_no": row_id.page_no,
-                    "slot_no": row_id.slot_no,
-                }
-                if idem is not None:
-                    payload["idem"] = idem
-                self.wal.append(LogKind.DELETE, payload)
-            if self.outbox is not None:
-                if self.scheduler is not None:
-                    # Interleaving seam: see insert().
-                    self.scheduler.switch("dml.outbox-append")
-                self.outbox.append(
-                    change, self.wal.last_lsn if self.wal is not None else None
+                self._log(
+                    LogKind.DELETE,
+                    {
+                        "relation": relation_name,
+                        "page_no": row_id.page_no,
+                        "slot_no": row_id.slot_no,
+                    },
+                    idem,
+                    change,
                 )
             self._notify(change, txn)
         return row
@@ -560,25 +568,24 @@ class Database:
                 # exceptions too, never a silent swallow.
                 self._notify_abort(change, txn)
                 raise
-            if self.wal is not None:
-                payload = {
-                    "relation": relation_name,
-                    "page_no": row_id.page_no,
-                    "slot_no": row_id.slot_no,
-                    "changes": dict(changes),
-                }
-                if idem is not None:
-                    payload["idem"] = idem
-                self.wal.append(LogKind.UPDATE, payload)
             applied = Change(
-                ChangeKind.UPDATE, relation_name, old_row=old_row, new_row=new_row
+                ChangeKind.UPDATE,
+                relation_name,
+                old_row=old_row,
+                new_row=new_row,
+                prepared=change.prepared,
             )
-            if self.outbox is not None:
-                if self.scheduler is not None:
-                    # Interleaving seam: see insert().
-                    self.scheduler.switch("dml.outbox-append")
-                self.outbox.append(
-                    applied, self.wal.last_lsn if self.wal is not None else None
+            if self.wal is not None:
+                self._log(
+                    LogKind.UPDATE,
+                    {
+                        "relation": relation_name,
+                        "page_no": row_id.page_no,
+                        "slot_no": row_id.slot_no,
+                        "changes": dict(changes),
+                    },
+                    idem,
+                    applied,
                 )
             self._notify(applied, txn)
         return old_row, new_row, new_id

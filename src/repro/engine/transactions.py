@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.locks import LockManager, LockMode
@@ -39,13 +39,17 @@ class Change:
     """One base-relation change: the paper's ΔRi element.
 
     ``old_row`` is set for deletes/updates, ``new_row`` for
-    inserts/updates.
+    inserts/updates.  ``prepared`` carries each PMV maintainer's
+    prepare-time decision — its route (eager or deferred to the CDC
+    drain) and the X-lock transaction it opened — to the change or
+    abort of the same statement, and on to the drain.
     """
 
     kind: ChangeKind
     relation: str
     old_row: Row | None = None
     new_row: Row | None = None
+    prepared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind is ChangeKind.INSERT and self.new_row is None:

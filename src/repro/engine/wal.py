@@ -102,12 +102,20 @@ class LogRecord:
     costs its bytes, not a dict per record; reading its ``payload``
     (replay, recovery, checks — never the write or ship path) parses
     the frame again.  A decoded record keeps the payload it parsed.
+
+    ``change`` is the statement's :class:`~repro.engine.transactions
+    .Change`, the deleted row's values included, for the CDC drain
+    (:mod:`repro.cdc`).  It is never serialized: an append attaches it
+    only while a drain reads the log (:attr:`WriteAheadLog.change_feed`),
+    and the drain
+    drops it once every registered view has read past the record.
     """
 
     lsn: int
     kind: LogKind
     frame: str
     _payload: dict[str, Any] | None = field(default=None, compare=False, repr=False)
+    change: Any = field(default=None, compare=False, repr=False)
 
     @property
     def payload(self) -> dict[str, Any]:
@@ -153,8 +161,8 @@ class LsnRetentionRegistry:
     entry per link), the CDC maintainer's feed watermark, anything
     else that replays history.  :meth:`WriteAheadLog.reclaim` never
     retires a segment past ``min(positions)`` — so a lagging replica or
-    a backed-up outbox holds segments live (or archived but readable)
-    instead of being silently cut off.
+    CDC drain holds segments live (or archived but readable) instead of
+    being silently cut off.
     """
 
     def __init__(self) -> None:
@@ -308,6 +316,10 @@ class WriteAheadLog:
         self.checksum_tail: str | None = None
         self.checksum_failures = 0
         self.fenced_by_epoch: int | None = None
+        # The one CDC drain reading statements' changes off the
+        # resident records, if any; only then does an append keep its
+        # change.
+        self.change_feed: Any = None
         # Resource model (DESIGN.md §15) ---------------------------------
         # Optional fault-site hook (repro.faults): fired at the
         # reserve/rotate probes as site "wal.enospc".
@@ -350,13 +362,41 @@ class WriteAheadLog:
 
     # -- writing -------------------------------------------------------------
 
-    def append(self, kind: LogKind, payload: dict[str, Any]) -> LogRecord:
+    def append(
+        self, kind: LogKind, payload: dict[str, Any], change: Any = None
+    ) -> LogRecord:
+        """Log one statement; ``change`` rides the resident record while
+        a CDC drain is registered (:attr:`change_feed`)."""
+        self._check_unfenced()
+        record = LogRecord.make(self._next_lsn, kind, payload)
+        if self.change_feed is not None:
+            record.change = change
+        self._store(record)
+        return record
+
+    def adopt(self, record: LogRecord) -> None:
+        """Append a record another log made, frame unchanged (a replica
+        adopting what its primary shipped).  Its LSN must be the next
+        one: a gap or a repeat is refused before anything is stored.
+        Like an appended record, the stored one keeps only its frame."""
+        self._check_unfenced()
+        if record.lsn != self._next_lsn:
+            raise EngineError(
+                f"cannot adopt LSN {record.lsn}: the log's next LSN is "
+                f"{self._next_lsn}"
+            )
+        if record.kind is LogKind.CHECKPOINT:
+            self.last_checkpoint_lsn = record.lsn
+        self._store(LogRecord(record.lsn, record.kind, record.frame))
+
+    def _check_unfenced(self) -> None:
         if self.fenced_by_epoch is not None:
             raise WALFencedError(
                 f"log is fenced: epoch {self.fenced_by_epoch} was promoted "
                 f"elsewhere; this instance must not accept appends"
             )
-        record = LogRecord.make(self._next_lsn, kind, payload)
+
+    def _store(self, record: LogRecord) -> None:
         self._next_lsn += 1
         self._records.append(record)
         if self._file is not None:
@@ -368,7 +408,6 @@ class WriteAheadLog:
                 active.first_lsn = record.lsn
             active.last_lsn = record.lsn
             active.size += len(record.frame)  # an ASCII frame: chars == bytes
-        return record
 
     def reserve(self) -> None:
         """Pre-statement space probe: fail *before* anything mutates.
@@ -498,10 +537,17 @@ class WriteAheadLog:
         A replica restored from a snapshot joins the primary's LSN
         space mid-stream; its local log must hand out the same LSNs the
         primary's log does for the records it applies.  Only valid on a
-        log that has not outgrown ``lsn`` already."""
+        log that has not outgrown ``lsn`` already, and that holds no
+        resident record a jump would leave a gap behind (resident LSNs
+        stay contiguous: :meth:`records` seeks by them)."""
         if lsn + 1 < self._next_lsn:
             raise EngineError(
                 f"cannot rewind log from LSN {self._next_lsn - 1} to {lsn}"
+            )
+        if self._records and lsn + 1 != self._next_lsn:
+            raise EngineError(
+                f"cannot jump a log holding records from LSN "
+                f"{self._next_lsn - 1} to {lsn}"
             )
         self._next_lsn = lsn + 1
 
@@ -541,9 +587,14 @@ class WriteAheadLog:
                 for record in _read_archived(segment.path):
                     if record.lsn > after_lsn:
                         yield record
-        for record in self._records:
-            if record.lsn > after_lsn:
-                yield record
+        # Resident LSNs are contiguous, so the first record past
+        # ``after_lsn`` sits at a computed index: a tail read costs the
+        # tail, not the whole resident log.
+        records = self._records
+        index = max(0, after_lsn + 1 - records[0].lsn) if records else 0
+        while index < len(records):
+            yield records[index]
+            index += 1
 
     def __len__(self) -> int:
         return len(self._records)

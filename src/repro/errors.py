@@ -83,8 +83,8 @@ class DiskFullError(StorageError, OSError):
     """The disk has no space for a durable mutation (ENOSPC).
 
     Raised *before* the engine mutates anything (reserve-before-mutate
-    probes at the WAL-append, segment-rotate, page-write, and outbox
-    spill-write sites), so a refused statement simply never happened:
+    probes at the WAL-append, segment-rotate and page-write sites), so a
+    refused statement simply never happened:
     queries keep serving PMV-backed answers and the next successful
     probe clears the read-only condition automatically.
 
@@ -99,12 +99,6 @@ class DiskFullError(StorageError, OSError):
         self.errno = _errno.ENOSPC
         self.strerror = message
         self.site = site
-
-
-class OutboxSpillError(StorageError):
-    """A spilled CDC feed record failed its CRC32 check on re-read —
-    the spill file is damaged; the feed must be rebuilt from WAL
-    replay rather than trusted."""
 
 
 class SnapshotCorruptionError(EngineError):

@@ -131,10 +131,10 @@ class FaultyWAL(WriteAheadLog):
         super().__init__(*args, **kwargs)
         self.injector = injector
 
-    def append(self, kind: LogKind, payload: dict) -> LogRecord:
+    def append(self, kind: LogKind, payload: dict, change=None) -> LogRecord:
         spec = self.injector.check("wal.append")
         if spec is None:
-            return super().append(kind, payload)
+            return super().append(kind, payload, change)
         if spec.mode is FaultMode.CRASH_BEFORE:
             raise SimulatedCrash(spec)
         if spec.mode is FaultMode.TORN:
@@ -150,7 +150,7 @@ class FaultyWAL(WriteAheadLog):
             raise SimulatedCrash(spec)
         # CRASH_AFTER: the append completes durably, then the process
         # dies before the caller hears about it.
-        super().append(kind, payload)
+        super().append(kind, payload, change)
         raise SimulatedCrash(spec)
 
     def checkpoint(self) -> LogRecord:

@@ -20,17 +20,14 @@ Fault sites (see :mod:`repro.faults.inject` for the wiring):
 ``txn.abort``           a transaction abort, before the status flip
 ``maintenance.prepare`` PMV X-lock acquisition, before the base write
 ``maintenance.apply``   PMV stale-tuple removal, after the base write
-``outbox.append``       the transactional-outbox record append, inside
-                        the DML latch after the WAL append (crash
-                        before / after the record is stored)
-``outbox.drain``        the async maintainer applying one feed delta
+``cdc.drain``           the async maintainer applying one logged delta
                         (fail / crash mid-drain)
 ``ship.send``           a replication transport send (drop / duplicate /
                         reorder / partition)
 ``wal.enospc``          the pre-statement WAL space probe / segment
                         rotation (ENOSPC: typed DiskFullError refusal)
-``disk.full``           the pre-statement page-write space probe and
-                        the outbox spill write (ENOSPC refusal)
+``disk.full``           the pre-statement page-write space probe
+                        (ENOSPC refusal)
 ======================  ====================================================
 """
 
@@ -101,14 +98,9 @@ SITES: dict[str, tuple[FaultMode, ...]] = {
     "txn.abort": (FaultMode.CRASH_BEFORE,),
     "maintenance.prepare": (FaultMode.ERROR, FaultMode.CRASH_BEFORE),
     "maintenance.apply": (FaultMode.ERROR, FaultMode.CRASH_BEFORE),
-    # The outbox append has no ERROR mode for the WAL's reason: it runs
-    # after the heap and WAL mutations, so a failure cannot abort the
-    # statement cleanly — and DELETE/UPDATE log records carry no old
-    # row values, so a silently dropped record could never be rebuilt.
-    # A failed append is a crash.  The drain, by contrast, has nothing
-    # to abort: an ERROR there exercises the fail-safe clear.
-    "outbox.append": (FaultMode.CRASH_BEFORE, FaultMode.CRASH_AFTER),
-    "outbox.drain": (FaultMode.ERROR, FaultMode.CRASH_BEFORE),
+    # The drain has nothing to abort: an ERROR there exercises the
+    # fail-safe clear.
+    "cdc.drain": (FaultMode.ERROR, FaultMode.CRASH_BEFORE),
     "ship.send": (
         FaultMode.DROP,
         FaultMode.DUPLICATE,

@@ -176,9 +176,6 @@ class ServingGate:
         report["wal_repairs"] = 0 if wal is None else wal.repairs
         report["wal_last_repair"] = None if wal is None else wal.last_repair
         report["wal_resources"] = None if wal is None else wal.resource_stats()
-        report["outbox"] = (
-            None if database.outbox is None else database.outbox.stats()
-        )
         report["disk_full"] = {
             "active": database.disk_full,
             "refusals": database.disk_full_refusals,

@@ -17,11 +17,11 @@ Pressure is computed from three signals, sampled at every
 - the **lock-timeout rate** (delta of the lock manager's ``timeouts``
   counter since the previous tick) — the leading indicator that the
   S/X pipeline is thrashing;
-- the **CDC backlog depth** (pending records in the change outbox,
-  when one is attached) — a drain that cannot keep up with the write
-  rate grows the feed without bound, and the right response is
-  backpressure (widened freshness + admission throttle), not OOM
-  (DESIGN.md §15).
+- the **CDC backlog depth** (how many LSNs the slowest
+  async-maintained view's cursor trails the log by) — a drain that
+  cannot keep up with the write rate keeps every change past that
+  cursor resident, and the right response is backpressure (widened
+  freshness + admission throttle), not OOM (DESIGN.md §15).
 
 Entering DEGRADED engages the governor's pressure-relief actions, all
 reversed when the machine returns to NORMAL:
@@ -87,10 +87,10 @@ class GovernorConfig:
     shed_queue: int = 24
     """Admission queue depth at which anything escalates to SHED."""
     degrade_backlog: int = 512
-    """Pending CDC outbox records at which NORMAL escalates to
-    DEGRADED (maintenance backpressure instead of unbounded memory)."""
+    """CDC drain lag (LSNs) at which NORMAL escalates to DEGRADED
+    (maintenance backpressure instead of unbounded memory)."""
     shed_backlog: int = 4096
-    """Pending CDC outbox records at which anything escalates to SHED."""
+    """CDC drain lag (LSNs) at which anything escalates to SHED."""
     recover_ticks: int = 2
     """Consecutive healthy ticks required before stepping down one
     state (the hysteresis)."""
@@ -220,15 +220,21 @@ class DegradationGovernor:
         return "healthy"
 
     def _backlog_depth(self) -> int:
-        """Pending CDC outbox records (0 when no outbox is attached).
+        """The CDC drain's lag: how many LSNs the slowest
+        async-maintained view's cursor trails the log by (0 with none).
 
-        Read defensively through ``manager.database.outbox`` — test
-        fixtures hand the governor bare fake managers, and the governor
-        must keep working unchanged without the CDC layer."""
-        outbox = getattr(getattr(self.manager, "database", None), "outbox", None)
-        if outbox is None:
+        Read defensively — test fixtures hand the governor bare fake
+        managers, and the governor must keep working unchanged without
+        the CDC layer."""
+        database = getattr(self.manager, "database", None)
+        managed = getattr(self.manager, "managed", None)
+        if database is None or managed is None:
             return 0
-        return len(outbox)
+        now = database.current_lsn()
+        return max(
+            (now - m.view.applied_lsn for m in managed() if m.view.async_maintenance),
+            default=0,
+        )
 
     def _step(self, pressure: str) -> str:
         with self._mutex:

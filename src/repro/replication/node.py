@@ -6,9 +6,10 @@ PMV fleet) and pumps its WAL down every attached
 :class:`ReplicaNode` owns an initially-empty database of its own and
 applies the shipped log through the exact
 :func:`~repro.engine.wal.replay_record` path crash recovery uses — the
-two cannot drift apart, and the replica's local WAL hands out the same
-LSNs as the primary's, so a promoted replica's log is a verbatim
-continuation of the primary's history.
+two cannot drift apart — then appends the shipped record itself, frame
+unchanged, to its local WAL (:meth:`~repro.engine.wal.WriteAheadLog
+.adopt`): a promoted replica's log is a verbatim continuation of the
+primary's history, and each record is encoded once in the cluster.
 
 Warm-standby PMVs: a replica mirrors the primary's view fleet
 (:meth:`ReplicaNode.mirror_views`, driven by
@@ -311,21 +312,26 @@ class ReplicaNode:
             applied += 1
         return applied
 
-    def _apply(self, record) -> None:
-        if record.kind is LogKind.CHECKPOINT:
-            # Pass the marker through to the local log so LSNs stay
-            # aligned with the primary's (replay treats it as a no-op).
-            self.database.wal.checkpoint()
-        else:
-            # The exact crash-recovery path; with the local WAL
-            # attached, the statement re-logs itself under the same
-            # LSN — the replica's log is the primary's continuation.
-            replay_record(self.database, record)
-        if self.database.wal.last_lsn != record.lsn:
+    def _apply(self, record: LogRecord) -> None:
+        wal = self.database.wal
+        if wal.last_lsn + 1 != record.lsn:
             raise ReplicationError(
-                f"{self.name}: local log drifted (applied LSN {record.lsn}, "
-                f"local log at {self.database.wal.last_lsn})"
+                f"{self.name}: local log drifted (applying LSN {record.lsn}, "
+                f"local log at {wal.last_lsn})"
             )
+        if record.kind is not LogKind.CHECKPOINT:
+            # The exact crash-recovery path, with the local WAL detached
+            # so the statement is not encoded a second time: the record
+            # the primary shipped is the log entry.  The space probe a
+            # logged statement would run comes first, so a full disk
+            # refuses the record before the heap changes.
+            wal.reserve()
+            self.database.wal = None
+            try:
+                replay_record(self.database, record)
+            finally:
+                self.database.wal = wal
+        wal.adopt(record)
 
     def note_watermark(self, lsn: int) -> None:
         """Advertise the primary's current end-of-log.

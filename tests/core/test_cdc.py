@@ -1,21 +1,25 @@
-"""CDC-driven async maintenance: outbox, routing, freshness, drain.
+"""CDC-driven async maintenance: the log as the feed, routing,
+freshness, drain.
 
 Covers the DESIGN.md §13 contract end to end at unit scope: the
-transactional outbox's ordering and durability windows, heavy-light
-routing, freshness-bound enforcement around the knob's exact value,
-breaker-gated drain retries, the governor's widen-before-shrink
-policy, and the consistency checker's watermark awareness.
+changes the WAL carries for the drain and the crash windows of their
+append, heavy-light routing, freshness-bound enforcement around the
+knob's exact value, breaker-gated drain retries, the governor's
+widen-before-shrink policy, and the consistency checker's watermark
+awareness.
 """
 
 import pytest
 
-from repro.cdc import AsyncMaintainer, ChangeOutbox, HeavyLightSplitter
+from repro.cdc import AsyncMaintainer, HeavyLightSplitter
 from repro.check import InvariantViolation, check_view_against_database
 from repro.core import PMVManager
 from repro.core.manager import ManagedView
-from repro.engine.transactions import Change, ChangeKind
+from repro.engine import QueryTemplate, WriteAheadLog
+from repro.engine.transactions import ChangeKind
+from repro.engine.wal import LogKind
 from repro.errors import LockError, MaintenanceError, PMVError
-from repro.faults import FaultInjector, FaultPlan, SimulatedCrash
+from repro.faults import FaultInjector, FaultPlan, FaultyWAL, SimulatedCrash
 from repro.faults.plan import FaultMode, FaultSpec
 from repro.qos.admission import AdmissionController
 from repro.qos.breaker import FAILURE_THRESHOLD, CircuitBreaker
@@ -25,7 +29,9 @@ from tests.conftest import eqt_query
 
 @pytest.fixture
 def world(eqt_db, eqt):
-    """A managed Eqt PMV, warm on cell (1, 2), still eager."""
+    """A managed Eqt PMV, warm on cell (1, 2), still eager; the data
+    is loaded, then a WAL is attached (the drain reads the log)."""
+    eqt_db.wal = WriteAheadLog()
     manager = PMVManager(eqt_db)
     view = manager.create_view(
         eqt,
@@ -39,8 +45,8 @@ def world(eqt_db, eqt):
     return eqt_db, eqt, manager, view, executor
 
 
-def go_async(manager, splitter=None, outbox=None):
-    return manager.enable_async_maintenance(outbox=outbox, splitter=splitter)
+def go_async(manager, splitter=None):
+    return manager.enable_async_maintenance(splitter=splitter)
 
 
 def answer(executor, eqt, fs=(1,), gs=(2,)):
@@ -51,57 +57,79 @@ def oracle(db, query):
     return sorted(tuple(r.values) for r in db.run(query))
 
 
-def dummy_delete():
-    """A schema-less DELETE change — the outbox never reads the row."""
-    return Change(ChangeKind.DELETE, "r", old_row=object())
+def logged_changes(db, after_lsn=0):
+    """(LSN, change) of every record past ``after_lsn`` holding a change."""
+    return [
+        (r.lsn, r.change) for r in db.wal.records(after_lsn) if r.change is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
-# The outbox itself
+# The log as the feed
 # ---------------------------------------------------------------------------
 
 
 class TestOutbox:
-    def test_self_assigned_lsns_are_monotonic(self):
-        outbox = ChangeOutbox()
-        change = dummy_delete()
-        lsns = [outbox.append(change).lsn for _ in range(5)]
-        assert lsns == [1, 2, 3, 4, 5]
-        assert outbox.last_lsn == 5
+    """The transactional-outbox guarantees, kept by the log itself."""
 
-    def test_explicit_lsns_preserved_and_fifo(self):
-        outbox = ChangeOutbox()
-        change = dummy_delete()
-        for lsn in (7, 9, 12):
-            outbox.append(change, lsn=lsn)
-        assert [r.lsn for r in outbox.pending()] == [7, 9, 12]
-        assert outbox.take().lsn == 7
-        assert outbox.peek_lsn() == 9
+    def test_explicit_lsns_preserved_and_fifo(self, world):
+        """Each change rides its own statement's record, read oldest
+        first from any cursor."""
+        db, eqt, manager, view, executor = world
+        go_async(manager)
+        start = db.current_lsn()
+        for i in range(3):
+            db.insert("s", (11, 4, f"x{i}"))
+        logged = logged_changes(db, start)
+        assert [lsn for lsn, _ in logged] == [start + 1, start + 2, start + 3]
+        assert [c.new_row["e"] for _, c in logged] == ["x0", "x1", "x2"]
+        assert [lsn for lsn, _ in logged_changes(db, start + 1)] == [
+            start + 2,
+            start + 3,
+        ]
 
-    def test_requeue_restores_head(self):
-        outbox = ChangeOutbox()
-        change = dummy_delete()
-        outbox.append(change)
-        outbox.append(change)
-        head = outbox.take()
-        outbox.requeue(head)
-        assert outbox.peek_lsn() == head.lsn
+    def test_requeue_restores_head(self, world):
+        """A crash unwinding a drain leaves the cursor at the head: the
+        next drain reads the same record again."""
+        db, eqt, manager, view, executor = world
+        maintainer = go_async(manager)
+        victim = view.lookup((1, 2))[0]["r.a"]
+        db.delete_where("r", lambda row: row["a"] == victim)
+        head = view.applied_lsn
+        db.fault_hook = FaultInjector(
+            FaultPlan([FaultSpec("cdc.drain", 1, FaultMode.CRASH_BEFORE)])
+        ).fire
+        with pytest.raises(SimulatedCrash):
+            maintainer.drain()
+        assert view.applied_lsn == head
+        db.fault_hook = None
+        assert maintainer.drain() == 1
+        assert maintainer.stats()["deltas_applied"] == 1
+        assert maintainer.lag(view) == 0
 
-    def test_applied_up_to_respects_earlier_unapplied(self):
-        outbox = ChangeOutbox()
-        change = dummy_delete()
-        outbox.append(change)  # lsn 1
-        outbox.append(change)  # lsn 2
-        outbox.mark_applied(2, "v")
-        assert not outbox.applied_up_to(2, "v")  # lsn 1 still pending
-        outbox.mark_applied(1, "v")
-        assert outbox.applied_up_to(2, "v")
+    def test_applied_up_to_respects_earlier_unapplied(self, world):
+        """A hot delta applied at write time moves the cursor only when
+        no earlier record still awaits the view."""
+        db, eqt, manager, view, executor = world
+        maintainer = go_async(manager, splitter=HeavyLightSplitter({"r.f": {1}}))
+        hot = view.lookup((1, 2))[0]["r.a"]
+        start = view.applied_lsn
+        db.insert("s", (11, 4, "undrained"))  # the cursor must read past it
+        db.delete_where("r", lambda row: row["a"] == hot)  # f == 1: hot
+        assert all(row["r.a"] != hot for row in (view.lookup((1, 2)) or []))
+        assert view.applied_lsn == start  # the insert is still unread
+        assert maintainer.drain() == 2
+        assert maintainer.stats()["eager_skips"] == 1  # the hot delete
+        assert maintainer.stats()["deltas_applied"] == 0
+        assert maintainer.lag(view) == 0
 
 
 class TestFeedWiring:
     def test_every_dml_kind_feeds_the_outbox(self, world):
+        """Every DML kind's record carries its change for the drain."""
         db, eqt, manager, view, executor = world
         go_async(manager)
+        start = db.current_lsn()
         db.insert("r", (900, 1, 1, "new"))
         db.delete_where("r", lambda row: row["id"] == 900)
         row_id = next(
@@ -109,21 +137,97 @@ class TestFeedWiring:
             if row["id"] == 1
         )
         db.update("r", row_id, a="renamed")
-        kinds = [r.change.kind for r in db.outbox.pending()]
+        kinds = [change.kind for _, change in logged_changes(db, start)]
         assert kinds == [ChangeKind.INSERT, ChangeKind.DELETE, ChangeKind.UPDATE]
 
     def test_aborted_statement_leaves_no_record(self, world):
         """A hot-routed write denied its X lock aborts in prepare —
-        before the heap, the WAL, and therefore the outbox."""
+        before the heap and the WAL, so the log holds nothing for it."""
         db, eqt, manager, view, executor = world
         go_async(manager, splitter=HeavyLightSplitter(default_hot=True))
+        start = db.current_lsn()
         reader = db.begin(read_only=True)
         reader.lock_shared(view.name, wait=False)
         with pytest.raises(LockError):
             db.delete_where("r", lambda row: row["id"] == 1)
         reader.commit()
-        assert len(db.outbox) == 0
+        assert db.current_lsn() == start
         assert db.catalog.relation("r").row_count == 120  # nothing deleted
+
+    def test_a_refused_prepare_releases_the_other_views_locks(self):
+        """With two views, the second view's lock denial aborts the
+        statement, and the X lock the first view's prepare took goes
+        with it: the prepare state rides on the statement's change."""
+        db, eqt, manager, view, executor = _wal_world()
+        twin = QueryTemplate(
+            name="Eqt2",
+            relations=eqt.relations,
+            select_list=eqt.select_list,
+            joins=eqt.joins,
+            slots=eqt.slots,
+        )
+        other = manager.create_view(twin, tuples_per_entry=2, max_entries=16)
+        reader = db.begin(read_only=True)
+        reader.lock_shared(other.name, wait=False)
+        with pytest.raises(LockError):
+            db.delete_where("r", lambda row: row["id"] == 1)
+        reader.commit()
+        probe = db.begin(read_only=True)
+        probe.lock_shared(view.name, wait=False)  # raises if the X leaked
+        probe.commit()
+
+    def test_no_change_is_kept_without_a_drain(self, world):
+        db, eqt, manager, view, executor = world
+        db.insert("s", (11, 4, "eager"))
+        db.delete_where("r", lambda row: row["id"] == 1)
+        assert db.wal.change_feed is None
+        assert logged_changes(db) == []
+
+    def test_a_frame_is_the_same_with_and_without_a_drain(self):
+        """The change rides beside the frame, never inside it: the
+        same statements log byte-identical frames either way."""
+        logs = []
+        for drained in (True, False):
+            db, eqt, manager, view, executor = _wal_world()
+            if drained:
+                go_async(manager)
+            start = db.current_lsn()
+            db.insert("r", (900, 1, 1, "new"))
+            db.delete_where("r", lambda row: row["id"] == 900)
+            row_id = next(
+                rid for rid, row in db.catalog.relation("r").scan() if row["id"] == 1
+            )
+            db.update("r", row_id, a="renamed", idem="k1")
+            logs.append(list(db.wal.records(start)))
+        fed, bare = logs
+        assert all(r.change is not None for r in fed)
+        assert [r.frame for r in fed] == [r.frame for r in bare]
+
+    def test_drained_records_drop_their_change(self, world):
+        db, eqt, manager, view, executor = world
+        maintainer = go_async(manager)
+        for i in range(5):
+            db.insert("s", (11, 4, f"x{i}"))
+        assert len(logged_changes(db)) == 5
+        maintainer.drain(max_records=2)
+        assert [lsn for lsn, _ in logged_changes(db)] == [
+            r.lsn for r in db.wal.records(view.applied_lsn)
+        ]
+        assert len(logged_changes(db)) == 3
+        maintainer.drain_to_convergence()
+        assert logged_changes(db) == []
+
+    def test_a_log_feeds_one_drain(self, world):
+        """A second drain would drop changes the first one's views
+        still need, so it is refused."""
+        db, eqt, manager, view, executor = world
+        AsyncMaintainer(db).register(manager.managed()[0])
+        with pytest.raises(MaintenanceError, match="another drain"):
+            AsyncMaintainer(db).register(manager.managed()[0])
+
+    def test_a_drain_needs_a_wal(self, eqt_db):
+        with pytest.raises(MaintenanceError, match="WAL"):
+            AsyncMaintainer(eqt_db)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +255,7 @@ class TestRouting:
             row["r.a"] != victim for row in (view.lookup((1, 2)) or [])
         )
         assert maintainer.lag(view) == 0  # eager apply advanced the watermark
-        maintainer.drain()
-        assert maintainer.stats()["eager_skips"] == 1
+        assert maintainer.drain() == 0  # the cursor is already past it
         assert maintainer.stats()["deltas_applied"] == 0
 
     def test_non_hot_value_stays_cold(self, world):
@@ -230,8 +333,8 @@ class TestDrain:
         db, eqt, manager, view, executor = world
         maintainer = go_async(manager)
         db.delete_where("r", lambda row: row["f"] == 1 and row["id"] < 40)
-        drained = maintainer.drain_to_convergence()
-        assert drained == len(db.outbox.pending()) + drained  # feed empty
+        maintainer.drain_to_convergence()
+        assert logged_changes(db) == []  # every change drained
         assert maintainer.lag(view) == 0
         query = eqt_query(eqt, [1], [2])
         result = executor.execute(query)
@@ -249,7 +352,7 @@ class TestDrain:
         reader.lock_shared(view.name, wait=False)
         assert maintainer.drain() == 0
         assert maintainer.lock_yields == 1
-        assert len(db.outbox) == 1  # requeued, not lost
+        assert maintainer.lag(view) == 1  # the cursor stayed: nothing lost
         reader.commit()
         assert maintainer.drain() == 1
         assert maintainer.lag(view) == 0
@@ -274,21 +377,11 @@ class TestDrain:
         assert maintainer.drain() == 1
         assert breaker.state == CircuitBreaker.CLOSED
 
-    def test_out_of_order_feed_raises(self, world):
-        db, eqt, manager, view, executor = world
-        maintainer = go_async(manager)
-        db.insert("s", (11, 4, "x1"))
-        maintainer.drain()
-        # Re-inject an already-drained LSN: the double-apply guard trips.
-        db.outbox.append(dummy_delete(), lsn=1)
-        with pytest.raises(MaintenanceError, match="out of order"):
-            maintainer.drain()
-
     def test_error_mid_drain_triggers_failsafe_clear(self, world):
         db, eqt, manager, view, executor = world
         maintainer = go_async(manager)
         injector = FaultInjector(
-            FaultPlan([FaultSpec("outbox.drain", 1, FaultMode.ERROR)])
+            FaultPlan([FaultSpec("cdc.drain", 1, FaultMode.ERROR)])
         )
         db.fault_hook = injector.fire
         victim = view.lookup((1, 2))[0]["r.a"]
@@ -306,28 +399,31 @@ class TestDrain:
 
 
 class TestAppendCrashWindows:
-    def _crash_plan(self, mode):
-        return FaultInjector(FaultPlan([FaultSpec("outbox.append", 1, mode)]))
+    """A change reaches the feed with its WAL record, so the feed's
+    append crash windows are the log's own."""
+
+    def _crash_world(self, mode):
+        db, eqt, manager, view, executor = _wal_world()
+        injector = FaultInjector(FaultPlan([FaultSpec("wal.append", 1, mode)]))
+        db.wal = FaultyWAL(injector)
+        go_async(manager)
+        with pytest.raises(SimulatedCrash):
+            db.delete_where("r", lambda row: row["id"] == 1)
+        return db
 
     def test_crash_before_stores_nothing(self):
-        injector = self._crash_plan(FaultMode.CRASH_BEFORE)
-        outbox = ChangeOutbox(fault_check=injector.check)
-        with pytest.raises(SimulatedCrash):
-            outbox.append(dummy_delete())
-        assert len(outbox) == 0
-        assert outbox.appended == 0
+        db = self._crash_world(FaultMode.CRASH_BEFORE)
+        assert db.current_lsn() == 0
+        assert logged_changes(db) == []
 
     def test_crash_after_stores_the_record(self):
-        injector = self._crash_plan(FaultMode.CRASH_AFTER)
-        outbox = ChangeOutbox(fault_check=injector.check)
-        with pytest.raises(SimulatedCrash):
-            outbox.append(dummy_delete())
-        assert len(outbox) == 1
-        assert outbox.appended == 1
+        db = self._crash_world(FaultMode.CRASH_AFTER)
+        assert db.current_lsn() == 1
+        assert [c.kind for _, c in logged_changes(db)] == [ChangeKind.DELETE]
 
     def test_error_mode_is_not_meaningful_at_append(self):
         with pytest.raises(ValueError):
-            FaultSpec("outbox.append", 1, FaultMode.ERROR)
+            FaultSpec("wal.append", 1, FaultMode.ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +537,8 @@ class TestManagerWiring:
 
 
 def _wal_world():
-    """The conftest Eqt world rebuilt per call with a WAL attached.
-
-    The phantom-freshness window only exists with a WAL: the writer
-    bumps ``current_lsn()`` at ``wal.append`` and only later (still
-    inside the statement latch) appends the feed record, so a drain
-    interleaved between the two sees a *newer* LSN over an *empty*
-    feed.  On a WAL-less database the LSN source is the outbox itself
-    and the two steps collapse into one.
-    """
+    """The conftest Eqt world rebuilt per call with a WAL attached
+    from the start (the fixture's world attaches one after loading)."""
     from repro.engine import (
         Column,
         Database,
@@ -513,15 +602,14 @@ def _wal_world():
 
 
 class TestWatermarkRace:
-    """Regression for the `_advance_to_feed_end` phantom-freshness race.
+    """Regression for the phantom-freshness race.
 
     A writer's commit is two steps inside the statement latch: WAL
-    append (LSN bumps) then outbox append (feed record visible).  A
-    drain whose feed-end catch-up runs between them used to read the
-    new LSN over a still-empty feed and jump every watermark past the
-    unapplied change.  The fix takes the statement latch (non-blocking)
-    around the LSN read + emptiness check, so the catch-up either sees
-    both steps or neither.
+    append (the record and its change are in the log) then the eager
+    apply.  A drain reading the log between them could pass the record
+    as already applied and move the cursor past a delta that has not
+    landed.  The drain therefore reads its horizon under the statement
+    latch (non-blocking), so it sees both steps or neither.
     """
 
     def test_drain_interleaved_inside_commit_keeps_watermark_honest(self):
@@ -550,13 +638,14 @@ class TestWatermarkRace:
                 f"watermark catch-up path)"
             )
             db.install_scheduler(None)
-            for record in db.outbox.pending():
-                if view.name not in record.applied_views:
-                    assert view.applied_lsn < record.lsn, (
-                        f"seed {seed}: watermark {view.applied_lsn} claims "
-                        f"unapplied feed record at LSN {record.lsn} "
-                        f"(phantom freshness)"
-                    )
+            deleted = next(
+                r.lsn for r in db.wal.records() if r.kind is LogKind.DELETE
+            )
+            if view.applied_lsn >= deleted:
+                assert am.deltas_applied == 1, (
+                    f"seed {seed}: watermark {view.applied_lsn} claims the "
+                    f"unapplied delete at LSN {deleted} (phantom freshness)"
+                )
             windows_hit += am.advance_skips
             am.drain_to_convergence()
             assert am.lag(view) == 0
@@ -575,35 +664,31 @@ class TestWatermarkRace:
 
 
 class TestRegisterMidBacklog:
-    """Regression for double-apply of pre-registration feed records.
+    """Regression for double-apply of pre-registration records.
 
-    Once an outbox is attached, *every* DML feeds it — including writes
-    against views still maintained eagerly.  Registering such a view
-    used to set its watermark to the current LSN while leaving the
-    already-pending records unstamped, so the next drain re-applied
-    deltas the eager path had already absorbed.
+    A view maintained eagerly until its registration has absorbed
+    every change logged up to then.  Its cursor starts at the
+    registration LSN, so the drain never reads those records again.
     """
 
     def test_pending_records_not_double_applied(self, world):
         db, eqt, manager, view, executor = world
-        am = AsyncMaintainer(db)  # feed attached; view still eager
+        am = AsyncMaintainer(db)  # drain built; view still eager
         victim = view.lookup((1, 2))[0]["r.a"]
         db.delete_where("r", lambda row: row["a"] == victim)
-        # Eagerly maintained at write time, yet recorded in the feed.
+        # Eagerly maintained at write time, and logged.
         assert all(
             row["r.a"] != victim for row in (view.lookup((1, 2)) or [])
         )
-        assert len(db.outbox) == 1
-        pending_lsn = db.outbox.peek_lsn()
+        deleted_lsn = db.current_lsn()
         before = view.stored_tuple_count
         am.register(manager.managed()[0])
-        assert view.applied_lsn >= pending_lsn  # fresh as of registration
-        assert am.drain() == 1
+        assert view.applied_lsn >= deleted_lsn  # fresh as of registration
+        assert am.drain() == 0  # the record is behind the cursor
         stats = am.stats()
         assert stats["deltas_applied"] == 0, (
             "drain re-applied a delta the eager path already absorbed"
         )
-        assert stats["eager_skips"] == 1
         assert view.stored_tuple_count == before
         assert am.lag(view) == 0
         manager.verify_consistency()
@@ -615,10 +700,9 @@ class TestRegisterMidBacklog:
         db.delete_where("r", lambda row: row["a"] == victim1)  # pre-register
         am.register(manager.managed()[0])
         db.delete_where("r", lambda row: row["a"] == victim2)  # post-register
-        assert am.drain() == 2
+        assert am.drain() == 1  # only the post-registration record
         stats = am.stats()
-        assert stats["eager_skips"] == 1  # the pre-registration record
-        assert stats["deltas_applied"] == 1  # the post-registration one
+        assert stats["deltas_applied"] == 1
         assert all(
             row["r.a"] not in (victim1, victim2)
             for row in (view.lookup((1, 2)) or [])

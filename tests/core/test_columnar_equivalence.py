@@ -39,6 +39,7 @@ from repro.engine import (
     SelectionSlot,
     SlotForm,
     TEXT,
+    WriteAheadLog,
 )
 
 DEFAULT_R = [(i, i % 8, i % 5, f"a{i}") for i in range(40)]
@@ -423,6 +424,7 @@ class TestBypassedExecution:
             writer = world.db.begin()
             writer.lock_exclusive(world.view.name, wait=False)
             return world, "bypassed_lock"
+        world.db.wal = WriteAheadLog()  # the drain reads the log
         world.manager.enable_async_maintenance()
         world.db.insert("s", (11, 9, "lag"))  # undrained: the view trails by 1
         return world, "bypassed_stale"

@@ -1,4 +1,4 @@
-"""Outbox spill tier, batch draining, and CDC backpressure tests."""
+"""Batch draining and CDC backpressure tests."""
 
 import pytest
 
@@ -15,11 +15,6 @@ from repro.engine import (
     TEXT,
     WriteAheadLog,
 )
-from repro.engine.row import Row
-from repro.engine.transactions import Change, ChangeKind
-from repro.engine.wal import replay_record
-from repro.cdc import ChangeOutbox
-from repro.errors import OutboxSpillError
 from repro.qos.admission import AdmissionController
 from repro.qos.governor import DegradationGovernor, GovernorConfig
 
@@ -32,142 +27,8 @@ def _plain_db() -> Database:
     return db
 
 
-def _change(db: Database, i: int) -> Change:
-    schema = db.catalog.relation("t").schema
-    return Change(ChangeKind.INSERT, "t", new_row=Row((i, f"v{i}"), schema))
-
-
-def _resolver(db: Database):
-    return lambda name: db.catalog.relation(name).schema
-
-
-class TestSpillTier:
-    def test_spill_roundtrip_preserves_payloads(self, tmp_path):
-        db = _plain_db()
-        outbox = ChangeOutbox(
-            spill_threshold=3,
-            spill_path=str(tmp_path / "feed.spill"),
-            schema_resolver=_resolver(db),
-        )
-        for i in range(10):
-            outbox.append(_change(db, i))
-        stats = outbox.stats()
-        assert stats["resident"] == 3
-        assert stats["spilled"] == 7
-        assert stats["spilled_total"] == 7
-        assert stats["peak_resident"] == 3
-        taken = []
-        while True:
-            record = outbox.take()
-            if record is None:
-                break
-            assert record.change is not None  # consumers never see a ref
-            taken.append(record)
-        got = [(r.lsn, r.change.new_row["id"], r.change.new_row["v"]) for r in taken]
-        assert got == [(i + 1, i, f"v{i}") for i in range(10)]
-        assert outbox.stats()["materialized"] == 7
-        # Fully drained: the spill file was truncated back to zero.
-        assert outbox.stats()["spill_bytes"] == 0
-        assert outbox.stats()["spill_truncations"] == 1
-        outbox.close()
-
-    def test_crc_corruption_fails_loud(self, tmp_path):
-        db = _plain_db()
-        path = tmp_path / "feed.spill"
-        outbox = ChangeOutbox(
-            spill_threshold=1,
-            spill_path=str(path),
-            schema_resolver=_resolver(db),
-        )
-        for i in range(3):
-            outbox.append(_change(db, i))
-        text = path.read_text(encoding="utf-8")
-        assert "v1" in text
-        path.write_text(text.replace("v1", "vX", 1), encoding="utf-8")
-        # Reopen the handle at the corrupted bytes.
-        outbox._spill_file.close()
-        outbox._spill_file = open(str(path), "a+b")
-        assert outbox.take().change is not None  # resident head is fine
-        with pytest.raises(OutboxSpillError, match="CRC"):
-            outbox.take()
-        outbox.close()
-
-    def test_mark_applied_never_touches_the_spill_file(self, tmp_path):
-        db = _plain_db()
-        outbox = ChangeOutbox(
-            spill_threshold=1,
-            spill_path=str(tmp_path / "feed.spill"),
-            schema_resolver=_resolver(db),
-        )
-        for i in range(4):
-            outbox.append(_change(db, i))
-        spilled = outbox.pending()[2]
-        assert spilled.spill_ref is not None
-        bytes_before = outbox.stats()["spill_bytes"]
-        assert outbox.mark_applied(spilled.lsn, "view-a")
-        assert outbox.mark_applied_up_to(2, "view-b") == 2
-        assert outbox.stats()["spill_bytes"] == bytes_before
-        assert spilled.spill_ref is not None  # still spilled
-        # Rehydration carries the stamps through.
-        outbox.take()
-        outbox.take()
-        record = outbox.take()
-        assert record.lsn == spilled.lsn
-        assert record.applied_views == {"view-a"}
-        outbox.close()
-
-    def test_spill_enospc_falls_back_to_resident(self, tmp_path):
-        db = _plain_db()
-        outbox = ChangeOutbox(
-            fault_check=lambda site: True if site == "disk.full" else None,
-            spill_threshold=2,
-            spill_path=str(tmp_path / "feed.spill"),
-            schema_resolver=_resolver(db),
-        )
-        for i in range(5):
-            outbox.append(_change(db, i))  # every spill attempt is refused
-        stats = outbox.stats()
-        assert stats["spill_enospc"] == 3
-        assert stats["spilled_total"] == 0
-        assert stats["resident"] == 5  # feed accepted them all anyway
-        assert all(r.change is not None for r in outbox.pending())
-        outbox.close()
-
-    def test_restart_repopulates_feed_from_wal_replay(self, tmp_path):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
-        db.create_relation(
-            "t", [Column("id", INTEGER, nullable=False), Column("v", TEXT)]
-        )
-        for i in range(6):
-            db.insert("t", (i, f"v{i}"))
-        db.delete("t", next(iter(db.catalog.relation("t").scan()))[0])
-        # Restart: a fresh database with a (spilling) outbox attached;
-        # replaying the WAL re-runs each statement through the DML
-        # path, so the feed rebuilds itself — the WAL is the feed's
-        # authoritative copy, the spill file is only a memory bound.
-        db2 = Database()
-        db2.outbox = ChangeOutbox(
-            spill_threshold=2,
-            spill_path=str(tmp_path / "rebuilt.spill"),
-            schema_resolver=_resolver(db2),
-        )
-        for record in wal.records():
-            replay_record(db2, record)
-        assert len(db2.outbox) == 7  # 6 inserts + 1 delete
-        assert db2.outbox.stats()["spilled_total"] > 0
-        kinds = []
-        while True:
-            record = db2.outbox.take()
-            if record is None:
-                break
-            kinds.append(record.change.kind)
-        assert kinds == [ChangeKind.INSERT] * 6 + [ChangeKind.DELETE]
-        db2.outbox.close()
-
-
 def _cdc_fixture(drain_batch: int):
-    db = Database()
+    db = Database(wal=WriteAheadLog())
     db.create_relation(
         "r",
         [

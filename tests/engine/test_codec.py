@@ -131,7 +131,7 @@ def test_codec_raises_the_classes_it_is_given():
 
 # -- the guard -------------------------------------------------------------
 
-STREAMS = ["engine/wal.py", "replication/ship.py", "cdc/outbox.py", "engine/snapshot.py"]
+STREAMS = ["engine/wal.py", "replication/ship.py", "engine/snapshot.py"]
 
 
 def _imports(path: Path) -> set[str]:

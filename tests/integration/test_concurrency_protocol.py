@@ -18,7 +18,6 @@ points are explicit calls):
 import pytest
 
 from repro.core import PMVExecutor, PMVMaintainer
-from repro.core.maintenance import MaintenanceStrategy
 from repro.errors import LockError, PMVError
 from tests.conftest import cached_count, eqt_query
 
@@ -33,11 +32,9 @@ class _UnsafeMaintainer(PMVMaintainer):
     def abort_change(self, change, txn):
         pass
 
-    def _remove_derived(self, relation, old_row, txn):
-        if self.strategy is MaintenanceStrategy.AUX_INDEX:
-            self._remove_via_aux_index(relation, old_row)
-        else:
-            self._remove_via_delta_join(relation, old_row)
+    def handle_change(self, change, txn):
+        if self._needs_maintenance(change):
+            self._apply_delta(change, "maintenance.apply")
 
 
 class _SkippingMaintainer(PMVMaintainer):
@@ -50,7 +47,7 @@ class _SkippingMaintainer(PMVMaintainer):
     def abort_change(self, change, txn):
         pass
 
-    def _remove_derived(self, relation, old_row, txn):
+    def handle_change(self, change, txn):
         pass
 
 

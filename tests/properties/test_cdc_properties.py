@@ -1,7 +1,7 @@
 """Property: async maintenance is a bounded-stale refinement of eager.
 
 Two identical worlds receive the same DML stream in lockstep: world A
-maintains its PMV asynchronously (the outbox feed, drained at
+maintains its PMV asynchronously (a drain reading the log at
 trace-controlled points), world E eagerly at write time.  Three
 properties must hold at every query:
 
@@ -39,6 +39,7 @@ from repro.engine import (
     SelectionSlot,
     SlotForm,
     TEXT,
+    WriteAheadLog,
 )
 
 operations = st.lists(
@@ -73,7 +74,7 @@ def make_template():
 
 
 def build_db():
-    db = Database()
+    db = Database(wal=WriteAheadLog())
     db.create_relation(
         "r",
         [
@@ -194,7 +195,8 @@ def apply_dml(db, op, x, y, next_id):
 def test_async_world_is_bounded_stale_refinement_of_eager(trace):
     a_db, a_t, a_view, a_ex, drain = build_async_world()
     e_db, e_t, e_view, e_ex = build_eager_world()
-    history = [snapshot(a_db)]  # history[lsn] = state after that LSN
+    base = a_db.current_lsn()  # the drain's cursor starts at the setup's end
+    history = [snapshot(a_db)]  # history[lsn - base] = state after that LSN
     next_id = 1000
     for op, x, y in trace:
         if op == "drain":
@@ -224,7 +226,7 @@ def test_async_world_is_bounded_stale_refinement_of_eager(trace):
             # in some state no older than the stamp claims.
             window = {}
             for lsn in range(a_result.applied_lsn, now + 1):
-                for item, count in truth_of(history[lsn], fs, gs).items():
+                for item, count in truth_of(history[lsn - base], fs, gs).items():
                     window[item] = max(window.get(item, 0), count)
             for item, count in got.items():
                 assert count <= window.get(item, 0), (

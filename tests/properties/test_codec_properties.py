@@ -1,28 +1,20 @@
-"""Property-based test: every decode entry point of the four checksummed
+"""Property-based test: every decode entry point of the three checksummed
 streams fails typed.
 
-The WAL record decoder, the replica's ship receiver, the snapshot
-parser and the outbox spill re-read all read the one
-:mod:`repro.engine.codec` frame.  Fed arbitrary text, a truncation or a
-one-byte flip of a valid input, or a well-framed document that is not
-theirs, each either returns or raises its own stream's typed error —
+The WAL record decoder, the replica's ship receiver and the snapshot
+parser all read the one :mod:`repro.engine.codec` frame.  Fed arbitrary
+text, a truncation or a one-byte flip of a valid input, or a
+well-framed document that is not theirs, each either returns or raises its own stream's typed error —
 never ``ValueError``, ``KeyError``, ``UnicodeError`` or anything else.
 """
-
-import os
-import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cdc import ChangeOutbox
 from repro.engine import Column, Database, INTEGER, TEXT, codec
-from repro.engine.row import Row
 from repro.engine.snapshot import snapshot_from_json, snapshot_to_json, take_snapshot
-from repro.engine.transactions import Change, ChangeKind
 from repro.engine.wal import LogKind, LogRecord
 from repro.errors import (
-    OutboxSpillError,
     ReplicationError,
     SnapshotCorruptionError,
     WALCorruptionError,
@@ -32,7 +24,6 @@ from repro.replication import ReplicaNode, ShippedRecord
 DATABASE = Database()
 DATABASE.create_relation("t", [Column("id", INTEGER, nullable=False), Column("v", TEXT)])
 DATABASE.insert("t", (1, "one"))
-SCHEMA = DATABASE.catalog.relation("t").schema
 
 CREATE = LogRecord.make(
     1,
@@ -40,22 +31,6 @@ CREATE = LogRecord.make(
     {"name": "t", "columns": [["id", "integer", False, None], ["v", "text", True, None]]},
 ).frame
 INSERT = LogRecord.make(2, LogKind.INSERT, {"relation": "t", "values": [1, "one"]}).frame
-
-
-def _spilled_bytes() -> bytes:
-    with tempfile.TemporaryDirectory(prefix="codec-spill-") as directory:
-        path = os.path.join(directory, "feed.spill")
-        outbox = ChangeOutbox(spill_threshold=1, spill_path=path)
-        outbox.append(_change(0))
-        outbox.append(_change(1))
-        with open(path, "rb") as handle:
-            data = handle.read()
-        outbox.close()
-    return data
-
-
-def _change(key: int) -> Change:
-    return Change(ChangeKind.INSERT, "t", new_row=Row((key, f"v{key}"), SCHEMA))
 
 
 json_documents = st.recursive(
@@ -97,27 +72,6 @@ def _read_snapshot(text: str) -> None:
     snapshot_from_json(text)
 
 
-def _reread_spill(text: str) -> None:
-    with tempfile.TemporaryDirectory(prefix="codec-spill-") as directory:
-        path = os.path.join(directory, "feed.spill")
-        outbox = ChangeOutbox(
-            spill_threshold=1,
-            spill_path=path,
-            schema_resolver=lambda name: DATABASE.catalog.relation(name).schema,
-        )
-        try:
-            outbox.append(_change(0))
-            outbox.append(_change(1))  # spilled
-            outbox._spill_file.close()
-            with open(path, "wb") as handle:
-                handle.write(text.encode("utf-8", "surrogatepass"))
-            outbox._spill_file = open(path, "a+b")
-            assert outbox.take().change is not None  # the resident head
-            assert outbox.take().change is not None
-        finally:
-            outbox.close()
-
-
 ENTRY_POINTS = {
     "wal-record": (_decode_record, damaged(INSERT), WALCorruptionError),
     "ship-receive": (
@@ -129,11 +83,6 @@ ENTRY_POINTS = {
         _read_snapshot,
         damaged(snapshot_to_json(take_snapshot(DATABASE))),
         SnapshotCorruptionError,
-    ),
-    "outbox-spill": (
-        _reread_spill,
-        damaged(_spilled_bytes().decode("ascii")),
-        OutboxSpillError,
     ),
 }
 

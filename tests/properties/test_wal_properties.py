@@ -197,3 +197,28 @@ def test_damaged_live_segment_loads_a_prefix_or_fails_typed(
             repaired = WriteAheadLog.load(wal_dir)
             assert not repaired.needs_repair
             assert [record.frame for record in repaired.records()] == loaded
+
+
+@given(
+    st.integers(1, 60),
+    st.lists(st.integers(1, 60), max_size=4),
+    st.sampled_from([96, 200, 512]),
+)
+@settings(max_examples=30, deadline=None)
+def test_tail_reads_seek_across_the_reclaim_boundary(n, checkpoints, segment_bytes):
+    """``records(after_lsn=k)`` is the whole log filtered to ``lsn > k``
+    for every ``k``, whether the tail starts in the archive, at the
+    reclaim boundary or among the resident records."""
+    with tempfile.TemporaryDirectory(prefix="wal-seek-") as directory:
+        wal = WriteAheadLog(path=directory + "/wal", segment_bytes=segment_bytes)
+        for i in range(n):
+            wal.reserve()
+            wal.append(LogKind.INSERT, {"relation": "t", "values": [i]})
+            if i + 1 in checkpoints:
+                wal.checkpoint()
+                wal.reclaim()
+        everything = [r.frame for r in wal.records()]
+        assert len(everything) == wal.last_lsn
+        for k in range(wal.last_lsn + 2):
+            assert [r.frame for r in wal.records(after_lsn=k)] == everything[k:]
+        wal.close()

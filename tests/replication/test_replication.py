@@ -19,6 +19,7 @@ from repro.engine import (
 from repro.engine.snapshot import checkpoint, snapshot_to_json
 from repro.engine.wal import LogKind, LogRecord
 from repro.errors import (
+    EngineError,
     ReplicaLagError,
     ReplicationError,
     SnapshotCorruptionError,
@@ -115,6 +116,39 @@ class TestShipping:
         primary.ship()
         assert replica.applied_lsn == primary.database.wal.last_lsn
         assert contents(replica.database) == contents(primary.database)
+
+    def test_replica_appends_the_frames_it_was_shipped(self, monkeypatch):
+        """A replica adopts each shipped record as it came: its log
+        holds the primary's frames, and applying never encodes one."""
+        primary = build_primary()
+        replica = ReplicaNode()
+        primary.attach_replica(replica)
+        db = primary.database
+        for i in range(4):
+            db.insert("t", (i, f"v{i}"), idem=f"k{i}")
+        db.delete("t", next(iter(db.catalog.relation("t").scan()))[0])
+        checkpoint(db)
+        db.update("t", next(iter(db.catalog.relation("t").scan()))[0], v="new")
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("the replica encoded a shipped record again")
+
+        monkeypatch.setattr(LogRecord, "make", staticmethod(no_encoding))
+        primary.ship()
+        monkeypatch.undo()
+        assert [r.frame for r in replica.database.wal.records()] == [
+            r.frame for r in db.wal.records()
+        ]
+        assert replica.database.wal.last_checkpoint_lsn == db.wal.last_checkpoint_lsn
+        assert physical(replica.database) == physical(db)
+        # Like an appended record, an adopted one keeps only its frame.
+        assert all(r._payload is None for r in replica.database.wal.records())
+
+    def test_adopt_refuses_a_gap(self):
+        wal = WriteAheadLog()
+        with pytest.raises(EngineError, match="next LSN is 1"):
+            wal.adopt(LogRecord.make(2, LogKind.CHECKPOINT, {}))
+        assert wal.last_lsn == 0
 
     def test_drop_is_retransmitted_on_next_pump(self):
         primary = build_primary()
